@@ -31,6 +31,12 @@ which doubles as a bit-identity check:
   speedup.  Cold clears the plan cache before every repeat (a fresh
   process would have neither checkpoints nor plans); warm keeps both
   caches, like a resumed session.
+* ``hybrid_fig2_16gb`` / ``hybrid_table1`` — the two campaign points of
+  the paper's hybrid Table 1 device (Figure 2's 16 GB point, Table 1's
+  phase protocol) through the campaign worker entry point, fused
+  (DESIGN.md §16), each with a ``_scalar`` twin on the per-step loop.
+  Twins share the point's result fingerprint, and ``--check`` enforces
+  each fused-over-scalar speedup measured in the same run.
 
 Run directly:
 ``PYTHONPATH=src python benchmarks/perf/bench_perf_experiment.py``
@@ -40,13 +46,14 @@ Run directly:
 from __future__ import annotations
 
 import hashlib
+import json
 import pathlib
 import sys
 import tempfile
 import time
 
-from repro.campaign import CampaignRunner, ResultStore
-from repro.campaign.spec import CampaignSpec, PointSpec
+from repro.campaign import CampaignRunner, ResultStore, get_campaign, runner
+from repro.campaign.spec import CampaignSpec, PointSpec, point_key, resolve_seed
 from repro.core import WearOutExperiment
 from repro.devices import build_device
 from repro.fs import Ext4Model
@@ -94,6 +101,19 @@ BURST_SPEEDUP = 2.5
 #: 2.0x keeps the gate far from noise while catching any regression
 #: that stops the cache from hitting.
 MEGABURST_SPEEDUP = 2.0
+
+#: Result digests of the hybrid campaign points, shared by the fused
+#: and per-step runs of each.
+HYBRID_FIG2_FINGERPRINT = "ef16afe2feaa7c52e5a1658326b689d79da1839c68701595dab5cfb83f45e1b0"
+HYBRID_TABLE1_FINGERPRINT = "6be34f07e060065a0c94113b9ac43d2c2d782eec7ca450c40632026761e50c32"
+
+#: Required speedups of the fused hybrid points over their per-step
+#: twins timed in the same run (DESIGN.md §16).  Figure 2's 16 GB point
+#: fuses every step after the first poll; Table 1 keeps its two
+#: merged-mode phases scalar (their GC relocates valid data), which
+#: caps its gain.
+HYBRID_FIG2_SPEEDUP = 2.5
+HYBRID_TABLE1_SPEEDUP = 1.4
 
 #: Best elapsed seconds per case, for the speedup check after main().
 _BEST = {}
@@ -217,6 +237,55 @@ def run_grid_warm():
     return _run_grid("warmstart_grid_warm", checkpoint_dir=_WARM_CACHE["dir"])
 
 
+class _PerStepExperiment(WearOutExperiment):
+    """The campaign's experiment on the per-step reference loop."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.step_batching = False
+
+
+def _run_hybrid_point(case_name, campaign, step_batching=True):
+    """The campaign's ``emmc-16gb`` point through the worker entry point;
+    the fingerprint digests its canonical result record."""
+    spec_set = get_campaign(campaign)
+    spec = next(p for p in spec_set.points if p.device == "emmc-16gb")
+    payload = {
+        "spec": spec.to_dict(),
+        "seed": resolve_seed(spec, spec_set.base_seed),
+        "key": point_key(spec),
+        "campaign": campaign,
+    }
+    experiment_cls = runner.WearOutExperiment
+    if not step_batching:
+        runner.WearOutExperiment = _PerStepExperiment
+    try:
+        start = time.perf_counter()
+        record = runner.run_point(payload)
+        elapsed = time.perf_counter() - start
+    finally:
+        runner.WearOutExperiment = experiment_cls
+    _BEST[case_name] = min(elapsed, _BEST.get(case_name, float("inf")))
+    digest = hashlib.sha256(json.dumps(record["result"], sort_keys=True).encode()).hexdigest()
+    return elapsed, digest
+
+
+def run_hybrid_fig2():
+    return _run_hybrid_point("hybrid_fig2_16gb", "fig2")
+
+
+def run_hybrid_fig2_scalar():
+    return _run_hybrid_point("hybrid_fig2_16gb_scalar", "fig2", step_batching=False)
+
+
+def run_hybrid_table1():
+    return _run_hybrid_point("hybrid_table1", "table1")
+
+
+def run_hybrid_table1_scalar():
+    return _run_hybrid_point("hybrid_table1_scalar", "table1", step_batching=False)
+
+
 CASES = [
     BenchCase("experiment_loop", run_experiment_loop, EXPERIMENT_FINGERPRINT),
     BenchCase("experiment_loop_prewindowed", run_experiment_loop_prewindowed,
@@ -227,6 +296,10 @@ CASES = [
     BenchCase("checkpoint_roundtrip", run_checkpoint_roundtrip, ROUNDTRIP_FINGERPRINT),
     BenchCase("warmstart_grid_cold", run_grid_cold, WARMGRID_FINGERPRINT),
     BenchCase("warmstart_grid_warm", run_grid_warm, WARMGRID_FINGERPRINT),
+    BenchCase("hybrid_fig2_16gb", run_hybrid_fig2, HYBRID_FIG2_FINGERPRINT),
+    BenchCase("hybrid_fig2_16gb_scalar", run_hybrid_fig2_scalar, HYBRID_FIG2_FINGERPRINT),
+    BenchCase("hybrid_table1", run_hybrid_table1, HYBRID_TABLE1_FINGERPRINT),
+    BenchCase("hybrid_table1_scalar", run_hybrid_table1_scalar, HYBRID_TABLE1_FINGERPRINT),
 ]
 
 
@@ -260,6 +333,18 @@ def _speedup_check(check: bool) -> int:
         _BEST.get("warmstart_grid_cold"),
         _BEST.get("warmstart_grid_warm"),
         WARMSTART_SPEEDUP,
+    )
+    code |= _ratio_gate(
+        check, "hybrid fig2 16 GB",
+        _BEST.get("hybrid_fig2_16gb_scalar"),
+        _BEST.get("hybrid_fig2_16gb"),
+        HYBRID_FIG2_SPEEDUP,
+    )
+    code |= _ratio_gate(
+        check, "hybrid table1",
+        _BEST.get("hybrid_table1_scalar"),
+        _BEST.get("hybrid_table1"),
+        HYBRID_TABLE1_SPEEDUP,
     )
     return code
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import time
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.core.clock import SimClock
 from repro.core.results import IncrementRecord, WearOutResult
@@ -95,18 +95,20 @@ class WearOutExperiment:
         # next window can be sized to end near the poll boundary rather
         # than planning the whole cap and throwing most of it away.
         self._pilot_batch_steps = 64
+        # Erases-per-step estimate of each budget counter (keyed by id)
+        # from the last batch, used to size the next batch so it ends
+        # near the poll boundary (a pure heuristic: the FTL truncates
+        # the burst exactly at the budget regardless).  Per counter
+        # because a hybrid device's pools erase at very different
+        # paces; reset whenever the workload is swapped.
+        self._erase_rate: Dict[int, float] = {}
+        self._batch_erases_base: list = []
         # Stepper bound once per workload object (re-resolved only when
         # ``self.workload`` is swapped), not re-wrapped on every batched
         # run.
         self._stepper: Any = None
         self._stepper_for: Any = None
         self._resolve_stepper()
-        # Erases-per-step estimate from the last batch, used to size the
-        # next batch so it ends near the poll boundary (a pure
-        # heuristic: the FTL truncates the burst exactly at the budget
-        # regardless).
-        self._erase_rate = 0.0
-        self._batch_erases_base = 0
         # Completed workload steps; checkpoint identity (DESIGN.md §10)
         # and the periodic-save cadence both key off it.
         self.steps_completed = 0
@@ -148,13 +150,7 @@ class WearOutExperiment:
         Table 1's phase protocol does.
         """
         self._prime_markers()
-        if self.fast_poll and self.step_batching and self._obs is None:
-            self._run_batched(until_level, max_steps)
-        else:
-            for _ in range(max_steps):
-                indicators = self._step_once()
-                if indicators is None or self._any_at_level(until_level, indicators):
-                    break
+        self._run_batched(lambda indicators: self._any_at_level(until_level, indicators), max_steps)
         self.result.total_host_bytes = self.device.host_bytes_written * self.device.scale
         if self._obs is not None:
             # Cumulative device-level volume; counted once per run().
@@ -170,18 +166,20 @@ class WearOutExperiment:
         """
         self._prime_markers()
         before = len(self.result.increments_for(memory_type))
-        for _ in range(max_steps):
-            if self._step_once() is None:
-                return None
-            records = self.result.increments_for(memory_type)
-            if len(records) > before:
-                return records[-1]
-        return None
+
+        def stop(_indicators) -> bool:
+            return len(self.result.increments_for(memory_type)) > before
+
+        self._run_batched(stop, max_steps)
+        records = self.result.increments_for(memory_type)
+        return records[-1] if len(records) > before else None
 
     # ------------------------------------------------------------------
 
-    def _run_batched(self, until_level: int, max_steps: int) -> None:
-        """Fused main loop (DESIGN.md §11, §14).
+    def _run_batched(self, stop: Callable[[Dict[str, WearIndicator]], bool], max_steps: int) -> None:
+        """The experiment loop (DESIGN.md §11, §14), shared by
+        :meth:`run` and :meth:`run_one_increment`; ``stop`` sees every
+        indicator reading and ends the run when it returns True.
 
         While the erase budget proves no indicator can cross, up to the
         whole remaining budget executes as one ``step_batch`` call — a
@@ -192,14 +190,17 @@ class WearOutExperiment:
         ``steps_completed``.  Any step the fused path cannot prove
         uneventful is replayed through ``_step_once`` — the scalar
         reference path — so results are bit-identical to
-        ``step_batching=False``.  Steady-state windows additionally hit
-        the megaburst plan cache (repro.ftl.plancache) inside
-        ``step_batch`` and skip planning entirely.
+        ``step_batching=False``, ``fast_poll=False`` and metrics-on
+        runs, which take that path for every step.  Steady-state
+        windows additionally hit the megaburst plan cache
+        (repro.ftl.plancache) inside ``step_batch`` and skip planning
+        entirely.
         """
+        fuse = self.fast_poll and self.step_batching and self._obs is None
         stepper = self._resolve_stepper()
         steps_done = 0
         while steps_done < max_steps:
-            n = self._fusion_bound(until_level, max_steps - steps_done)
+            n = self._fusion_bound(stop, max_steps - steps_done) if fuse else 1
             out = stepper(n, self._poll_budget) if n > 1 else None
             if out is None:
                 # Scalar reference step: first-ever poll, budget spent,
@@ -207,7 +208,7 @@ class WearOutExperiment:
                 # retirement, ... — see repro.ftl.burst).
                 indicators = self._step_once()
                 steps_done += 1
-                if indicators is None or self._any_at_level(until_level, indicators):
+                if indicators is None or stop(indicators):
                     return
                 continue
             durations, byte_counts, bricked = out
@@ -225,8 +226,10 @@ class WearOutExperiment:
                 self.steps_completed += m
                 steps_done += m
                 if budget:
-                    erases = max(c.block_erases for c, _ in budget)
-                    self._erase_rate = (erases - self._batch_erases_base) / m
+                    self._erase_rate = {
+                        id(c): (c.block_erases - base) / m
+                        for (c, _), base in zip(budget, self._batch_erases_base)
+                    }
             if bricked:
                 self.result.bricked = True
                 return
@@ -234,7 +237,7 @@ class WearOutExperiment:
                 # Defensive: an empty, non-bricked batch would spin.
                 indicators = self._step_once()
                 steps_done += 1
-                if indicators is None or self._any_at_level(until_level, indicators):
+                if indicators is None or stop(indicators):
                     return
                 continue
             if budget is not None and all(c.block_erases < t for c, t in budget):
@@ -253,7 +256,7 @@ class WearOutExperiment:
                     if min_more != float("inf")
                 ]
                 self._maybe_checkpoint(crossed=len(self.result.increments) > before)
-            if indicators is not None and self._any_at_level(until_level, indicators):
+            if indicators is not None and stop(indicators):
                 return
 
     def _resolve_stepper(self):
@@ -273,14 +276,17 @@ class WearOutExperiment:
             else:
                 self._stepper = functools.partial(generic_step_batch, workload)
             self._stepper_for = workload
+            # The old workload's erase rate says nothing about this one
+            # (Table 1 swaps 4 KiB rand for 128 KiB seq): pilot afresh.
+            self._erase_rate = {}
         return self._stepper
 
-    def _fusion_bound(self, until_level: int, remaining: int) -> int:
+    def _fusion_bound(self, stop, remaining: int) -> int:
         """Steps provably safe to fuse before the next poll/checkpoint.
 
         Returns 1 when the next step must go through the scalar
         reference path: no budget yet (the step must poll), budget
-        already spent, or the cached reading already terminates the run
+        already spent, or the cached reading already satisfies ``stop``
         (a repeated ``run()`` at a lower level executes exactly one
         step, as the scalar loop does).
         """
@@ -288,7 +294,7 @@ class WearOutExperiment:
         if budget is None:
             return 1
         cached = self._last_indicators
-        if cached is not None and self._any_at_level(until_level, cached):
+        if cached is not None and stop(cached):
             return 1
         n = self.max_batch_steps
         if remaining < n:
@@ -301,12 +307,18 @@ class WearOutExperiment:
             if boundary < n:
                 n = boundary
         if budget:
-            self._batch_erases_base = max(c.block_erases for c, _ in budget)
-            headroom = min(t - c.block_erases for c, t in budget)
-            if headroom <= 0:
-                return 1
-            if self._erase_rate > 0.0:
-                estimate = int(headroom / self._erase_rate) + 1
+            self._batch_erases_base = [c.block_erases for c, _ in budget]
+            estimate = None
+            for c, t in budget:
+                headroom = t - c.block_erases
+                if headroom <= 0:
+                    return 1
+                rate = self._erase_rate.get(id(c), 0.0)
+                if rate > 0.0:
+                    steps = int(headroom / rate) + 1
+                    if estimate is None or steps < estimate:
+                        estimate = steps
+            if estimate is not None:
                 if estimate < n:
                     n = estimate
             elif n > self._pilot_batch_steps:

@@ -15,7 +15,7 @@ import numpy as np
 from repro.devices.health import HealthReport
 from repro.devices.perf import PerformanceModel
 from repro.errors import DeviceWornOut, ReadOnlyError
-from repro.ftl import plancache
+from repro.ftl import burst, plancache
 from repro.ftl.burst import BurstSegment
 from repro.ftl.ftl import PageMappedFTL, _ragged_ranges
 from repro.ftl.hybrid import HybridFTL
@@ -101,21 +101,8 @@ class BlockDevice:
             raise ReadOnlyError(f"{self.name} is read-only (worn out)")
         before = self.ftl.media_pages_programmed
         erases_before = self._total_erases() if self.timing is not None else 0
-        if (
-            offsets.size > 1
-            and int(offsets[1]) - int(offsets[0]) == request_bytes
-            and (np.diff(offsets) == request_bytes).all()
-        ):
-            # Write combining: the device's buffer merges back-to-back
-            # sequential sync writes into full mapping units, which is
-            # why Figure 1a's sequential small writes escape the RMW
-            # penalty that random ones (Figure 1b) pay.  Both timing
-            # backends see the combined stream.
-            eff_offsets = offsets[:1]
-            eff_request_bytes = request_bytes * int(offsets.size)
-        else:
-            eff_offsets = offsets
-            eff_request_bytes = request_bytes
+        # Both timing backends see the write-combined stream.
+        eff_offsets, eff_request_bytes = _write_combine(offsets, request_bytes)
         try:
             self.ftl.write_requests(eff_offsets, eff_request_bytes)
         except DeviceWornOut:
@@ -148,10 +135,17 @@ class BlockDevice:
 
         Cheap enough for callers to consult before pre-drawing a whole
         window of work: a device whose configuration can never take the
-        fused path (hybrid FTL, read-only, event-timing backend) should
-        cost nothing per window beyond this check.
+        fused path (merged hybrid pools, read-only, event-timing
+        backend) should cost nothing per window beyond this check.
         """
-        return type(self.ftl) is PageMappedFTL and not self.read_only and self.timing is None
+        ftl = self.ftl
+        if type(ftl) is HybridFTL:
+            # Merged mode stages every write through pool A's ring and
+            # stays scalar (DESIGN.md §16).
+            fusable = not ftl.merged_mode
+        else:
+            fusable = type(ftl) is PageMappedFTL
+        return fusable and not self.read_only and self.timing is None
 
     def write_burst(self, groups, budget):
         """Fused write path covering many workload steps (DESIGN.md §11).
@@ -173,15 +167,15 @@ class BlockDevice:
             the exact scalar behaviour (including raising the errors this
             path refuses to model).
         """
+        # Statically ineligible devices refuse.  The event backend, for
+        # one, must time each step's actual request stream, so callers
+        # replay per-step calls (wear stays bit-identical either way —
+        # the fallback is the exact scalar path).
+        if not self.burst_eligible():
+            return None
         ftl = self.ftl
-        if type(ftl) is not PageMappedFTL or self.read_only:
-            return None
-        if self.timing is not None:
-            # The event backend times each step's actual request stream;
-            # refuse the fused path so callers replay per-step calls
-            # (wear stays bit-identical either way — the fallback is the
-            # exact scalar path).
-            return None
+        if type(ftl) is HybridFTL:
+            return self._hybrid_burst(groups, budget)
         stop_erases = None
         if budget is not None:
             counters = ftl.package.counters
@@ -282,8 +276,11 @@ class BlockDevice:
                             vectorized = True
             if not vectorized:
                 for i in indices:
-                    segment = self._burst_segment(
-                        calls[i], unit_bytes, unit_pages, page, limit
+                    # Scalar fallback: exact write_many math for one call.
+                    group, offsets, request_bytes = calls[i]
+                    segment = _burst_segment(
+                        ftl, group, *_write_combine(offsets, request_bytes),
+                        int(offsets.size) * request_bytes, request_bytes, page,
                     )
                     if segment is None:
                         return None
@@ -291,21 +288,114 @@ class BlockDevice:
         m = ftl.write_requests_batch(segments, len(groups), stop_erases)
         if m is None:
             return None
-        seg_durations = []
+        return self._burst_durations(
+            ((s.group, s.total_bytes, s.request_bytes, int(s.unit_lpns.size) * unit_pages)
+             for s in segments),
+            m,
+        )
+
+    def _hybrid_burst(self, groups, budget):
+        """:meth:`write_burst` on unmerged :class:`HybridFTL` pools
+        (DESIGN.md §16).
+
+        Each call is write-combined as :meth:`write_many` does and routed
+        by :meth:`HybridFTL.route`; each pool's share is planned under
+        that pool's own erase stop, the pool with more executed groups
+        is re-walked at the other's count, and both commit.  A request
+        straddling the hot window, or a window whose new pool-B mappings
+        could merge the pools, stays on the scalar path.
+        """
+        ftl = self.ftl
+        page = self.page_size
+        if ftl.hot_window_bytes % page:
+            return None  # host pages would not split exactly by pool
+        pools = (ftl.pool_a, ftl.pool_b)
+        stops = [None, None]
+        for ctr, threshold in budget or ():
+            if ctr is pools[0].package.counters:
+                i = 0
+            elif ctr is pools[1].package.counters:
+                i = 1
+            else:
+                return None
+            remaining = threshold - ctr.block_erases
+            if stops[i] is None or remaining < stops[i]:
+                stops[i] = remaining
+        segments = ([], [])
+        calls = []
+        for group, group_calls in enumerate(groups):
+            for offsets, request_bytes in group_calls:
+                offsets = np.asarray(offsets, dtype=np.int64)
+                if offsets.size == 0 or request_bytes <= 0:
+                    return None
+                total_bytes = int(offsets.size) * request_bytes
+                eff_offsets, eff_bytes = _write_combine(offsets, request_bytes)
+                plain, straddling, cold = ftl.route(eff_offsets, eff_bytes)
+                if straddling.size:
+                    return None
+                programs = 0
+                for pool, pool_offsets, out in zip(pools, (plain, cold), segments):
+                    if pool_offsets.size:
+                        seg = _burst_segment(
+                            pool, group, pool_offsets, eff_bytes, total_bytes,
+                            request_bytes, page,
+                        )
+                        if seg is None:
+                            return None
+                        out.append(seg)
+                        programs += seg.host_pages + seg.rmw_pages
+                calls.append((group, total_bytes, request_bytes, programs))
+        if segments[1] and ftl.could_merge(
+            np.concatenate([s.unit_lpns for s in segments[1]])
+        ):
+            return None
+        # Plan pool B (the data stream, whose budget usually stops first)
+        # then pool A at B's executed count; whenever one pool stops
+        # short, re-walk the other at the smaller count.  A prefix of a
+        # clean walk is clean, so a re-walk never bails.
+        m = len(groups)
+        plans = [None, None]
+        todo = [0, 1]
+        while todo:
+            i = todo.pop()
+            segs = [s for s in segments[i] if s.group < m]
+            plans[i] = burst.plan_write_burst(pools[i], segs, m, stops[i]) if segs else None
+            if segs and plans[i] is None:
+                return None
+            if plans[i] is not None and plans[i].executed_groups < m:
+                m = plans[i].executed_groups
+                if plans[1 - i] is not None:
+                    todo.append(1 - i)
+        for pool, plan in zip(pools, plans):
+            if plan is not None:
+                burst.commit_planned_burst(pool, plan)
+                # The page-aligned window splits each call's host pages
+                # exactly between the pools' executed segments.
+                ftl.host_pages_requested += plan.host_pages
+        return self._burst_durations(calls, m)
+
+    def _burst_durations(self, calls, m):
+        """Account the executed prefix of a committed burst.
+
+        ``calls`` yields ``(group, total_bytes, request_bytes,
+        media_pages)`` per write call in call order; each call in the
+        first ``m`` groups gets :meth:`write_many`'s duration, and the
+        device counters advance exactly as per-call writes would.
+        Returns :meth:`write_burst`'s ``(m, seg_durations)``.
+        """
+        page = self.page_size
         write_duration = self.perf.write_duration
+        seg_durations = []
         host_bytes = 0
         busy = self.busy_seconds
-        for seg in segments:
-            if seg.group >= m:
+        for group, total_bytes, request_bytes, media_pages in calls:
+            if group >= m:
                 break
-            media_pages = int(seg.unit_lpns.size) * unit_pages
-            host_pages = max(1, -(-seg.total_bytes // page))
+            host_pages = max(1, -(-total_bytes // page))
             duration = write_duration(
-                seg.total_bytes,
-                seg.request_bytes,
-                media_ratio=media_pages / host_pages,
+                total_bytes, request_bytes, media_ratio=media_pages / host_pages
             )
-            host_bytes += seg.total_bytes
+            host_bytes += total_bytes
             busy += duration
             seg_durations.append(duration)
         self.host_bytes_written += host_bytes
@@ -317,39 +407,6 @@ class BlockDevice:
             cap.seg_durations = seg_durations
             cap.host_delta = host_bytes
         return m, seg_durations
-
-    @staticmethod
-    def _burst_segment(call, unit_bytes, unit_pages, page, limit):
-        """Scalar fallback segment builder — exact write_many math for
-        one call (write combining included)."""
-        group, offsets, request_bytes = call
-        count = int(offsets.size)
-        total_bytes = count * request_bytes
-        orig_request_bytes = request_bytes
-        if (
-            count > 1
-            and int(offsets[1]) - int(offsets[0]) == request_bytes
-            and (np.diff(offsets) == request_bytes).all()
-        ):
-            # Same write-combining rule as write_many.
-            offsets = offsets[:1]
-            request_bytes = total_bytes
-        if int(offsets.min()) < 0 or int(offsets.max()) + request_bytes > limit:
-            return None
-        first_unit = offsets // unit_bytes
-        last_unit = (offsets + request_bytes - 1) // unit_bytes
-        unit_lpns = _ragged_ranges(first_unit, last_unit)
-        first_page = offsets // page
-        last_page = (offsets + request_bytes - 1) // page
-        host_pages = int((last_page - first_page + 1).sum())
-        return BurstSegment(
-            unit_lpns=unit_lpns,
-            host_pages=host_pages,
-            rmw_pages=int(unit_lpns.size) * unit_pages - host_pages,
-            group=group,
-            total_bytes=total_bytes,
-            request_bytes=orig_request_bytes,
-        )
 
     def read(self, offset: int, size: int) -> float:
         return self.read_many(np.array([offset], dtype=np.int64), size)
@@ -435,3 +492,40 @@ class BlockDevice:
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r} capacity={self.logical_capacity}>"
+
+
+def _write_combine(offsets: np.ndarray, request_bytes: int):
+    """The device buffer's write combining: back-to-back sequential sync
+    writes merge into one request spanning full mapping units, which is
+    why Figure 1a's sequential small writes escape the RMW penalty that
+    random ones (Figure 1b) pay.  Returns the effective
+    ``(offsets, request_bytes)``."""
+    if (
+        offsets.size > 1
+        and int(offsets[1]) - int(offsets[0]) == request_bytes
+        and (np.diff(offsets) == request_bytes).all()
+    ):
+        return offsets[:1], request_bytes * int(offsets.size)
+    return offsets, request_bytes
+
+
+def _burst_segment(ftl, group, offsets, request_bytes, total_bytes, call_bytes, page):
+    """The :class:`BurstSegment` of one ``ftl.write_requests(offsets,
+    request_bytes)`` call on a page-mapped FTL — its exact scalar unit
+    stream and page accounting — or None when a request is out of range.
+    ``total_bytes``/``call_bytes`` describe the device call it belongs
+    to."""
+    unit_bytes = ftl.unit_bytes
+    if int(offsets.min()) < 0 or int(offsets.max()) + request_bytes > ftl.num_logical_units * unit_bytes:
+        return None
+    last = offsets + (request_bytes - 1)
+    unit_lpns = _ragged_ranges(offsets // unit_bytes, last // unit_bytes)
+    host_pages = int((last // page - offsets // page + 1).sum())
+    return BurstSegment(
+        unit_lpns=unit_lpns,
+        host_pages=host_pages,
+        rmw_pages=int(unit_lpns.size) * ftl.unit_pages - host_pages,
+        group=group,
+        total_bytes=total_bytes,
+        request_bytes=call_bytes,
+    )

@@ -136,23 +136,43 @@ class HybridFTL:
         self.host_pages_requested += int((last_page - first_page + 1).sum())
 
         window = self.hot_window_bytes
-        in_window = offsets < window
-        hot = offsets[in_window]
-        cold = offsets[~in_window] - window
-        if hot.size:
-            crossing = hot + request_bytes > window
-            plain = hot[~crossing]
-            if plain.size:
-                self.pool_a.write_requests(plain, request_bytes)
-            # Requests straddling the window boundary split between pools.
-            for off in hot[crossing]:
-                a_len = int(window - off)
-                self.pool_a.write_requests(np.array([off]), a_len)
-                self.pool_b.write_requests(np.array([0]), request_bytes - a_len)
+        plain, straddling, cold = self.route(offsets, request_bytes)
+        if plain.size:
+            self.pool_a.write_requests(plain, request_bytes)
+        # Requests straddling the window boundary split between pools.
+        for off in straddling:
+            a_len = int(window - off)
+            self.pool_a.write_requests(np.array([off]), a_len)
+            self.pool_b.write_requests(np.array([0]), request_bytes - a_len)
         if cold.size:
             if self.merged_mode:
                 self._stage_through_a(cold.size, request_bytes)
             self.pool_b.write_requests(cold, request_bytes)
+
+    def route(self, offsets: np.ndarray, request_bytes: int):
+        """Split a batch of requests by pool, in call order.
+
+        Returns ``(plain, straddling, cold)``: pool-A offsets of requests
+        inside the hot window, offsets of requests straddling its
+        boundary, and pool-B offsets (rebased past the window) of the
+        rest.  The scalar write path and the device's fused burst path
+        (DESIGN.md §16) both route through here.
+        """
+        window = self.hot_window_bytes
+        in_window = offsets < window
+        hot = offsets[in_window]
+        straddles = hot + request_bytes > window
+        return hot[~straddles], hot[straddles], offsets[~in_window] - window
+
+    def could_merge(self, b_lpns: np.ndarray) -> bool:
+        """Whether mapping pool-B units ``b_lpns`` could bring the pools
+        to :attr:`merged_mode` — the exact :meth:`utilization` test on
+        an upper bound of the mapped count (writes only ever add
+        mappings)."""
+        l2p = self.pool_b._l2p
+        fresh = b_lpns[l2p[b_lpns] < 0]
+        mapped = np.count_nonzero(l2p >= 0) + np.unique(fresh).size
+        return mapped / l2p.size >= self.merge_utilization
 
     def _stage_through_a(self, num_requests: int, request_bytes: int) -> None:
         """Stage merged-mode traffic through the Type A FIFO ring.

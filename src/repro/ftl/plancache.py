@@ -319,7 +319,7 @@ def workload_probe(workload) -> Optional[tuple]:
         return None  # write_burst would refuse; never replay into it
     ftl = device.ftl
     if not hasattr(ftl, "_gc_queue"):
-        return None  # hybrid / duck-typed FTLs: the fused path bails anyway
+        return None  # hybrid / duck-typed FTLs are never cached
     return (
         workload._export_pattern_states(),
         workload._next_file,
@@ -374,7 +374,7 @@ def resolve_stop(workload, budget) -> Tuple[bool, Optional[int]]:
         return True, None
     package = getattr(workload.fs.device.ftl, "package", None)
     if package is None:
-        return False, None  # hybrid FTL: the fused path refuses anyway
+        return False, None  # hybrid FTL: two pools, never cached (DESIGN.md §16)
     counters = package.counters
     stop = None
     for ctr, threshold in budget:

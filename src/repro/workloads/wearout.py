@@ -162,8 +162,8 @@ class FileRewriteWorkload:
             return None
         eligible = getattr(self.fs.device, "burst_eligible", None)
         if eligible is not None and not eligible():
-            # Statically ineligible device (hybrid FTL, event timing,
-            # read-only): skip the whole-window pre-draw, not just the
+            # Statically ineligible device (merged hybrid pools, event
+            # timing, read-only): skip the whole-window pre-draw, not just the
             # burst — the caller replays through the scalar path.
             return None
         hit = plancache.lookup(self, n, budget)

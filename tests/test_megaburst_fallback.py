@@ -1,13 +1,14 @@
-"""Ineligible-config fallbacks under the megaburst compiler.
+"""Fallbacks and the hybrid fused path under the megaburst compiler.
 
 The megaburst loop (DESIGN.md §14) may only ever *accelerate* a
 configuration the fused path can prove; everything else must take the
 scalar reference path and land bit-identically on it.  These tests pin
-the three ineligible families the ISSUE names — hybrid FTL devices,
-healing models with idle periods, and ``fast_poll=False`` — against
-both the per-step loop and golden end-state digests, so a future
-megaburst change that silently widens eligibility (or worse, drifts a
-fallback) fails loudly.
+merged hybrid pools, healing models with idle periods, and
+``fast_poll=False`` against both the per-step loop and golden end-state
+digests, so a future megaburst change that silently widens eligibility
+(or worse, drifts a fallback) fails loudly.  Unmerged hybrid devices
+fuse (DESIGN.md §16); their golden digest, pinned when they still ran
+scalar, must come out of fused windows unchanged.
 """
 
 from __future__ import annotations
@@ -16,13 +17,16 @@ import pytest
 
 from repro.flash.healing import HealingModel
 from repro.ftl import plancache
+from repro.units import KIB
+from repro.workloads import FileRewriteWorkload
+from repro.workloads.wearout import fill_static_space
 from tests.test_state_snapshot import device_fingerprint, make_experiment, result_json
 
 SCALE = 2048
 
 # End-state digests of the batched (default) runs below, equal by
 # construction to the scalar reference path's digests — pinned so
-# eligibility widening that drifts any fallback config fails loudly.
+# eligibility widening that drifts any config fails loudly.
 GOLDEN = {
     "hybrid": "aedf807c63d8f84ad4c0c1a642127c3209355da2896d0b5669c3799b71123d0d",
     "healing": "359bfa6d612d1effe73a588c8ce9e28983029ef62912dd8e18c6cce5746910a2",
@@ -47,25 +51,68 @@ def _healing_experiment(**kwargs):
     return make_experiment(scale=SCALE, healing=healing, idle_seconds=1800.0, **kwargs)
 
 
-class TestHybridFallback:
-    """Hybrid (two-pool) FTLs are statically ineligible: the device
-    refuses before the workload pre-draws anything."""
+def _fused_steps(exp):
+    """Live list of the step counts the device executed fused."""
+    device = exp.device
+    inner = device.write_burst
+    fused = []
 
-    def test_device_is_statically_ineligible(self):
-        exp = _hybrid_experiment()
-        assert exp.device.burst_eligible() is False
+    def write_burst(groups, budget):
+        out = inner(groups, budget)
+        if out is not None:
+            fused.append(out[0])
+        return out
 
-    def test_batched_matches_scalar_and_golden(self):
+    device.write_burst = write_burst
+    return fused
+
+
+class TestHybridFused:
+    """Unmerged hybrid (two-pool) FTLs take the fused path, with each
+    pool planned under its own erase stop (DESIGN.md §16)."""
+
+    def test_batched_is_fused_and_matches_scalar_and_golden(self):
         batched = _hybrid_experiment()
+        assert batched.device.burst_eligible() is True
+        fused = _fused_steps(batched)
         batched.run(until_level=2)
 
         scalar = _hybrid_experiment()
         scalar.step_batching = False
         scalar.run(until_level=2)
 
+        assert sum(fused) > 0
         assert result_json(batched) == result_json(scalar)
+        assert batched.device.ftl.host_pages_requested == scalar.device.ftl.host_pages_requested
         assert device_fingerprint(batched.device) == device_fingerprint(scalar.device)
         assert device_fingerprint(batched.device) == GOLDEN["hybrid"]
+
+    def test_merged_pools_are_ineligible_and_match_scalar(self):
+        """Merged mode stages every write through pool A's ring and
+        stays on the scalar path."""
+
+        def experiment(step_batching):
+            exp = _hybrid_experiment()
+            exp.step_batching = step_batching
+            exp.run(until_level=2, max_steps=8)  # maps every workload file
+            static = fill_static_space(exp.filesystem, 0.86)
+            exp.workload = FileRewriteWorkload(
+                exp.filesystem, request_bytes=4 * KIB, target_files=static[:2], seed=8
+            )
+            return exp
+
+        batched = experiment(True)
+        assert batched.device.ftl.merged_mode
+        assert batched.device.burst_eligible() is False
+        fused = _fused_steps(batched)
+        batched.run_one_increment("A", max_steps=20)
+
+        scalar = experiment(False)
+        scalar.run_one_increment("A", max_steps=20)
+
+        assert fused == []
+        assert result_json(batched) == result_json(scalar)
+        assert device_fingerprint(batched.device) == device_fingerprint(scalar.device)
 
     def test_no_cache_traffic(self):
         exp = _hybrid_experiment()

@@ -27,6 +27,7 @@ from repro.ftl import plancache
 from repro.units import KIB
 from repro.workloads import FileRewriteWorkload
 from tests.test_burst_batching import SCALE, _experiment, _outcome
+from tests.test_megaburst_fallback import _fused_steps
 
 
 @pytest.fixture(autouse=True)
@@ -232,16 +233,38 @@ class TestCachePolicy:
         )
 
     def test_ineligible_device_captures_nothing(self):
-        """A statically ineligible device (hybrid FTL) never arms a
-        capture, so ineligible runs cost no cache traffic."""
+        """A statically ineligible device (event timing backend) never
+        arms a capture, so ineligible runs cost no cache traffic."""
+        device = build_device("emmc-8gb", scale=SCALE, seed=7, timing="event")
+        assert not device.burst_eligible()
+        fs = Ext4Model(device)
+        workload = FileRewriteWorkload(fs, num_files=4, request_bytes=4 * KIB, seed=7)
+        exp = WearOutExperiment(device, workload, filesystem=fs)
+        # A burst-eligible device would arm a capture in its first
+        # fused window, right after the opening poll step.
+        exp.run(until_level=2, max_steps=10)
+        assert exp.steps_completed == 10
+        stats = plancache.stats()
+        assert stats["captures"] == 0
+        assert stats["misses"] == 0
+
+    def test_hybrid_windows_fuse_but_never_capture(self):
+        """Hybrid windows fuse (DESIGN.md §16) but stay out of the
+        cache: lookup declines the two-pool budget before arming a
+        capture, and no figure point repeats a hybrid window."""
         device = build_device("emmc-16gb", scale=SCALE, seed=7)
         fs = Ext4Model(device)
         workload = FileRewriteWorkload(fs, num_files=4, request_bytes=4 * KIB, seed=7)
         exp = WearOutExperiment(device, workload, filesystem=fs)
+        fused = _fused_steps(exp)
         exp.run(until_level=2)
+        assert sum(fused) > 0
+        # No miss means lookup never reached the cache, so no capture
+        # was ever armed.
         stats = plancache.stats()
         assert stats["captures"] == 0
         assert stats["misses"] == 0
+        assert stats["hits"] == 0
 
 
 class TestMemberLimitRevalidation:
