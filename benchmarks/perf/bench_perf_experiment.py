@@ -3,20 +3,28 @@
 Three aspects of the wear-state subsystem (DESIGN.md §10), each of
 which doubles as a bit-identity check:
 
-* ``experiment_loop`` — a single wear-out run to level 3 through the
-  full stack with the default increment-aware polling, fused burst
-  execution (DESIGN.md §11), and the megaburst plan cache (§14).  The
-  cache is cleared once at case start, so the first repeat captures
-  whole-window plans and later repeats replay them: best-of-N measures
-  the steady-state trajectory-replay cost the cache was built for.
+* ``experiment_loop`` — the replay of an identical run: one wear-out
+  run to level 3 through the full stack inside ``plancache.sharing()``
+  (DESIGN.md §14), with increment-aware polling, fused burst execution
+  (§11), and the megaburst plan cache.  The cache is cleared once at
+  case start, so the first repeat captures whole-window plans and later
+  repeats replay them: best-of-N measures the trajectory-replay cost
+  the cache was built for, not a cold run.
+* ``experiment_cold`` — the same run with the defaults a lone run gets:
+  no sharing scope, so nothing is probed or captured and windows are
+  planned 8 steps at a time.
+* ``experiment_metrics`` — ``experiment_cold`` with the metrics
+  registry on.  It stays on the fused path (DESIGN.md §9), and
+  ``--check`` gates it at ``METRICS_OVERHEAD``x ``experiment_cold``
+  measured in the same run.
 * ``experiment_loop_prewindowed`` — the same run with the plan cache
   off and the pre-megaburst 64-step window cap: the prior PR's fused
   loop, re-measured in this session so the megaburst gate compares
   same-machine numbers instead of a stale baseline.
-* ``experiment_megaburst_nocache`` — megaburst windows with the plan
-  cache off: the differential case proving the window lift alone is
-  bit-identical (its time is the cold-trajectory cost; the cache is
-  what makes the big windows pay off).
+* ``experiment_megaburst_nocache`` — 1024-step shared-scope windows
+  with the plan cache off: the differential case proving the window
+  lift alone is bit-identical (the cache is what makes the big windows
+  pay off).
 * ``experiment_loop_scalar`` — the same run with ``step_batching``
   off: the per-step reference path.  Must land on the same
   fingerprint, and ``--check`` enforces the burst-fusion speedup of
@@ -58,6 +66,7 @@ from repro.core import WearOutExperiment
 from repro.devices import build_device
 from repro.fs import Ext4Model
 from repro.ftl import plancache
+from repro.obs import MetricsRegistry, metrics_enabled
 from repro.state import load_state, restore_experiment, save_state, snapshot_experiment
 from repro.units import KIB
 from repro.workloads import FileRewriteWorkload
@@ -102,6 +111,12 @@ BURST_SPEEDUP = 2.5
 #: that stops the cache from hitting.
 MEGABURST_SPEEDUP = 2.0
 
+#: Largest allowed slowdown of ``experiment_metrics`` over
+#: ``experiment_cold`` in the same run: observing the fused path must
+#: cost almost nothing (ROADMAP: observe the fused path without
+#: leaving it).
+METRICS_OVERHEAD = 1.1
+
 #: Result digests of the hybrid campaign points, shared by the fused
 #: and per-step runs of each.
 HYBRID_FIG2_FINGERPRINT = "ef16afe2feaa7c52e5a1658326b689d79da1839c68701595dab5cfb83f45e1b0"
@@ -144,8 +159,12 @@ def _result_digest(experiment) -> str:
     ).hexdigest()
 
 
-def _run_loop(case_name, step_batching=True, max_batch_steps=None):
-    experiment = _experiment()
+def _run_loop(case_name, step_batching=True, max_batch_steps=None, metrics=False):
+    if metrics:
+        with metrics_enabled(MetricsRegistry()):
+            experiment = _experiment()
+    else:
+        experiment = _experiment()
     experiment.step_batching = step_batching
     if max_batch_steps is not None:
         experiment.max_batch_steps = max_batch_steps
@@ -162,7 +181,16 @@ def run_experiment_loop():
         # later repeats replay them, so best-of-N reports steady state.
         _CASE_PRIMED.add("experiment_loop")
         plancache.clear()
-    return _run_loop("experiment_loop")
+    with plancache.sharing():
+        return _run_loop("experiment_loop")
+
+
+def run_experiment_cold():
+    return _run_loop("experiment_cold")
+
+
+def run_experiment_metrics():
+    return _run_loop("experiment_metrics", metrics=True)
 
 
 def run_experiment_loop_prewindowed():
@@ -171,7 +199,7 @@ def run_experiment_loop_prewindowed():
 
 
 def run_experiment_megaburst_nocache():
-    with plancache.disabled():
+    with plancache.sharing(), plancache.disabled():
         return _run_loop("experiment_megaburst_nocache")
 
 
@@ -288,6 +316,8 @@ def run_hybrid_table1_scalar():
 
 CASES = [
     BenchCase("experiment_loop", run_experiment_loop, EXPERIMENT_FINGERPRINT),
+    BenchCase("experiment_cold", run_experiment_cold, EXPERIMENT_FINGERPRINT),
+    BenchCase("experiment_metrics", run_experiment_metrics, EXPERIMENT_FINGERPRINT),
     BenchCase("experiment_loop_prewindowed", run_experiment_loop_prewindowed,
               EXPERIMENT_FINGERPRINT),
     BenchCase("experiment_megaburst_nocache", run_experiment_megaburst_nocache,
@@ -315,8 +345,24 @@ def _ratio_gate(check, label, num, den, floor):
     return 0
 
 
+def _metrics_check(check: bool) -> int:
+    """Gate metrics-on at ``METRICS_OVERHEAD``x the metrics-off run."""
+    cold = _BEST.get("experiment_cold")
+    metered = _BEST.get("experiment_metrics")
+    if not cold or not metered:
+        return 0
+    overhead = metered / cold
+    print(f"metrics overhead: {overhead:.2f}x ({metered:.3f}s / {cold:.3f}s, "
+          f"gate <= {METRICS_OVERHEAD}x)")
+    if check and overhead > METRICS_OVERHEAD:
+        print(f"FAIL: metrics overhead {overhead:.2f}x > {METRICS_OVERHEAD}x")
+        return 1
+    return 0
+
+
 def _speedup_check(check: bool) -> int:
-    code = _ratio_gate(
+    code = _metrics_check(check)
+    code |= _ratio_gate(
         check, "burst-fusion",
         _BEST.get("experiment_loop_scalar"),
         _BEST.get("experiment_loop_prewindowed"),

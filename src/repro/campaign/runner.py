@@ -13,8 +13,10 @@ scheduling order produce the same canonical store as a serial run
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Union
 
@@ -25,6 +27,7 @@ from repro.core.experiment import WearOutExperiment
 from repro.devices import DEVICE_SPECS, build_device
 from repro.errors import ConfigurationError
 from repro.fs import make_filesystem
+from repro.ftl import plancache
 from repro.obs import MetricsRegistry, SpanRecorder, is_enabled, metrics_enabled, worker_utilization
 from repro.state import CheckpointError, CheckpointManager, restore_experiment, warm_start_key
 from repro.units import KIB
@@ -176,12 +179,10 @@ def _worker_init() -> None:
     cache pages; clearing keeps per-worker memory flat and makes fork
     and spawn workers start from the same (empty) cache.  The serial
     path deliberately keeps the module-global cache so a grid's points
-    warm-start each other's fused windows (DESIGN.md §14) — replays
-    are bit-identical, so worker count never changes results either
-    way.
+    sharing a warm key replay each other's fused windows (DESIGN.md
+    §14) — replays are bit-identical, so worker count never changes
+    results either way.
     """
-    from repro.ftl import plancache
-
     plancache.clear()
 
 
@@ -199,20 +200,25 @@ def run_point(payload: Dict[str, Any]) -> Dict[str, Any]:
     snapshot lands in ``telemetry`` — visible to ``repro report`` but
     stripped from the canonical view, so store fingerprints stay
     identical whether metrics are on or off (DESIGN.md §9).
+
+    ``share_plans: True`` runs it inside ``plancache.sharing()``, since
+    another point of the run replays its fused windows (DESIGN.md §14).
     """
     spec = PointSpec.from_dict(payload["spec"])
     seed = payload["seed"]
     checkpoint = payload.get("checkpoint")
     recorder = SpanRecorder()
     telemetry: Dict[str, Any] = {}
-    if payload.get("metrics"):
-        with metrics_enabled(MetricsRegistry()) as registry:
-            with recorder.span(f"point:{payload['key']}"):
-                result = _EXECUTORS[spec.kind](spec, seed, checkpoint=checkpoint)
-            telemetry["metrics"] = registry.snapshot()
-    else:
+    registry = None
+    with contextlib.ExitStack() as scopes:
+        if payload.get("share_plans"):
+            scopes.enter_context(plancache.sharing())
+        if payload.get("metrics"):
+            registry = scopes.enter_context(metrics_enabled(MetricsRegistry()))
         with recorder.span(f"point:{payload['key']}"):
             result = _EXECUTORS[spec.kind](spec, seed, checkpoint=checkpoint)
+    if registry is not None:
+        telemetry["metrics"] = registry.snapshot()
     telemetry["elapsed_s"] = recorder.spans[-1].elapsed_s
     telemetry["worker_pid"] = os.getpid()
     return {
@@ -292,18 +298,23 @@ class CampaignRunner:
 
         The submitting process's metrics-enabled state rides along as a
         plain flag — worker processes rebuild their own registries from
-        it (:func:`run_point`).
+        it (:func:`run_point`) — and so does ``share_plans``: whether
+        another pending point has the same warm-start key, i.e. walks
+        the same trajectory and can replay this point's fused windows.
         """
         payloads = []
+        warm_keys = []
         metrics = is_enabled()
         for key, point in self.spec.keyed_points():
             if key in self.store:
                 continue
+            fields = point.to_dict()
+            seed = resolve_seed(point, self.spec.base_seed)
             payload = {
                 "key": key,
                 "campaign": self.spec.name,
-                "spec": point.to_dict(),
-                "seed": resolve_seed(point, self.spec.base_seed),
+                "spec": fields,
+                "seed": seed,
                 "metrics": metrics,
             }
             if self.checkpoint_dir is not None:
@@ -312,6 +323,10 @@ class CampaignRunner:
                     "interval": self.checkpoint_interval,
                 }
             payloads.append(payload)
+            warm_keys.append(warm_start_key(fields, seed))
+        walkers = Counter(warm_keys)
+        for payload, warm_key in zip(payloads, warm_keys):
+            payload["share_plans"] = walkers[warm_key] > 1
         return payloads
 
     def run(

@@ -20,6 +20,7 @@ from repro.core.clock import SimClock
 from repro.core.results import IncrementRecord, WearOutResult
 from repro.devices.interface import BlockDevice
 from repro.errors import DeviceWornOut, OutOfSpaceError, ReadOnlyError, UncorrectableError
+from repro.ftl import plancache
 from repro.ftl.wear_indicator import WearIndicator
 from repro.obs import ExperimentInstruments, JsonlEmitter
 from repro.units import GIB
@@ -88,8 +89,9 @@ class WearOutExperiment:
         # checkpoints land at the exact same steps_completed for any cap
         # value because the FTL truncates the burst at the erase budget
         # itself, not at the window edge (window-size invariance is
-        # pinned by tests/test_ftl_equivalence.py).
-        self.max_batch_steps = 1024
+        # pinned by tests/test_ftl_equivalence.py).  None takes
+        # plancache.window_steps(), the current sharing scope's default.
+        self.max_batch_steps: Optional[int] = None
         # First fused window after a poll, before any erase-rate
         # estimate exists.  Small on purpose: it learns the rate so the
         # next window can be sized to end near the poll boundary rather
@@ -112,6 +114,8 @@ class WearOutExperiment:
         # Completed workload steps; checkpoint identity (DESIGN.md §10)
         # and the periodic-save cadence both key off it.
         self.steps_completed = 0
+        # Scaled host volume already counted into experiment.host_bytes.
+        self._host_bytes_counted = 0
         self._ckpt_manager: Any = None
         self._ckpt_key: Optional[str] = None
         self._ckpt_interval = 0
@@ -152,9 +156,7 @@ class WearOutExperiment:
         self._prime_markers()
         self._run_batched(lambda indicators: self._any_at_level(until_level, indicators), max_steps)
         self.result.total_host_bytes = self.device.host_bytes_written * self.device.scale
-        if self._obs is not None:
-            # Cumulative device-level volume; counted once per run().
-            self._obs.host_bytes.inc(self.result.total_host_bytes)
+        self._count_host_bytes()
         return self.result
 
     def run_one_increment(self, memory_type: str = "A", max_steps: int = 1_000_000) -> Optional[IncrementRecord]:
@@ -171,8 +173,18 @@ class WearOutExperiment:
             return len(self.result.increments_for(memory_type)) > before
 
         self._run_batched(stop, max_steps)
+        self._count_host_bytes()
         records = self.result.increments_for(memory_type)
         return records[-1] if len(records) > before else None
+
+    def _count_host_bytes(self) -> None:
+        """Add the device's scaled host volume written since the last
+        count to ``experiment.host_bytes``; after one run() it equals
+        ``total_host_bytes``."""
+        total = self.device.host_bytes_written * self.device.scale
+        if self._obs is not None:
+            self._obs.host_bytes.inc(total - self._host_bytes_counted)
+        self._host_bytes_counted = total
 
     # ------------------------------------------------------------------
 
@@ -190,13 +202,13 @@ class WearOutExperiment:
         ``steps_completed``.  Any step the fused path cannot prove
         uneventful is replayed through ``_step_once`` — the scalar
         reference path — so results are bit-identical to
-        ``step_batching=False``, ``fast_poll=False`` and metrics-on
-        runs, which take that path for every step.  Steady-state
-        windows additionally hit the megaburst plan cache
-        (repro.ftl.plancache) inside ``step_batch`` and skip planning
-        entirely.
+        ``step_batching=False`` and ``fast_poll=False`` runs, which take
+        that path for every step.  Metrics-on runs fuse too: instruments
+        are counted from the plan (DESIGN.md §9).  Inside
+        ``plancache.sharing()``, steady-state windows additionally hit
+        the megaburst plan cache and skip planning entirely.
         """
-        fuse = self.fast_poll and self.step_batching and self._obs is None
+        fuse = self.fast_poll and self.step_batching
         stepper = self._resolve_stepper()
         steps_done = 0
         while steps_done < max_steps:
@@ -218,11 +230,15 @@ class WearOutExperiment:
                 scale = self.device.scale
                 result = self.result
                 clock = self.clock
+                obs = self._obs
                 for i in range(m):
                     duration = durations[i]
                     clock.advance(duration)
                     result.total_seconds += duration * scale
                     result.total_app_bytes += byte_counts[i] * scale
+                    if obs is not None:
+                        obs.steps.inc()
+                        obs.app_bytes.inc(byte_counts[i] * scale)
                 self.steps_completed += m
                 steps_done += m
                 if budget:
@@ -297,6 +313,8 @@ class WearOutExperiment:
         if cached is not None and stop(cached):
             return 1
         n = self.max_batch_steps
+        if n is None:
+            n = plancache.window_steps()
         if remaining < n:
             n = remaining
         if self._ckpt_manager is not None and self._ckpt_interval:

@@ -282,9 +282,10 @@ class FlashPackage:
         """Commit the final wear state of a fused write burst's erases.
 
         The burst planner (:mod:`repro.ftl.burst`) guarantees the clean
-        path: observability disabled, no block crossed its cycle limit,
-        and the per-block values are the exact floats the scalar
-        :meth:`erase_block` sequence would have produced.  ``block_ids``
+        path: no block crossed its cycle limit, and the per-block values
+        are the exact floats the scalar :meth:`erase_block` sequence
+        would have produced.  The ``flash.*`` instruments are bumped
+        from the plan by the burst commit, not here.  ``block_ids``
         are the unique erased blocks carrying their final wear;
         ``num_erases`` counts every erase (a block may be erased more
         than once per burst).

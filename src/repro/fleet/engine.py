@@ -201,6 +201,7 @@ def prototype_snapshot(
     return snapshot_experiment(experiment)
 
 
+@plancache.sharing()
 def run_cohort(
     spec: CohortSpec,
     cohort_seed: int,
@@ -215,6 +216,8 @@ def run_cohort(
     just compiled (DESIGN.md §15), so their "full" runs collapse to
     cache probes plus the post-divergence tail.  A certifiable cohort
     of any population therefore costs one device-run plus array math.
+    The whole cohort runs inside ``plancache.sharing()``: the demoted
+    replays follow the leader.
     """
     snapshot = prototype_snapshot(spec, cohort_seed, checkpoint_dir)
     seeds = [device_seed(cohort_seed, i) for i in range(spec.population)]
@@ -279,6 +282,7 @@ def run_cohort(
     return result
 
 
+@plancache.sharing()
 def scalar_member_result(
     spec: CohortSpec,
     cohort_seed: int,
@@ -288,6 +292,8 @@ def scalar_member_result(
     """Member ``index``'s ground-truth scalar run — the reference side
     of the spot-check contract (DESIGN.md §12): for any member,
     ``run_cohort(...).member_result(i)`` must be bit-identical to this.
+    Like a demoted member, it runs inside ``plancache.sharing()`` and
+    replays whatever windows its cohort left in the cache.
     """
     snapshot = prototype_snapshot(spec, cohort_seed, checkpoint_dir)
     member = branch_experiment(spec, device_seed(cohort_seed, index), snapshot)

@@ -128,11 +128,9 @@ def plan_write_burst(
     """
     if not segments or num_groups <= 0:
         return None
-    if ftl.read_only or ftl._in_reclaim or ftl._obs is not None:
+    if ftl.read_only or ftl._in_reclaim:
         return None
     pkg = ftl.package
-    if pkg._obs is not None:
-        return None
     if type(ftl._victim_policy) is not GreedyVictimPolicy:
         return None
 
@@ -707,6 +705,7 @@ def commit_planned_burst(ftl, plan: BurstPlan) -> None:
     hint0 = queue._min_hint
     n_erased = plan.n_erased
 
+    programs = plan.units_executed * ftl.unit_pages
     stats = ftl.stats
     stats.host_pages_requested += plan.host_pages
     stats.host_pages_programmed += plan.host_pages
@@ -715,9 +714,30 @@ def commit_planned_burst(ftl, plan: BurstPlan) -> None:
     stats.gc_runs += n_erased
     stats.blocks_erased += n_erased
     counters = pkg.counters
-    counters.page_programs += plan.units_executed * ftl.unit_pages
+    counters.page_programs += programs
     counters.page_reads += plan.rmw_pages
     ftl._erases_since_wl_check = plan.wl_ctr_final
+
+    # Instruments count from the plan (DESIGN.md §9): the same totals
+    # the scalar write and reclaim paths bump call by call.  Every
+    # clean-path victim is fully invalid, and every clean reclaim stops
+    # exactly at the high watermark, so that is the free-block gauge.
+    obs = ftl._obs
+    if obs is not None:
+        obs.host_pages.inc(plan.host_pages)
+        obs.rmw_pages.inc(plan.rmw_pages)
+        obs.pages_read.inc(plan.rmw_pages)
+        obs.flash_pages.inc(programs)
+        if n_erased:
+            obs.gc_runs.inc(n_erased)
+            obs.blocks_erased.inc(n_erased)
+            obs.gc_victim_valid.observe_repeat(0, n_erased)
+            obs.free_blocks.set(ftl.gc_high_water)
+    flash_obs = pkg._obs
+    if flash_obs is not None:
+        flash_obs.page_programs.inc(programs)
+        flash_obs.page_reads.inc(plan.rmw_pages)
+        flash_obs.block_erases.inc(n_erased)
 
     if kernels.apply_selected():
         _kernel_commit(ftl, plan)

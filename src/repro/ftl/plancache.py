@@ -31,10 +31,13 @@ misses; a mutation to an unprobed component cannot change the outcome.
 
 The cache is process-global (steady-state reuse spans experiments: a
 warm-start grid's deeper points replay the shallower points' windows)
-and size-capped by plan bytes with LRU eviction.  ``REPRO_PLAN_CACHE=0``
-in the environment, or :func:`configure`, disables it; captures are
-orchestrated through a single active slot (the simulator is
-single-threaded per process; campaign workers each own a process).
+and size-capped by plan bytes with LRU eviction.  It is consulted only
+inside a :class:`sharing` scope, which callers open where a replay
+follows; elsewhere no window is probed or captured.
+``REPRO_PLAN_CACHE=0`` in the environment, or :func:`configure`,
+disables it; captures are orchestrated through a single active slot
+(the simulator is single-threaded per process; campaign workers each
+own a process).
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from __future__ import annotations
 import os
 from bisect import bisect_left
 from collections import OrderedDict
+from contextlib import ContextDecorator
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -282,8 +286,6 @@ def _ftl_probe(ftl) -> tuple:
     return (
         ftl.read_only,
         ftl._in_reclaim,
-        ftl._obs is None,
-        pkg._obs is None,
         pkg._num_bad,
         type(ftl._victim_policy).__name__,
         tuple(ftl._free_blocks),
@@ -431,6 +433,33 @@ class disabled:
         return False
 
 
+class sharing(ContextDecorator):
+    """Re-entrant scope (or decorator) in which fused windows are
+    probed, captured and replayed (DESIGN.md §14).
+
+    Outside every scope :func:`lookup` declines at once and the
+    experiment loop plans small windows (:func:`window_steps`): a plan
+    nobody replays is pure cost.  Callers open it where a replay
+    follows.  ``depth`` counts open scopes.
+    """
+
+    depth = 0
+
+    def __enter__(self):
+        sharing.depth += 1
+        return self
+
+    def __exit__(self, *exc):
+        sharing.depth -= 1
+        return False
+
+
+def window_steps() -> int:
+    """Default fused-window cap (DESIGN.md §14): 1024 inside
+    :class:`sharing`, where one probe replays a whole window, else 8."""
+    return 1024 if sharing.depth else 8
+
+
 def active_capture() -> Optional[_Capture]:
     return _active
 
@@ -448,11 +477,12 @@ def lookup(workload, n: int, budget):
     None on a miss — in which case a capture slot is armed when the
     window is cacheable, and the caller must run the fresh path and
     finish with :func:`finish_capture` (success) or
-    :func:`abort_capture` (fallback to scalar).
+    :func:`abort_capture` (fallback to scalar).  Outside a
+    :class:`sharing` scope it returns None at once.
     """
     global _active
     _active = None
-    if not _cache.enabled:
+    if not _cache.enabled or not sharing.depth:
         return None
     ok, stop_rel = resolve_stop(workload, budget)
     if not ok:

@@ -576,7 +576,7 @@ class TestMegaburstEquivalence:
         assert len(experiment.result.increments) == 2
         assert ftl_fingerprint(experiment.device.ftl) == TRAJECTORY_FINGERPRINT
 
-    @pytest.mark.parametrize("window", [7, 64])
+    @pytest.mark.parametrize("window", [7, 8, 64, 1024])
     def test_window_size_invariance(self, window):
         experiment = run_trajectory(max_batch_steps=window)
         assert ftl_fingerprint(experiment.device.ftl) == TRAJECTORY_FINGERPRINT

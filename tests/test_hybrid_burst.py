@@ -93,8 +93,9 @@ def _windows(exp):
     return log
 
 
-def _differential(until_level=3, max_steps=1_000_000, **kwargs):
+def _differential(until_level=3, max_steps=1_000_000, max_batch_steps=None, **kwargs):
     batched = _experiment(**kwargs)
+    batched.max_batch_steps = max_batch_steps
     log = _windows(batched)
     batched.run(until_level=until_level, max_steps=max_steps)
     scalar = _experiment(step_batching=False, **kwargs)
@@ -113,7 +114,7 @@ class TestPoolStops:
     def test_pool_a_budget_stops_first(self):
         """A low-endurance pool A spends its budget first: pool B's
         longer plan is re-walked at A's executed group count."""
-        exp, log = _differential(endurance_a=300)
+        exp, log = _differential(endurance_a=300, max_batch_steps=1024)
         assert [r.memory_type for r in exp.result.increments] == ["A", "A"]
         assert any(w and w[2] == "A" and w[0] < w[1] for w in log)
 
@@ -206,6 +207,7 @@ class TestPhaseProtocol:
         128 KiB seq phase: the first fused window after the swap is a
         pilot, not a window sized from the stale rate."""
         exp = _experiment()
+        exp.max_batch_steps = 1024  # a stale-rate window would exceed the pilot
         exp.run_one_increment("B")
         assert exp._erase_rate
         seq = FileRewriteWorkload(

@@ -115,8 +115,9 @@ class TestHybridFused:
         assert device_fingerprint(batched.device) == device_fingerprint(scalar.device)
 
     def test_no_cache_traffic(self):
-        exp = _hybrid_experiment()
-        exp.run(until_level=2)
+        with plancache.sharing():
+            exp = _hybrid_experiment()
+            exp.run(until_level=2)
         stats = plancache.stats()
         assert stats["captures"] == 0 and stats["misses"] == 0
 

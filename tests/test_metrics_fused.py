@@ -1,0 +1,164 @@
+"""Metrics-on runs take the fused path and count what the scalar loop
+counts (DESIGN.md §9).
+
+A second equivalence oracle beside the result digests.  With metrics
+on, three runs of one configuration must give identical results *and*
+identical registry snapshots: the fused run, the per-step loop
+(``step_batching=False``), and a run replayed from the plan cache
+inside ``plancache.sharing()`` after a first run captured its windows.
+The burst commit counts the ``ftl.*``/``flash.*`` instruments from the
+plan and the experiment loop counts its own per step, so every
+instrument must land on the scalar loop's value.  The one instrument
+outside the oracle is ``experiment.increment_wall_s``, a wall-clock
+histogram: only its observation count is compared.
+"""
+
+from __future__ import annotations
+
+import copy
+import json
+
+import pytest
+
+from repro.core.experiment import WearOutExperiment
+from repro.devices import build_device
+from repro.fs import Ext4Model, F2fsModel
+from repro.ftl import burst, plancache
+from repro.obs import MetricsRegistry, metrics_enabled
+from repro.units import KIB
+from repro.workloads import FileRewriteWorkload
+from tests.test_megaburst_fallback import _fused_steps
+from tests.test_state_snapshot import device_fingerprint, result_json
+
+SCALE = 2048
+
+#: name -> (device, fs model, pattern, level, seed, endurance sigma).
+#: "retiring" is a sequential run whose weakest block retires before
+#: level 5, so a fused window truncates at the crossing and later
+#: windows plan around the bad block.
+CASES = {
+    "ext4-rand": ("emmc-8gb", Ext4Model, "rand", 3, 7, None),
+    "ext4-seq": ("emmc-8gb", Ext4Model, "seq", 3, 7, None),
+    "f2fs-rand": ("emmc-8gb", F2fsModel, "rand", 3, 7, None),
+    "f2fs-seq": ("emmc-8gb", F2fsModel, "seq", 3, 7, None),
+    "hybrid": ("emmc-16gb", Ext4Model, "rand", 2, 7, None),
+    "retiring": ("emmc-8gb", Ext4Model, "seq", 5, 28, 0.35),
+}
+
+
+@pytest.fixture(autouse=True)
+def fresh_cache():
+    plancache.clear()
+    plancache.cache().reset_stats()
+    yield
+    plancache.clear()
+
+
+def _metered_run(case, step_batching=True):
+    """Build and run ``case`` under a fresh registry; returns the
+    experiment, its snapshot, and the step count of its fused windows."""
+    device_name, fs_cls, pattern, level, seed, sigma = CASES[case]
+    with metrics_enabled(MetricsRegistry()) as registry:
+        device = build_device(device_name, scale=SCALE, seed=seed, endurance_sigma=sigma)
+        fs = fs_cls(device)
+        workload = FileRewriteWorkload(
+            fs, num_files=4, request_bytes=4 * KIB, pattern=pattern, seed=seed
+        )
+        experiment = WearOutExperiment(device, workload, filesystem=fs)
+    experiment.step_batching = step_batching
+    fused = _fused_steps(experiment)
+    experiment.run(until_level=level)
+    return experiment, registry.snapshot(), sum(fused)
+
+
+def _outcome(experiment):
+    return (
+        result_json(experiment),
+        device_fingerprint(experiment.device),
+        experiment.device.busy_seconds,
+        experiment.clock.now,
+        experiment.steps_completed,
+        experiment.filesystem.app_bytes_written,
+    )
+
+
+def _comparable(snapshot):
+    """The snapshot with the wall-clock histogram cut to its count."""
+    snapshot = copy.deepcopy(snapshot)
+    wall = snapshot.pop("experiment.increment_wall_s")
+    snapshot["experiment.increment_wall_s:count"] = wall["count"]
+    return json.dumps(snapshot, sort_keys=True)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_fused_scalar_and_replayed_snapshots_match(case, monkeypatch):
+    truncated = []
+    plan_write_burst = burst.plan_write_burst
+
+    def watched(ftl, segments, num_groups, stop_erases):
+        plan = plan_write_burst(ftl, segments, num_groups, stop_erases)
+        if plan is not None and plan.num_groups < num_groups:
+            truncated.append(plan.num_groups)
+        return plan
+
+    monkeypatch.setattr(burst, "plan_write_burst", watched)
+
+    fused, fused_snap, fused_steps = _metered_run(case)
+    scalar, scalar_snap, scalar_steps = _metered_run(case, step_batching=False)
+    with plancache.sharing():
+        _, capture_snap, _ = _metered_run(case)
+        before = plancache.stats()["hits"]
+        replayed, replay_snap, _ = _metered_run(case)
+        hits = plancache.stats()["hits"] - before
+
+    # The metrics-on run took the fused path; the reference did not.
+    assert fused_steps > 0
+    assert scalar_steps == 0
+    if plancache.cache().enabled and case != "hybrid":
+        assert hits > 0  # hybrid windows are never cached (DESIGN.md §16)
+    if case == "retiring":
+        assert fused.device.ftl.package.num_bad_blocks > 0
+        assert truncated, "no fused window truncated at the retirement crossing"
+        assert fused_snap["ftl.bad_blocks_retired"]["value"] > 0
+
+    assert _outcome(fused) == _outcome(scalar) == _outcome(replayed)
+    expected = _comparable(scalar_snap)
+    assert _comparable(fused_snap) == expected
+    assert _comparable(capture_snap) == expected
+    assert _comparable(replay_snap) == expected
+
+    # The oracle compares live instruments, not empty ones.
+    assert fused_snap["experiment.steps"]["value"] == fused.steps_completed
+    assert fused_snap["experiment.host_bytes"]["value"] == fused.result.total_host_bytes
+    assert fused_snap["ftl.gc_runs"]["value"] > 0
+    assert fused_snap["flash.block_erases"]["value"] == fused_snap["ftl.blocks_erased"]["value"]
+
+
+class TestHostBytesCountedOnce:
+    """``experiment.host_bytes`` adds only the volume written since the
+    experiment last counted it."""
+
+    def _experiment(self):
+        with metrics_enabled(MetricsRegistry()) as registry:
+            device = build_device("emmc-8gb", scale=SCALE, seed=7)
+            fs = Ext4Model(device)
+            workload = FileRewriteWorkload(fs, num_files=4, request_bytes=4 * KIB, seed=7)
+            experiment = WearOutExperiment(device, workload, filesystem=fs)
+        return experiment, registry
+
+    def test_repeated_run_counts_the_device_total(self):
+        experiment, registry = self._experiment()
+        experiment.run(until_level=2)
+        experiment.run(until_level=3)
+        counted = registry.get("experiment.host_bytes").value
+        assert counted == experiment.result.total_host_bytes
+        assert counted == experiment.device.host_bytes_written * experiment.device.scale
+
+    def test_run_one_increment_counts(self):
+        experiment, registry = self._experiment()
+        experiment.run_one_increment("A")
+        first = registry.get("experiment.host_bytes").value
+        assert first > 0
+        experiment.run_one_increment("A")
+        counted = registry.get("experiment.host_bytes").value
+        assert first < counted == experiment.device.host_bytes_written * experiment.device.scale

@@ -18,7 +18,9 @@ import json
 import numpy as np
 import pytest
 
+from repro.campaign import CampaignRunner, ResultStore
 from repro.campaign.runner import _worker_init
+from repro.campaign.spec import CampaignSpec, PointSpec
 from repro.core.experiment import WearOutExperiment
 from repro.devices import build_device
 from repro.fleet import CohortSpec, resolve_cohort_seed, run_cohort
@@ -41,6 +43,15 @@ def fresh_cache():
     plancache.configure(enabled=True, max_bytes=256 * 1024 * 1024)
 
 
+@pytest.fixture
+def shared_plans():
+    """Run the test inside ``plancache.sharing()``: outside a scope the
+    cache is never probed and windows stay small (DESIGN.md §14)."""
+    with plancache.sharing():
+        yield
+
+
+@pytest.mark.usefixtures("shared_plans")
 class TestCacheBitIdentity:
     """Cached replays must be indistinguishable from fresh planning."""
 
@@ -112,6 +123,7 @@ class TestCacheBitIdentity:
         assert _outcome(first) == _outcome(second)
 
 
+@pytest.mark.usefixtures("shared_plans")
 class TestCacheInvalidation:
     """Any state the probe covers must force a miss when it drifts."""
 
@@ -160,6 +172,7 @@ class TestCacheInvalidation:
 class TestCachePolicy:
     """Size caps, disabling, and worker hygiene."""
 
+    @pytest.mark.usefixtures("shared_plans")
     def test_lru_byte_cap_evicts_and_stays_correct(self):
         plancache.configure(max_bytes=1)  # every insert immediately over cap
         first = _experiment()
@@ -171,6 +184,7 @@ class TestCachePolicy:
         second.run(until_level=3)
         assert _outcome(first) == _outcome(second)
 
+    @pytest.mark.usefixtures("shared_plans")
     def test_disabled_context_manager(self):
         with plancache.disabled():
             exp = _experiment()
@@ -178,6 +192,7 @@ class TestCachePolicy:
             assert plancache.stats()["captures"] == 0
         assert plancache.cache().enabled
 
+    @pytest.mark.usefixtures("shared_plans")
     def test_configure_disable_aborts_capture(self):
         plancache.configure(enabled=False)
         exp = _experiment()
@@ -202,6 +217,7 @@ class TestCachePolicy:
         )
         assert out.stdout.strip() == str(enabled)
 
+    @pytest.mark.usefixtures("shared_plans")
     def test_worker_init_clears_inherited_cache(self):
         exp = _experiment()
         exp.run(until_level=2)
@@ -232,6 +248,7 @@ class TestCachePolicy:
             reference.to_dict(), sort_keys=True
         )
 
+    @pytest.mark.usefixtures("shared_plans")
     def test_ineligible_device_captures_nothing(self):
         """A statically ineligible device (event timing backend) never
         arms a capture, so ineligible runs cost no cache traffic."""
@@ -248,6 +265,7 @@ class TestCachePolicy:
         assert stats["captures"] == 0
         assert stats["misses"] == 0
 
+    @pytest.mark.usefixtures("shared_plans")
     def test_hybrid_windows_fuse_but_never_capture(self):
         """Hybrid windows fuse (DESIGN.md §16) but stay out of the
         cache: lookup declines the two-pool budget before arming a
@@ -267,6 +285,70 @@ class TestCachePolicy:
         assert stats["hits"] == 0
 
 
+class TestSharingScope:
+    """Plans are probed, captured and replayed only inside
+    ``plancache.sharing()``; the window cap follows the scope."""
+
+    @staticmethod
+    def _window_sizes(exp):
+        """Live list of the step counts of every window offered to the
+        device's fused path."""
+        device = exp.device
+        inner = device.write_burst
+        sizes = []
+
+        def write_burst(groups, budget):
+            sizes.append(len(groups))
+            return inner(groups, budget)
+
+        device.write_burst = write_burst
+        return sizes
+
+    def test_cold_run_never_probes_and_plans_small_windows(self):
+        exp = _experiment()
+        sizes = self._window_sizes(exp)
+        exp.run(until_level=2)
+        stats = plancache.stats()
+        assert stats["captures"] == 0
+        assert stats["misses"] == 0
+        assert stats["hits"] == 0
+        assert max(sizes) == 8
+
+    def test_scope_is_reentrant_and_plans_big_windows(self):
+        with plancache.sharing():
+            with plancache.sharing():
+                exp = _experiment()
+                sizes = self._window_sizes(exp)
+                exp.run(until_level=2)
+            assert plancache.sharing.depth == 1
+        assert plancache.sharing.depth == 0
+        assert plancache.stats()["captures"] > 0
+        assert max(sizes) > 8
+
+    @staticmethod
+    def _campaign(seeds, levels):
+        points = [
+            PointSpec(kind="wearout", device="emmc-8gb", scale=SCALE, seed=seed,
+                      filesystem="ext4", until_level=level)
+            for seed, level in zip(seeds, levels)
+        ]
+        return CampaignRunner(CampaignSpec(name="sharing", points=points), ResultStore(None))
+
+    def test_points_sharing_a_warm_key_replay(self):
+        runner = self._campaign(seeds=(7, 7), levels=(2, 3))
+        assert all(p["share_plans"] for p in runner.pending_points())
+        runner.run()
+        assert plancache.stats()["hits"] > 0
+
+    def test_points_without_a_shared_warm_key_never_look_up(self):
+        runner = self._campaign(seeds=(7, 8), levels=(2, 2))
+        assert not any(p["share_plans"] for p in runner.pending_points())
+        runner.run()
+        stats = plancache.stats()
+        assert stats["captures"] == stats["misses"] == stats["hits"] == 0
+
+
+@pytest.mark.usefixtures("shared_plans")
 class TestMemberLimitRevalidation:
     """Per-block cycle limits live outside the equality probe; `find`
     re-proves the retirement check structurally via `_limits_admit`
