@@ -35,11 +35,6 @@ owned arrays, so a cached replay re-runs the *same* commit the fresh
 path runs — bit identity between fresh and replayed windows holds by
 construction, not by a separate code path.
 
-The walk itself has two interchangeable implementations: the inline
-Python loop below (default — ``heapq`` and list mirrors are the fastest
-CPython form) and the array transcription in :mod:`repro.ftl.kernels`
-selected by ``REPRO_KERNEL=numba``, which numba can JIT.
-
 Bit identity with the scalar path is the contract: every mirrored float
 uses the same IEEE-754 operations on the same values, victim order is
 proven equal to the scalar argmin (with a conservative bail when two
@@ -56,7 +51,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.ftl import kernels, plancache
+from repro.ftl import plancache
 from repro.ftl.gc import GreedyVictimPolicy
 from repro.ftl.plancache import BurstPlan
 
@@ -158,36 +153,7 @@ def plan_write_burst(
     # ------------------------------------------------------------------
     # Stream analysis: next-occurrence links and pre-burst mappings
     # ------------------------------------------------------------------
-    # Next-occurrence links via one value sort of packed (LPN, position)
-    # codes: sorting groups positions by LPN in stream order, and a
-    # plain np.sort beats argsort (no index permutation pass).  When LPN
-    # and position bits fit 32 together — small devices, the common
-    # case — the whole link pass stays on uint32: half the radix bytes,
-    # and the big scatter into ``nxt`` touches half the memory.  The
-    # sentinel is then the uint32 maximum and "never fires" becomes
-    # ``event >= 2**32``; the int64 path keeps the classic ``_NEVER``.
-    pos_bits = max(1, (L - 1).bit_length())
-    if ftl.num_logical_units <= 1 << (32 - pos_bits):
-        code = np.sort(
-            (U.astype(np.uint32) << pos_bits) | np.arange(L, dtype=np.uint32)
-        )
-        order = code & np.uint32((1 << pos_bits) - 1)
-        grp = code >> pos_bits
-        nxt = np.full(L, 0xFFFFFFFF, dtype=np.uint32)
-        never_cap = 1 << 32
-    else:
-        code = np.sort((U << 31) | np.arange(L, dtype=np.int64))
-        order = code & ((1 << 31) - 1)
-        grp = code >> 31
-        nxt = np.full(L, _NEVER, dtype=np.int64)
-        never_cap = _NEVER
-    same = grp[:-1] == grp[1:]
-    succ = order[1:][same]
-    nxt[order[:-1][same]] = succ
-    isfirst = np.ones(L, dtype=bool)
-    isfirst[succ] = False
-
-    first_pos = np.nonzero(isfirst)[0]
+    nxt, first_pos = _next_links(U, ftl.num_logical_units)
     probe_lpns = U[first_pos]
     old_all = ftl._l2p[probe_lpns]
     hit = old_all >= 0
@@ -262,16 +228,10 @@ def plan_write_burst(
     # prefix the plan cache needs to validate budget-matched replays.
     # ------------------------------------------------------------------
     def _do_walk(ng):
-        if kernels.walk_selected():
-            return _kernel_walk(
-                ftl, pkg, segments, seg_lens, ng, stop_erases, ext_t,
-                exhaust_pos, cof0, pe0, active0, a0, b0_pre, b0_extra,
-                never_cap, low, high, cfg, L, upb,
-            )
-        return _inline_walk(
+        return _walk(
             ftl, pkg, segments, seg_lens, ng, stop_erases, ext_t,
             exhaust_pos, cof0, pe0, active0, a0, b0_pre, b0_extra,
-            never_cap, low, high, cfg,
+            low, high, cfg,
         )
 
     walked = _do_walk(num_groups)
@@ -368,13 +328,70 @@ def plan_write_burst(
     )
 
 
-def _inline_walk(
+def _next_links(U: np.ndarray, num_logical_units: int):
+    """Next-occurrence links and first occurrences of a unit stream.
+
+    Returns ``(nxt, first_pos)``: ``nxt[i]`` is the stream position of
+    the next write to ``U[i]``'s LPN, or ``_NEVER`` when none follows
+    (the unit's *data longevity*, in stream positions), and
+    ``first_pos`` lists each LPN's first position in ascending order.
+
+    Positions are grouped by LPN with one value sort of packed
+    ``(LPN << pos_bits) | position`` codes — within a group positions
+    ascend, so each one's successor is its next occurrence.  Codes are
+    32-bit words while LPNs fit 16 bits (numpy's vectorized sort is
+    fastest there) and 64-bit words on wider devices.  A 32-bit code
+    holds ``2**pos_bits`` positions, so a longer stream is sorted chunk
+    by chunk and each chunk's first write of an LPN links back to that
+    LPN's last write in the chunks before it.
+    """
+    L = int(U.size)
+    lpn_bits = max(1, (num_logical_units - 1).bit_length())
+    word = np.uint32 if lpn_bits <= 16 else np.uint64
+    pos_bits = 8 * np.dtype(word).itemsize - lpn_bits
+    chunk = 1 << pos_bits
+    shift = word(pos_bits)
+    nxt = np.empty(L, dtype=np.int64)
+    isfirst = np.zeros(L, dtype=bool)
+    last = np.full(num_logical_units, -1, dtype=np.int64) if L > chunk else None
+    for c0 in range(0, L, chunk):
+        part = U[c0 : c0 + chunk]
+        n = part.size
+        code = part.astype(word)
+        code <<= shift
+        code |= np.arange(n, dtype=word)
+        code.sort()
+        pos = np.bitwise_and(code, word(chunk - 1), dtype=np.int64)
+        if c0:
+            pos += c0
+        lpn = code
+        lpn >>= shift
+        # Each position's successor in sorted order is its next
+        # occurrence, except at the last write of each LPN group.
+        brk = np.flatnonzero(lpn[1:] != lpn[:-1])
+        nxt[pos[:-1]] = pos[1:]
+        nxt[pos[brk]] = _NEVER
+        nxt[pos[-1]] = _NEVER
+        heads = np.concatenate(([0], brk + 1))
+        if last is None:
+            isfirst[pos[heads]] = True
+            continue
+        head_lpn = lpn[heads].astype(np.int64)
+        prev = last[head_lpn]
+        seen = prev >= 0
+        nxt[prev[seen]] = pos[heads[seen]]
+        isfirst[pos[heads[~seen]]] = True
+        last[head_lpn] = pos[np.append(brk, n - 1)]
+    return nxt, np.flatnonzero(isfirst)
+
+
+def _walk(
     ftl, pkg, segments, seg_lens, num_groups, stop_erases, ext_t,
     exhaust_pos, cof0, pe0, active0, a0, b0_pre, b0_extra,
-    never_cap, low, high, cfg,
+    low, high, cfg,
 ):
-    """Reference walk: heapq + Python-scalar mirrors of every structure
-    the plan mutates.  Float arithmetic on list elements is bit-identical
+    """The planning walk: Python-scalar mirrors of every structure the
+    plan mutates.  Float arithmetic on list elements is bit-identical
     to the numpy float64 scalar ops of the real path.  The GC mirror
     (plan_reclaim: clean-path victim selection + erase wear arithmetic)
     and the free-block pull (pop_free: FIFO, or the least-worn scan
@@ -386,6 +403,7 @@ def _inline_walk(
     planner can retry with the window truncated to the clean prefix.
     """
     upb = ftl.units_per_block
+    n_blocks = ftl._num_blocks
     perm_l = pkg._pe_permanent.tolist()
     reco_l = pkg._pe_recoverable.tolist()
     eff_l = pe0.tolist()
@@ -401,15 +419,27 @@ def _inline_walk(
     wl_threshold = cfg.static_delta_threshold
     wl_ctr = ftl._erases_since_wl_check
 
-    pending: List = [(ev, b) for b, ev in exhaust_pos.items()]
+    # Pending zero-valid events as ``(event << bits) | block`` ints: the
+    # int order is the (event, block) order.
+    bits = n_blocks.bit_length()
+    mask = (1 << bits) - 1
+    pending: List[int] = [(ev << bits) | b for b, ev in exhaust_pos.items()]
     heapq.heapify(pending)
-    heap: List = [(eff_l[b], b) for b in np.nonzero(cof0 == 0)[0].tolist()]
-    heapq.heapify(heap)
+    # Zero-valid GC candidates bucketed by effective wear: a heap of
+    # block ids per distinct value (ascending lists are heaps already)
+    # plus a min-heap of the distinct values.  Pops run in (wear, block)
+    # order, the scalar argmin order, and the nearest larger wear — the
+    # one the collision guard needs — is an O(1) lookup in ``wears``.
+    buckets: dict = {}
+    for b in np.flatnonzero(cof0 == 0).tolist():
+        buckets.setdefault(eff_l[b], []).append(b)
+    wears = list(buckets)
+    heapq.heapify(wears)
 
     victims: List[int] = []
     n_erased = 0
-    alive = {}  # block -> extent ordinal of its latest in-burst extent
-    closed_in_burst: set = set()
+    alive = [-1] * n_blocks  # extent ordinal of each block's in-burst extent
+    closed = bytearray(n_blocks)  # closed in-burst (and not erased since)
     erase_prefix: List[int] = []
 
     heappush = heapq.heappush
@@ -417,9 +447,6 @@ def _inline_walk(
     free_append = free.append
     free_remove = free.remove
     victims_append = victims.append
-    closed_add = closed_in_burst.add
-    closed_discard = closed_in_burst.discard
-    alive_pop = alive.pop
     prefix_append = erase_prefix.append
     active = active0
     aoff = a0
@@ -444,38 +471,44 @@ def _inline_walk(
                         # plan_reclaim(idx) — see module docstring for
                         # the bail conditions (every `return None` below
                         # is a dirty event the scalar path must replay).
-                        while pending and pending[0][0] <= idx:
-                            b = heappop(pending)[1]
-                            heappush(heap, (eff_l[b], b))
-                        scan_eff = None
-                        scan_g = None
+                        due = (idx + 1) << bits
+                        while pending and pending[0] < due:
+                            b = heappop(pending) & mask
+                            w = eff_l[b]
+                            bucket = buckets.get(w)
+                            if bucket is None:
+                                buckets[w] = [b]
+                                heappush(wears, w)
+                            else:
+                                heappush(bucket, b)
                         while nf < high:
-                            if not heap:
+                            if not wears:
                                 # Scalar would pick a valid victim
                                 # (relocation) or stall.
                                 return None
-                            eff_v, v = heappop(heap)
-                            if heap:
-                                # Victim order equals the scalar argmin
-                                # iff no remaining candidate's score can
-                                # round into v's.  Equal effective P/E
-                                # gives equal scores (heap id-order ==
-                                # argmin index order); a strictly larger
-                                # eff within _SCORE_GUARD could collide
-                                # after the float divide — bail.
-                                gap = heap[0][0]
-                                if gap == eff_v:
-                                    if scan_eff != eff_v:
-                                        scan_g = None
-                                        for e_, _b in heap:
-                                            if e_ != eff_v and (scan_g is None or e_ < scan_g):
-                                                scan_g = e_
-                                        scan_eff = eff_v
-                                    gap = scan_g
-                                if gap is not None and gap - eff_v <= (
-                                    gap if gap > 1.0 else 1.0
-                                ) * _SCORE_GUARD:
-                                    return None
+                            w = wears[0]
+                            bucket = buckets[w]
+                            v = heappop(bucket)
+                            # Victim order equals the scalar argmin iff
+                            # no remaining candidate's score can round
+                            # into v's.  Equal wear gives equal scores
+                            # (id order == argmin index order); the
+                            # nearest larger wear within _SCORE_GUARD
+                            # could collide after the float divide — bail.
+                            if bucket:
+                                nw = len(wears)
+                                if nw > 2:
+                                    gap = wears[1] if wears[1] < wears[2] else wears[2]
+                                else:
+                                    gap = wears[1] if nw == 2 else None
+                            else:
+                                del buckets[w]
+                                heappop(wears)
+                                gap = wears[0] if wears else None
+                            if gap is not None and gap - w <= (
+                                gap if gap > 1.0 else 1.0
+                            ) * _SCORE_GUARD:
+                                return None
                             p_ = perm_l[v] + one_minus
                             r_ = reco_l[v] + frac
                             e_ = p_ + r_
@@ -486,8 +519,8 @@ def _inline_walk(
                             eff_l[v] = e_
                             free_append(v)
                             nf += 1
-                            alive_pop(v, None)
-                            closed_discard(v)
+                            alive[v] = -1
+                            closed[v] = 0
                             victims_append(v)
                             n_erased += 1
                             wl_ctr += 1
@@ -543,9 +576,9 @@ def _inline_walk(
                             ev = p
                         if k == 0 and b0_pre and b0_extra > ev:
                             ev = b0_extra
-                        if ev < never_cap:
-                            heappush(pending, (ev, active))
-                        closed_add(active)
+                        if ev < _NEVER:
+                            heappush(pending, (ev << bits) | active)
+                        closed[active] = 1
                         active = None
                         aoff = 0
                         if p < end:
@@ -589,102 +622,14 @@ def _inline_walk(
         vic_perm = np.empty(0)
         vic_reco = np.empty(0)
         vic_eff = np.empty(0)
-    items = list(alive.items())
-    a_blocks = np.array([b for b, _ in items], dtype=np.int64)
-    ks = np.array([k for _, k in items], dtype=np.int64)
-    if closed_in_burst:
-        cb = np.fromiter(closed_in_burst, dtype=np.int64, count=len(closed_in_burst))
-    else:
-        cb = None
+    ext_of = np.array(alive, dtype=np.int64)
+    a_blocks = np.flatnonzero(ext_of >= 0)
+    ks = ext_of[a_blocks]
+    cb = np.flatnonzero(np.frombuffer(closed, dtype=np.uint8))
     return (
         vic_u, vic_perm, vic_reco, vic_eff, n_erased,
-        a_blocks, ks, cb, tuple(free), active, aoff, wl_ctr,
-        m, C, erase_prefix, seg_i,
-    )
-
-
-def _kernel_walk(
-    ftl, pkg, segments, seg_lens, num_groups, stop_erases, ext_t,
-    exhaust_pos, cof0, pe0, active0, a0, b0_pre, b0_extra,
-    never_cap, low, high, cfg, L, upb,
-):
-    """Array-walk front end: marshal the mirrors into the fixed arrays
-    :mod:`repro.ftl.kernels` operates on, run the (possibly jitted)
-    walk, and translate its outputs back into the finalize inputs."""
-    n_blocks = ftl._num_blocks
-    seg_lens_a = np.array(seg_lens, dtype=np.int64)
-    seg_groups_a = np.array([s.group for s in segments], dtype=np.int64)
-    if exhaust_pos:
-        pend_blk = np.fromiter(exhaust_pos.keys(), dtype=np.int64, count=len(exhaust_pos))
-        pend_ev = np.fromiter(exhaust_pos.values(), dtype=np.int64, count=len(exhaust_pos))
-    else:
-        pend_blk = np.empty(0, dtype=np.int64)
-        pend_ev = np.empty(0, dtype=np.int64)
-    cand = np.nonzero(cof0 == 0)[0].astype(np.int64)
-    perm = pkg._pe_permanent.astype(np.float64, copy=True)
-    reco = pkg._pe_recoverable.astype(np.float64, copy=True)
-    eff = pe0.astype(np.float64, copy=True)
-    lim = pkg._cycle_limit.astype(np.float64, copy=True)
-    bad = np.ascontiguousarray(pkg.bad_blocks_view, dtype=np.uint8)
-    free0 = list(ftl._free_blocks)
-    free_arr = np.empty(n_blocks + 1, dtype=np.int64)
-    if free0:
-        free_arr[: len(free0)] = free0
-    vcap = L // upb + n_blocks + high + 16
-    victims = np.empty(vcap, dtype=np.int64)
-    alive_ext_of = np.full(n_blocks, -1, dtype=np.int64)
-    closed_flag = np.zeros(n_blocks, dtype=np.uint8)
-    prefix = np.zeros(num_groups, dtype=np.int64)
-    hcap = vcap + n_blocks + 16
-    heap_k = np.empty(hcap, dtype=np.float64)
-    heap_b = np.empty(hcap, dtype=np.int64)
-    pheap_e = np.empty(hcap, dtype=np.int64)
-    pheap_b = np.empty(hcap, dtype=np.int64)
-    frac = pkg.healing.recoverable_fraction
-    res = kernels.run_walk((
-        seg_lens_a, seg_groups_a, ext_t.astype(np.int64),
-        pend_ev, pend_blk, cand,
-        perm, reco, eff, lim, bad, free_arr, len(free0),
-        victims, alive_ext_of, closed_flag, prefix,
-        heap_k, heap_b, pheap_e, pheap_b,
-        upb, low, high, num_groups,
-        stop_erases is not None,
-        stop_erases if stop_erases is not None else 0,
-        active0 if active0 is not None else -1, a0,
-        bool(b0_pre), b0_extra, never_cap,
-        ftl._erases_since_wl_check,
-        cfg.static_check_interval, cfg.static_delta_threshold,
-        bool(cfg.dynamic), bool(cfg.static_enabled),
-        frac, 1.0 - frac, _SCORE_GUARD,
-    ))
-    status, n_erased, m, C, wl_ctr, active_f, aoff_f, nf, nv = res
-    if status == 3:
-        # Retirement crossing: the bailing group rides in the m slot.
-        return int(m)
-    if status != 0:
-        return None
-    if nv:
-        vic_u = np.unique(victims[:nv])
-        vic_perm = perm[vic_u]
-        vic_reco = reco[vic_u]
-        vic_eff = eff[vic_u]
-    else:
-        vic_u = np.empty(0, dtype=np.int64)
-        vic_perm = np.empty(0)
-        vic_reco = np.empty(0)
-        vic_eff = np.empty(0)
-    a_blocks = np.nonzero(alive_ext_of >= 0)[0]
-    ks = alive_ext_of[a_blocks]
-    cb_arr = np.nonzero(closed_flag)[0]
-    cb = cb_arr if cb_arr.size else None
-    active = int(active_f) if active_f >= 0 else None
-    seg_cut = int(np.searchsorted(seg_groups_a, m))
-    return (
-        vic_u, vic_perm, vic_reco, vic_eff, int(n_erased),
-        a_blocks, ks, cb,
-        tuple(int(b) for b in free_arr[:nf]),
-        active, int(aoff_f), int(wl_ctr),
-        int(m), int(C), [int(x) for x in prefix[:m]], seg_cut,
+        a_blocks, ks, cb if cb.size else None, tuple(free), active, aoff,
+        wl_ctr, m, C, erase_prefix, seg_i,
     )
 
 
@@ -738,10 +683,6 @@ def commit_planned_burst(ftl, plan: BurstPlan) -> None:
         flash_obs.page_programs.inc(programs)
         flash_obs.page_reads.inc(plan.rmw_pages)
         flash_obs.block_erases.inc(n_erased)
-
-    if kernels.apply_selected():
-        _kernel_commit(ftl, plan)
-        return
 
     valid = ftl._valid
     vcount = ftl._valid_count
@@ -806,35 +747,3 @@ def commit_planned_burst(ftl, plan: BurstPlan) -> None:
             if lowest < hint:
                 hint = lowest
         queue._min_hint = hint
-
-
-def _kernel_commit(ftl, plan: BurstPlan) -> None:
-    """Kernel front end for the apply phase: marshal the plan's arrays
-    into :func:`repro.ftl.kernels.run_apply` and replay the few scalar
-    effects (erase counter, running wear max, free list, queue summary)
-    the fused loop reports back.  Commits the same values as the numpy
-    scatters in :func:`commit_planned_burst` — the kernel transcribes
-    them, it does not re-derive anything."""
-    pkg = ftl.package
-    queue = ftl._gc_queue
-    n_erased = plan.n_erased
-    empty = np.empty(0, dtype=np.int64)
-    cb = plan.cb if plan.cb is not None else empty
-    hb = plan.hb if plan.hb is not None else empty
-    hint, tracked, top = kernels.run_apply((
-        ftl._l2p, ftl._p2l, ftl._valid, ftl._valid_count, ftl._closed,
-        queue._count_of, pkg._pe_permanent, pkg._pe_recoverable,
-        pkg._pe_cache, plan.old_exec, plan.vic_u, plan.vic_perm,
-        plan.vic_reco, plan.vic_eff, plan.a_blocks, plan.red,
-        plan.ppus, plan.su, plan.sv, cb, hb,
-        ftl.units_per_block, n_erased, queue._min_hint,
-        pkg._pe_cache_valid, pkg._pe_max, pkg._pe_max_valid,
-    ))
-    pkg.counters.block_erases += n_erased
-    if pkg._pe_max_valid:
-        pkg._pe_max = float(top)
-    ftl._free_blocks[:] = plan.free_final
-    ftl._active_block = plan.active_final
-    ftl._active_offset = plan.aoff_final
-    queue._tracked = int(tracked)
-    queue._min_hint = int(hint)

@@ -14,14 +14,23 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.experiment import WearOutExperiment
 from repro.devices import build_device
+from repro.flash import FlashGeometry, FlashPackage
+from repro.flash.healing import HealingModel
 from repro.fs import Ext4Model, F2fsModel
+from repro.ftl import PageMappedFTL
+from repro.ftl.burst import _NEVER, BurstSegment, _next_links, plan_write_burst
+from repro.ftl.wear_leveling import WearLevelingConfig
 from repro.state.checkpoint import CheckpointManager
 from repro.units import KIB
 from repro.workloads import FileRewriteWorkload, generic_step_batch
 from tests.test_ftl_equivalence import ftl_fingerprint
+from tests.test_megaburst_fallback import _fused_steps
+from tests.test_state_snapshot import device_fingerprint, make_experiment, result_json
 
 SCALE = 2048  # small scaled device: a few hundred steps to level 3
 
@@ -297,3 +306,194 @@ class TestStepBatchProtocol:
         scalar_durations = [scalar.workload.step()[0] for _ in range(8)]
         assert durations == scalar_durations
         assert ftl_fingerprint(burst.device.ftl) == ftl_fingerprint(scalar.device.ftl)
+
+
+# ----------------------------------------------------------------------
+# The plan walk: victim collision guard, non-integral wear, link pass
+# ----------------------------------------------------------------------
+
+PAGE = 4 * KIB
+PE_MAX = 2000.0
+
+
+def _colliding_wear(pe_max):
+    """The first wear value from 1020 up whose GC tie-break score (as
+    the scalar greedy policy computes it) equals the score of the next
+    float above it."""
+
+    def score(wear):
+        return wear / (pe_max + 1.0) * 0.5
+
+    wear = 1020.0
+    while score(wear) != score(np.nextafter(wear, np.inf)):
+        wear = np.nextafter(wear, np.inf)
+    return wear, np.nextafter(wear, np.inf)
+
+
+def _guard_ftl(low_wear, high_wear):
+    """An FTL whose next allocation reclaims exactly one block, with
+    two zero-valid candidates worn ``high_wear`` (the lower block id)
+    and ``low_wear``, every other block at 1500 or ``PE_MAX``."""
+    geom = FlashGeometry(page_size=PAGE, pages_per_block=32, num_blocks=64)
+    ftl = PageMappedFTL(
+        FlashPackage(geom, seed=42),
+        logical_capacity_bytes=geom.capacity_bytes // 2,
+        gc_low_water=1,
+        gc_high_water=2,
+        wear_leveling=WearLevelingConfig(dynamic=False, static_enabled=False),
+        seed=42,
+    )
+    lpns = np.arange(ftl.num_logical_units, dtype=np.int64)
+    for _ in range(3):  # every block of the earlier passes closes fully invalid
+        ftl.write_requests(lpns * PAGE, PAGE)
+    zero_valid = np.flatnonzero(ftl._gc_queue._count_of == 0)
+    assert zero_valid.size > 2 and len(ftl._free_blocks) == ftl.gc_low_water
+    wear = np.full(geom.num_blocks, 1500.0)
+    wear[-1] = PE_MAX
+    wear[zero_valid[0]] = high_wear
+    wear[zero_valid[1]] = low_wear
+    ftl.package.set_permanent_wear(wear)
+    return ftl
+
+
+#: Three blocks' worth of fresh 4 KiB writes: one burst segment.
+GUARD_LPNS = np.arange(96, dtype=np.int64)
+GUARD_SEGMENT = BurstSegment(
+    unit_lpns=GUARD_LPNS, host_pages=GUARD_LPNS.size, rmw_pages=0, group=0,
+    total_bytes=GUARD_LPNS.size * PAGE, request_bytes=PAGE,
+)
+
+
+def _guard_burst(ftl, fused):
+    """Write ``GUARD_LPNS``, through the fused burst when ``fused``
+    (replaying through the scalar path if it refuses)."""
+    if fused and ftl.write_requests_batch([GUARD_SEGMENT], 1) is not None:
+        return
+    ftl.write_requests(GUARD_LPNS * PAGE, PAGE)
+
+
+class TestVictimScoreGuard:
+    """The walk pops zero-valid victims in (wear, block id) order; the
+    scalar greedy policy takes the argmin of ``wear / (pe_max + 1) *
+    0.5``.  Wear values one ulp apart can round to one score, and the
+    scalar then takes the lower block id even if it is the more worn
+    one, so the planner must refuse such a window."""
+
+    def test_colliding_scores_refuse_the_window(self):
+        low, high = _colliding_wear(PE_MAX)
+        assert plan_write_burst(_guard_ftl(low, high), [GUARD_SEGMENT], 1, None) is None
+
+        fused, scalar = _guard_ftl(low, high), _guard_ftl(low, high)
+        _guard_burst(fused, fused=True)
+        _guard_burst(scalar, fused=False)
+        assert ftl_fingerprint(fused) == ftl_fingerprint(scalar)
+
+    def test_separated_scores_plan(self):
+        low, _ = _colliding_wear(PE_MAX)
+        plan = plan_write_burst(_guard_ftl(low, low + 1.0), [GUARD_SEGMENT], 1, None)
+        assert plan is not None and plan.n_erased >= 1
+
+        fused, scalar = _guard_ftl(low, low + 1.0), _guard_ftl(low, low + 1.0)
+        _guard_burst(fused, fused=True)
+        _guard_burst(scalar, fused=False)
+        assert ftl_fingerprint(fused) == ftl_fingerprint(scalar)
+
+
+class TestFusedWalkEquivalence:
+    """Fused runs the other differentials do not reach."""
+
+    @staticmethod
+    def _pair(run, **kwargs):
+        fused = make_experiment(**kwargs)
+        windows = _fused_steps(fused)
+        run(fused)
+        scalar = make_experiment(**kwargs)
+        scalar.step_batching = False
+        run(scalar)
+        assert result_json(fused) == result_json(scalar)
+        assert device_fingerprint(fused.device) == device_fingerprint(scalar.device)
+        return fused, windows
+
+    def test_healing_wear_fuses_and_matches_scalar(self):
+        """Healing without idle periods keeps the fused loop, and its
+        fractional erase increments make effective wear non-integral:
+        the walk's victim order and guard run on arbitrary floats."""
+        fused, windows = self._pair(
+            lambda exp: exp.run(until_level=3),
+            healing=HealingModel(recoverable_fraction=0.3),
+        )
+        assert windows
+        pe = fused.device.ftl.package.pe_counts
+        assert (pe != np.round(pe)).any()
+
+    def test_device_wider_than_16_bit_lpns(self):
+        """emmc-8gb at scale 8 maps 122,071 units: the link pass takes
+        its 64-bit branch (no committed workload does)."""
+        fused, windows = self._pair(lambda exp: exp.run(until_level=3, max_steps=300), scale=8)
+        assert fused.device.ftl.num_logical_units > 1 << 16
+        assert windows
+
+
+def _last_seen_links(stream):
+    """Reference link pass: one backward scan remembering where each
+    LPN was last seen."""
+    nxt = [_NEVER] * len(stream)
+    seen = {}
+    for i in range(len(stream) - 1, -1, -1):
+        nxt[i] = seen.get(stream[i], _NEVER)
+        seen[stream[i]] = i
+    return nxt, sorted(seen.values())
+
+
+def _check_links(stream, num_logical_units):
+    nxt, first_pos = _next_links(np.asarray(stream, dtype=np.int64), num_logical_units)
+    want_nxt, want_first = _last_seen_links(list(stream))
+    assert nxt.dtype == np.int64
+    assert nxt.tolist() == want_nxt
+    assert first_pos.tolist() == want_first
+
+
+@st.composite
+def _streams(draw):
+    """(stream, num_logical_units) across both code widths: LPNs drawn
+    over the whole range, streams all-distinct or with repeats from one
+    LPN (all-same) up."""
+    num_logical_units = draw(st.sampled_from(
+        [1, 2, 112, 7630, 1 << 16, (1 << 16) + 1, 122_071, (1 << 32) - 1]
+    ))
+    lpns = draw(st.lists(
+        st.integers(min_value=0, max_value=num_logical_units - 1),
+        min_size=1, max_size=60, unique=True,
+    ))
+    if draw(st.booleans()):
+        stream = draw(st.permutations(lpns))
+    else:
+        stream = draw(st.lists(st.sampled_from(lpns), min_size=1, max_size=300))
+    return stream, num_logical_units
+
+
+class TestNextLinks:
+    """``burst._next_links`` against a pure-Python last-seen scan."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_streams())
+    @example(case=([5], 7630))
+    @example(case=([3] * 50, 7630))
+    @example(case=(list(range(200)), 1 << 16))
+    @example(case=([1 << 16, 0, 1 << 16, 0], 122_071))
+    @example(case=([1 << 31, 0, 1 << 31, 0], (1 << 32) - 1))
+    def test_matches_last_seen_scan(self, case):
+        _check_links(*case)
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        length=st.integers(min_value=(1 << 16) + 1, max_value=(1 << 17) + 1000),
+        alphabet=st.sampled_from([1, 3, 500, 1 << 16]),
+    )
+    def test_streams_longer_than_one_32_bit_chunk(self, seed, length, alphabet):
+        """With 16-bit LPNs a 32-bit code holds 2**16 positions, so these
+        streams sort in chunks linked through each LPN's last write."""
+        rng = np.random.default_rng(seed)
+        stream = rng.integers(0, alphabet, size=length).tolist()
+        _check_links(stream, 1 << 16)

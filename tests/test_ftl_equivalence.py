@@ -528,19 +528,18 @@ class TestEmptyBatches:
 # Cross-increment megaburst path (DESIGN.md §14)
 # ----------------------------------------------------------------------
 
-def run_trajectory(max_batch_steps=None, kernel=""):
+def run_trajectory(max_batch_steps=None):
     """One full wear-out trajectory to level 3 through the megaburst
     loop — increments, polls, checkpoint boundaries and all — with a
-    selectable window cap and walk kernel.  The plan cache is cleared
-    first so every variant plans from scratch."""
+    selectable window cap.  The plan cache is cleared first so every
+    variant plans from scratch."""
     from repro.core.experiment import WearOutExperiment
     from repro.devices import build_device
     from repro.fs import Ext4Model
-    from repro.ftl import kernels, plancache
+    from repro.ftl import plancache
     from repro.workloads import FileRewriteWorkload
 
     plancache.clear()
-    kernels.select(kernel)
     try:
         device = build_device("emmc-8gb", scale=2048, seed=7)
         fs = Ext4Model(device)
@@ -552,23 +551,22 @@ def run_trajectory(max_batch_steps=None, kernel=""):
             experiment.max_batch_steps = max_batch_steps
         experiment.run(until_level=3)
     finally:
-        kernels.select("")
         plancache.clear()
     return experiment
 
 
 # End-state digest of run_trajectory — identical for every window cap
-# and walk kernel (captured on the scalar/per-step reference loop).
+# (captured on the scalar/per-step reference loop).
 TRAJECTORY_FINGERPRINT = (
     "ea1a1dc82f5b4e8858392c082db78ebf790f1aaf3c1cdc1dfbdb4959c9368022"
 )
 
 
 class TestMegaburstEquivalence:
-    """The cross-increment megaburst loop must be window-size and
-    kernel invariant: the FTL truncates every fused window exactly at
-    the erase budget, so polls, increments and checkpoints land at the
-    same steps_completed no matter how the plan is chopped."""
+    """The cross-increment megaburst loop must be window-size invariant:
+    the FTL truncates every fused window exactly at the erase budget, so
+    polls, increments and checkpoints land at the same steps_completed
+    no matter how the plan is chopped."""
 
     def test_megaburst_matches_golden_digest(self):
         experiment = run_trajectory()
@@ -589,88 +587,3 @@ class TestMegaburstEquivalence:
             == ftl_fingerprint(experiment.device.ftl)
             == TRAJECTORY_FINGERPRINT
         )
-
-
-class TestKernelSelection:
-    """REPRO_KERNEL=numba routes the burst walk through the array
-    kernel (jitted when numba is importable, interpreted otherwise);
-    either way the digests must not move."""
-
-    def test_kernel_walk_matches_golden_digest(self):
-        experiment = run_trajectory(kernel="numba")
-        assert ftl_fingerprint(experiment.device.ftl) == TRAJECTORY_FINGERPRINT
-
-    def test_kernel_info_reports_selection(self):
-        from repro.ftl import kernels
-
-        kernels.select("numba")
-        try:
-            info = kernels.kernel_info()
-            assert info["selected"] == "numba"
-            assert isinstance(info["jitted"], bool)
-            assert isinstance(info["apply_jitted"], bool)
-        finally:
-            kernels.select("")
-        assert kernels.kernel_info()["selected"] == "inline"
-
-    def test_burst_scenario_with_kernel_walk(self):
-        from repro.ftl import kernels
-
-        kernels.select("numba")
-        try:
-            device, _ = run_burst_scenario(fused=True)
-        finally:
-            kernels.select("")
-        assert ftl_fingerprint(device.ftl) == BURST_SCENARIO_FINGERPRINT
-
-
-class TestKernelHeaps:
-    """The array heaps inside the kernel walk must pop in exactly
-    heapq's (key, block) lexicographic order."""
-
-    @pytest.mark.parametrize("push,pop", [("_hpush_py", "_hpop_py"), ("_ipush_py", "_ipop_py")])
-    def test_matches_heapq_order(self, push, pop):
-        import heapq
-
-        from repro.ftl import kernels
-
-        push_fn = getattr(kernels, push)
-        pop_fn = getattr(kernels, pop)
-        rng = np.random.default_rng(3)
-        keys = rng.integers(0, 50, size=200, dtype=np.int64)
-        blocks = rng.integers(0, 1000, size=200, dtype=np.int64)
-        hk = np.zeros(256, dtype=np.float64 if push == "_hpush_py" else np.int64)
-        hb = np.zeros(256, dtype=np.int64)
-        reference = []
-        n = 0
-        for key, blk in zip(keys.tolist(), blocks.tolist()):
-            n = push_fn(hk, hb, n, key, blk)
-            heapq.heappush(reference, (key, blk))
-        out = []
-        while n:
-            key, blk, n = pop_fn(hk, hb, n)
-            out.append((key, blk))
-        assert out == [heapq.heappop(reference) for _ in range(len(reference))]
-
-    def test_interleaved_push_pop(self):
-        import heapq
-
-        from repro.ftl import kernels
-
-        rng = np.random.default_rng(11)
-        hk = np.zeros(64, dtype=np.int64)
-        hb = np.zeros(64, dtype=np.int64)
-        reference = []
-        n = 0
-        for _ in range(500):
-            if reference and rng.random() < 0.45:
-                got = kernels._ipop_py(hk, hb, n)
-                want = heapq.heappop(reference)
-                assert (got[0], got[1]) == want
-                n = got[2]
-            else:
-                ev = int(rng.integers(0, 40))
-                blk = int(rng.integers(0, 40))
-                n = kernels._ipush_py(hk, hb, n, ev, blk)
-                heapq.heappush(reference, (ev, blk))
-        assert n == len(reference)
