@@ -135,16 +135,10 @@ class BlockDevice:
 
         Cheap enough for callers to consult before pre-drawing a whole
         window of work: a device whose configuration can never take the
-        fused path (merged hybrid pools, read-only, event-timing
-        backend) should cost nothing per window beyond this check.
+        fused path (read-only, event-timing backend, a duck-typed FTL)
+        should cost nothing per window beyond this check.
         """
-        ftl = self.ftl
-        if type(ftl) is HybridFTL:
-            # Merged mode stages every write through pool A's ring and
-            # stays scalar (DESIGN.md §16).
-            fusable = not ftl.merged_mode
-        else:
-            fusable = type(ftl) is PageMappedFTL
+        fusable = type(self.ftl) in (PageMappedFTL, HybridFTL)
         return fusable and not self.read_only and self.timing is None
 
     def write_burst(self, groups, budget):
@@ -285,25 +279,29 @@ class BlockDevice:
                     if segment is None:
                         return None
                     segments[i] = segment
-        m = ftl.write_requests_batch(segments, len(groups), stop_erases)
-        if m is None:
+        plan = ftl.write_requests_batch(segments, len(groups), stop_erases)
+        if plan is None:
             return None
+        copies = plan.seg_copies or ()
         return self._burst_durations(
-            ((s.group, s.total_bytes, s.request_bytes, int(s.unit_lpns.size) * unit_pages)
-             for s in segments),
-            m,
+            ((s.group, s.total_bytes, s.request_bytes,
+              int(s.unit_lpns.size) * unit_pages + (copies[i] if i < len(copies) else 0))
+             for i, s in enumerate(segments)),
+            plan.executed_groups,
         )
 
     def _hybrid_burst(self, groups, budget):
-        """:meth:`write_burst` on unmerged :class:`HybridFTL` pools
-        (DESIGN.md §16).
+        """:meth:`write_burst` on :class:`HybridFTL` pools (DESIGN.md §16).
 
         Each call is write-combined as :meth:`write_many` does and routed
-        by :meth:`HybridFTL.route`; each pool's share is planned under
-        that pool's own erase stop, the pool with more executed groups
-        is re-walked at the other's count, and both commit.  A request
-        straddling the hot window, or a window whose new pool-B mappings
-        could merge the pools, stays on the scalar path.
+        by :meth:`HybridFTL.route`; in merged mode its pool-B requests
+        also stage through pool A's ring (:meth:`HybridFTL.staging_units`,
+        a migration segment after the call's pool-A segment).  Each
+        pool's share is planned under that pool's own erase stop, the
+        pool with more executed groups is re-walked at the other's count,
+        and both commit.  A request straddling the hot window, or an
+        unmerged window whose new pool-B mappings could merge the pools,
+        stays on the scalar path.
         """
         ftl = self.ftl
         page = self.page_size
@@ -321,6 +319,11 @@ class BlockDevice:
             remaining = threshold - ctr.block_erases
             if stops[i] is None or remaining < stops[i]:
                 stops[i] = remaining
+        # Utilization only grows inside a window, so a window that
+        # starts merged stays merged for every call.
+        merged = ftl.merged_mode
+        cursor = ftl._staging_cursor
+        ring_pages = pools[0].unit_pages
         segments = ([], [])
         calls = []
         for group, group_calls in enumerate(groups):
@@ -334,25 +337,38 @@ class BlockDevice:
                 if straddling.size:
                     return None
                 programs = 0
-                for pool, pool_offsets, out in zip(pools, (plain, cold), segments):
-                    if pool_offsets.size:
-                        seg = _burst_segment(
-                            pool, group, pool_offsets, eff_bytes, total_bytes,
-                            request_bytes, page,
-                        )
-                        if seg is None:
-                            return None
-                        out.append(seg)
-                        programs += seg.host_pages + seg.rmw_pages
-                calls.append((group, total_bytes, request_bytes, programs))
-        if segments[1] and ftl.could_merge(
+                owned = []  # (pool, segment index) of each segment of the call
+                for i, pool_offsets in ((0, plain), (1, cold)):
+                    if not pool_offsets.size:
+                        continue
+                    if i == 1 and merged:
+                        ring, cursor = ftl.staging_units(cold.size, eff_bytes, cursor)
+                        owned.append((0, len(segments[0])))
+                        segments[0].append(BurstSegment(
+                            unit_lpns=ring, host_pages=0, rmw_pages=0, group=group,
+                            total_bytes=total_bytes, request_bytes=request_bytes,
+                            migration=True,
+                        ))
+                        programs += int(ring.size) * ring_pages
+                    seg = _burst_segment(
+                        pools[i], group, pool_offsets, eff_bytes, total_bytes,
+                        request_bytes, page,
+                    )
+                    if seg is None:
+                        return None
+                    owned.append((i, len(segments[i])))
+                    segments[i].append(seg)
+                    programs += seg.host_pages + seg.rmw_pages
+                calls.append((group, total_bytes, request_bytes, programs, owned, cursor))
+        if not merged and segments[1] and ftl.could_merge(
             np.concatenate([s.unit_lpns for s in segments[1]])
         ):
             return None
         # Plan pool B (the data stream, whose budget usually stops first)
         # then pool A at B's executed count; whenever one pool stops
-        # short, re-walk the other at the smaller count.  A prefix of a
-        # clean walk is clean, so a re-walk never bails.
+        # short, re-walk the other at the smaller count.  The walk is
+        # deterministic group by group, so a re-walk at fewer groups
+        # replays a prefix and never bails.
         m = len(groups)
         plans = [None, None]
         todo = [0, 1]
@@ -372,7 +388,20 @@ class BlockDevice:
                 # The page-aligned window splits each call's host pages
                 # exactly between the pools' executed segments.
                 ftl.host_pages_requested += plan.host_pages
-        return self._burst_durations(calls, m)
+        # Each call's media pages: its programs plus the GC and WL
+        # copies its segments' reclaims made.
+        copies = [plan.seg_copies if plan is not None else None for plan in plans]
+        timed = []
+        for group, total_bytes, request_bytes, programs, owned, cursor_after in calls:
+            if group >= m:
+                break
+            for i, j in owned:
+                if copies[i] is not None:
+                    programs += copies[i][j]
+            timed.append((group, total_bytes, request_bytes, programs))
+            if merged:
+                ftl._staging_cursor = cursor_after
+        return self._burst_durations(timed, m)
 
     def _burst_durations(self, calls, m):
         """Account the executed prefix of a committed burst.

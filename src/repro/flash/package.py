@@ -116,11 +116,8 @@ class FlashPackage:
         # recomputed lazily and patched in place by the erase paths, so
         # per-access allocation disappears from the FTL hot loop.
         self._pe_cache = np.zeros(n, dtype=np.float64)
-        self._pe_cache_ro = self._pe_cache.view()
-        self._pe_cache_ro.flags.writeable = False
         self._pe_cache_valid = True
-        self._bad_ro = self._bad.view()
-        self._bad_ro.flags.writeable = False
+        self._bind_views()
         self._num_bad = 0
         # Running maximum of effective P/E: erases only ever raise a
         # block's count, so the max can be maintained per erase; healing
@@ -131,6 +128,25 @@ class FlashPackage:
         # Observability: None while metrics are disabled (DESIGN.md §9);
         # the erase fast path pays one attribute load + is-None test.
         self._obs = FlashInstruments.create()
+
+    def _bind_views(self) -> None:
+        """The shared read-only views the hot paths hand out."""
+        self._pe_cache_ro = self._pe_cache.view()
+        self._pe_cache_ro.flags.writeable = False
+        self._bad_ro = self._bad.view()
+        self._bad_ro.flags.writeable = False
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        # The views share their base arrays' buffers; a copy or unpickle
+        # would turn them into stale snapshots, so they are rebuilt on
+        # the new arrays instead.
+        del state["_pe_cache_ro"], state["_bad_ro"]
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._bind_views()
 
     # ------------------------------------------------------------------
     # Wear state
@@ -281,8 +297,8 @@ class FlashPackage:
     ) -> None:
         """Commit the final wear state of a fused write burst's erases.
 
-        The burst planner (:mod:`repro.ftl.burst`) guarantees the clean
-        path: no block crossed its cycle limit, and the per-block values
+        The burst planner (:mod:`repro.ftl.burst`) guarantees that no
+        block crossed its cycle limit, and that the per-block values
         are the exact floats the scalar :meth:`erase_block` sequence
         would have produced.  The ``flash.*`` instruments are bumped
         from the plan by the burst commit, not here.  ``block_ids``

@@ -1,46 +1,58 @@
 """Fused burst-step execution (DESIGN.md §11, §14).
 
-One call plans — and, when provably uneventful, applies — many host
-write calls' worth of FTL work as whole-array numpy kernels, instead of
-one Python dispatch chain per workload step.
+One call plans — and, when the plan reproduces it exactly, applies —
+many host write calls' worth of FTL work as whole-array numpy kernels,
+instead of one Python dispatch chain per workload step.
 
-The model is *plan-then-apply*: a read-only planning pass
+The model is *plan-then-apply*: a read-only planning walk
 (:func:`plan_write_burst`) mirrors the scalar write path (span
-placement, GC victim selection, dynamic wear-leveling allocation, erase
-wear arithmetic) over cheap Python scalars, proving that the burst
-stays on the "clean" path — greedy GC only ever selects fully-invalid
-victims, no block is retired, no static wear-leveling migration
-triggers, no relocation runs.  Only then is the aggregate effect
-committed in a handful of vectorized scatters
-(:func:`commit_planned_burst`).  Any event the plan cannot reproduce
-bit-for-bit makes it *bail with nothing planned* (return ``None``), and
-the caller re-executes the same writes through the ordinary scalar path
-— which therefore remains the reference semantics, exceptions included.
+placement, greedy GC victim selection and relocation, static and
+dynamic wear leveling, erase wear arithmetic) over cheap Python scalars.
+The walk links every unit of the window's stream to its next overwrite
+(its *data longevity*), which is when the unit dies.  A block goes
+zero-valid one position after its last unit dies, so fully-invalid
+victims — the fast case, and in most windows the only one — come off an
+event heap without looking inside any block.  Only when a reclaim finds
+no zero-valid candidate, or static wear leveling migrates, does the
+walk materialize per-slot contents (:class:`_Contents`): live counts
+pick the greedy victim and its live units move, in slot order, into the
+active block.  Only then is the aggregate effect committed in a handful
+of vectorized scatters (:func:`commit_planned_burst`).  Any event the
+plan cannot reproduce bit-for-bit (a score collision it cannot order,
+an empty candidate queue, an empty free list) makes it *bail with
+nothing planned* (return ``None``), and the caller re-executes the same
+writes through the ordinary scalar path — which therefore remains the
+reference semantics, exceptions included.
 
 One bail is recoverable: a cycle-limit crossing.  Wear is monotone
-within a window, so every group before the crossing erase is provably
-clean — the planner re-walks with the window truncated at the crossing
-group (a shorter fused window, bit-identical by the window-size
-invariance the equivalence tests pin) and the scalar loop takes the
-retiring erase itself.  Devices that already carry bad blocks keep
-fusing: retired blocks sit outside every pool the walk touches (GC
-candidates, free list, valid data), so the only mirror that must see
-them is the static wear-leveling gap check, which — like the scalar
-``wear_gap_exceeds`` — measures the spread over good blocks only.
+within a window and the walk is deterministic, so every group before
+the crossing erase replays identically — the planner re-walks with the
+window truncated at the crossing group (a shorter fused window,
+bit-identical by the window-size invariance the equivalence tests pin)
+and the scalar loop takes the retiring erase itself.  Devices that
+already carry bad blocks keep fusing: retired blocks sit outside every
+pool the walk touches (GC candidates, free list, valid data), so the
+only mirror that must see them is the static wear-leveling gap check,
+which — like the scalar ``wear_gap_exceeds`` — measures the spread over
+good blocks only.
 
 The plan/commit split is what the megaburst plan cache
 (:mod:`repro.ftl.plancache`, DESIGN.md §14) builds on: a finalized
 :class:`~repro.ftl.plancache.BurstPlan` carries every commit input as
 owned arrays, so a cached replay re-runs the *same* commit the fresh
 path runs — bit identity between fresh and replayed windows holds by
-construction, not by a separate code path.
+construction, not by a separate code path.  A plan that copied data is
+never cached: which units a victim holds is outside the cache's probe.
 
 Bit identity with the scalar path is the contract: every mirrored float
-uses the same IEEE-754 operations on the same values, victim order is
-proven equal to the scalar argmin (with a conservative bail when two
-scores could round together), and the queue/min-hint end state follows
-the scalar update rules exactly (tests/test_ftl_equivalence.py and
-tests/test_burst_batching.py hold the line).
+uses the same IEEE-754 operations on the same values, zero-valid victim
+order is proven equal to the scalar argmin (with a conservative bail
+when two scores could round together), relocating victims are scored
+with the scalar's own float expression, and the queue/min-hint end
+state follows the scalar update rules exactly (tests/test_ftl_equivalence.py
+and tests/test_burst_batching.py hold the line; the relocating cases are
+test_burst_batching.py's ``TestRelocatingWalk``, tests/test_hybrid_burst.py
+and tests/test_metrics_fused.py).
 """
 
 from __future__ import annotations
@@ -58,6 +70,9 @@ from repro.ftl.plancache import BurstPlan
 #: Sentinel "no next occurrence" position; beyond any real stream index.
 _NEVER = 1 << 62
 
+#: Live count the walk gives blocks that are not GC candidates.
+_UNTRACKED = 1 << 62
+
 #: Relative effective-P/E gap under which two GC tie-break scores could
 #: round to the same float; the planner refuses to order such victims.
 _SCORE_GUARD = 1e-12
@@ -73,7 +88,9 @@ class BurstSegment:
     accounting the scalar ``write_requests`` would record, and
     ``total_bytes``/``request_bytes`` feed the device-level duration
     model.  ``group`` ties the call to its workload step, so the burst
-    can be truncated at step granularity.
+    can be truncated at step granularity.  ``migration`` marks a hybrid
+    staging-ring write (``write_requests(..., as_migration=True)``): its
+    programs count as migration pages, not host pages.
     """
 
     unit_lpns: np.ndarray
@@ -82,6 +99,7 @@ class BurstSegment:
     group: int
     total_bytes: int
     request_bytes: int
+    migration: bool = False
 
 
 def execute_write_burst(
@@ -89,24 +107,25 @@ def execute_write_burst(
     segments: Sequence[BurstSegment],
     num_groups: int,
     stop_erases: Optional[int],
-) -> Optional[int]:
+) -> Optional[BurstPlan]:
     """Plan and apply a burst of host writes on a :class:`PageMappedFTL`.
 
-    Returns the number of whole groups executed (truncation happens only
-    at group boundaries, where the caller's poll budget expires), or
-    ``None`` — with the FTL untouched — when the burst is ineligible or
-    the plan hit an event only the scalar path can reproduce.  When a
-    plan-cache capture is active, the finalized plan is deposited for
-    memoization.
+    Returns the committed plan — its ``executed_groups`` whole groups
+    ran (truncation happens only at group boundaries, where the
+    caller's poll budget expires) and ``seg_copies`` lists the GC/WL
+    copy pages each executed call caused — or ``None``, with the FTL
+    untouched, when the burst is ineligible or the plan hit an event
+    only the scalar path can reproduce.  When a plan-cache capture is
+    active, a plan that copied no data is deposited for memoization.
     """
     plan = plan_write_burst(ftl, segments, num_groups, stop_erases)
     if plan is None:
         return None
     commit_planned_burst(ftl, plan)
     cap = plancache.active_capture()
-    if cap is not None:
+    if cap is not None and plan.seg_copies is None:
         cap.plan = plan
-    return plan.executed_groups
+    return plan
 
 
 def plan_write_burst(
@@ -115,11 +134,11 @@ def plan_write_burst(
     num_groups: int,
     stop_erases: Optional[int],
 ) -> Optional[BurstPlan]:
-    """Derive a clean-path plan for the burst, mutating nothing.
+    """Derive a plan for the burst, mutating nothing.
 
     Returns None when the burst is ineligible or any planned step would
-    leave the provably-uneventful path (see module docstring); the
-    caller then replays through the scalar reference path.
+    leave the path the walk mirrors (see module docstring); the caller
+    then replays through the scalar reference path.
     """
     if not segments or num_groups <= 0:
         return None
@@ -195,8 +214,9 @@ def plan_write_burst(
             exhaust_pos[b] = int(last) + 1
 
     # ------------------------------------------------------------------
-    # Extent geometry: block-fill boundaries are fixed by the initial
-    # active offset alone, independent of which block serves each extent.
+    # Extent geometry: until a relocation shifts the log, block-fill
+    # boundaries are fixed by the initial active offset alone,
+    # independent of which block serves each extent.
     # ------------------------------------------------------------------
     r0 = upb - a0 if b0_pre else upb
     if r0 >= L:
@@ -220,16 +240,18 @@ def plan_write_burst(
             exhaust_pos.pop(active0, None)
 
     seg_lens = [int(s.unit_lpns.size) for s in segments]
+    stream = (U, nxt, old_ppu, old_pos, ext_starts, ext_ends)
 
     # ------------------------------------------------------------------
-    # The walk: mirror _write_units/_place_span over stream positions,
-    # group by group, truncating when the caller's erase budget expires.
-    # Produces the burst's end state plus the per-group cumulative erase
-    # prefix the plan cache needs to validate budget-matched replays.
+    # The walk: mirror _write_units/_place_span/_reclaim_space over
+    # stream positions, group by group, truncating when the caller's
+    # erase budget expires.  Produces the burst's end state plus the
+    # per-group cumulative erase prefix the plan cache needs to validate
+    # budget-matched replays.
     # ------------------------------------------------------------------
     def _do_walk(ng):
         return _walk(
-            ftl, pkg, segments, seg_lens, ng, stop_erases, ext_t,
+            ftl, pkg, segments, seg_lens, ng, stop_erases, stream, ext_t,
             exhaust_pos, cof0, pe0, active0, a0, b0_pre, b0_extra,
             low, high, cfg,
         )
@@ -237,8 +259,8 @@ def plan_write_burst(
     walked = _do_walk(num_groups)
     if isinstance(walked, int):
         # Retirement crossing inside 0-based group ``walked``: every
-        # group before it is provably clean (wear is monotone within a
-        # window, and the walk replays deterministically), so re-walk
+        # group before it replays deterministically without touching a
+        # cycle limit (wear is monotone within a window), so re-walk
         # with the window truncated at the crossing group and let the
         # scalar step loop take the retiring erase itself.  A crossing
         # in group 0 leaves nothing to fuse.
@@ -252,8 +274,8 @@ def plan_write_burst(
         return None
     (
         vic_u, vic_perm, vic_reco, vic_eff, n_erased,
-        a_blocks, ks, cb, free_final, active, aoff, wl_ctr,
-        m, C, erase_prefix, seg_cut,
+        alive, closed, free_final, active, aoff, wl_ctr,
+        m, C, erase_prefix, seg_cut, c_last, reloc,
     ) = walked
 
     # ------------------------------------------------------------------
@@ -261,43 +283,91 @@ def plan_write_burst(
     # FTL state), so the plan can be cached and replayed.
     # ------------------------------------------------------------------
     exec_segs = segments[:seg_cut]
+    unit_pages = ftl.unit_pages
     host_pages = 0
     rmw_pages = 0
+    migration_pages = 0
     for s in exec_segs:
         host_pages += s.host_pages
         rmw_pages += s.rmw_pages
+        if s.migration:
+            migration_pages += int(s.unit_lpns.size) * unit_pages
 
     old_exec = old_ppu[old_pos < C] if old_ppu.size else old_ppu
+    # Blocks closed in-burst.  Once contents were materialized the
+    # closed flags mark every candidate: drop the pre-burst ones never
+    # erased.
+    closed_now = np.frombuffer(closed, dtype=np.bool_)
+    if reloc is not None:
+        closed_now = closed_now & ~tracked0
+        closed_now[vic_u] = np.frombuffer(closed, dtype=np.bool_)[vic_u]
+    cb = np.flatnonzero(closed_now)
+    cb = cb if cb.size else None
 
-    hb = None
-    if old_exec.size:
-        hb_arr = np.unique(old_exec // upb)
-        hb_arr = hb_arr[tracked0[hb_arr]]
-        if hb_arr.size:
-            hb = hb_arr
-
-    # Surviving in-burst placements, flattened per alive extent: the
-    # placed units' physical slots, source stream positions, and
-    # survivorship (the position's next occurrence is past the cut).
-    starts = ext_starts[ks]
-    ends = np.minimum(ext_ends[ks], C)
-    lens = ends - starts
-    slot0 = a_blocks * upb
+    # Surviving in-burst placements, flattened per block written since
+    # its last erase: the placed units' physical slots, LPNs, and
+    # survivorship (the unit's next overwrite is past the cut).
+    ext_of = np.array(alive, dtype=np.int64)
+    a_blocks = np.flatnonzero(ext_of >= 0)
+    ks = ext_of[a_blocks]
+    first = np.zeros(a_blocks.size, dtype=np.int64)
     if b0_pre:
-        slot0 = slot0 + np.where(ks == 0, a0, 0)
-    red = lens.cumsum() - lens
-    tot = int(lens.sum())
-    intra = np.arange(tot, dtype=np.int64) - np.repeat(red, lens)
-    ppus = np.repeat(slot0, lens) + intra
-    sidx = np.repeat(starts, lens) + intra
-    su = U[sidx]
-    sv = nxt[sidx] >= C
+        first[ks == 0] = a0
+    if reloc is None:
+        # The log never shifted: extent k of the fixed geometry is the
+        # block's whole in-burst content.
+        starts = ext_starts[ks]
+        lens = np.minimum(ext_ends[ks], C) - starts
+        ppus, sidx, red = _runs(a_blocks * upb + first, starts, lens)
+        su = U[sidx]
+        sv = nxt[sidx] >= C
+    else:
+        reloc[0].sync()
+        deaths, lpns = reloc[0].deaths, reloc[0].lpns
+        lens = np.full(a_blocks.size, upb, dtype=np.int64) - first
+        if active is not None:
+            lens[a_blocks == active] = aoff - first[a_blocks == active]
+        keep = lens > 0
+        a_blocks, first, lens = a_blocks[keep], first[keep], lens[keep]
+        ppus, _, red = _runs(a_blocks * upb + first, first, lens)
+        su = lpns[ppus]
+        sv = deaths[ppus] >= C
     if n_blocks * upb < 1 << 32 and ftl.num_logical_units < 1 << 32:
         # Plans are cached whole; uint32 slot/LPN arrays halve the
         # resident bytes of a megaburst entry (scatter semantics are
         # unchanged — numpy fancy indexing accepts unsigned indices).
         ppus = ppus.astype(np.uint32, copy=False)
         su = su.astype(np.uint32, copy=False)
+
+    # The victim queue's min hint (see commit_planned_burst): every
+    # victim scan settles it at the victim's count; afterwards it only
+    # falls, to the final count of any block closed or invalidated into
+    # while tracked.
+    if c_last is None:
+        hint_floor = None
+        lowered = [cb] if cb is not None else []
+        if old_exec.size:
+            hb_arr = np.unique(old_exec // upb)
+            hb_arr = hb_arr[tracked0[hb_arr]]
+            if hb_arr.size:
+                lowered.append(hb_arr)
+        hb = np.concatenate(lowered) if lowered else None
+    elif c_last == 0:
+        hint_floor = 0
+        hb = None
+    else:
+        hint_floor = c_last
+        hb = reloc[0].lowered_after_scan(C)
+
+    if reloc is None:
+        wl_runs = gc_pages = wl_pages = 0
+        victim_valid = ()
+        seg_copies = None
+    else:
+        _, wl_runs, gc_units, wl_units, victim_valid, copies = reloc
+        gc_pages = gc_units * unit_pages
+        wl_pages = wl_units * unit_pages
+        seg_copies = [c * unit_pages for c in copies[:seg_cut]]
 
     return BurstPlan(
         executed_groups=m,
@@ -306,7 +376,13 @@ def plan_write_burst(
         n_erased=n_erased,
         host_pages=host_pages,
         rmw_pages=rmw_pages,
+        migration_pages=migration_pages,
         wl_ctr_final=wl_ctr,
+        wl_runs=wl_runs,
+        gc_pages=gc_pages,
+        wl_pages=wl_pages,
+        victim_valid=tuple(victim_valid),
+        seg_copies=seg_copies,
         old_exec=old_exec,
         vic_u=vic_u,
         vic_perm=vic_perm,
@@ -319,6 +395,7 @@ def plan_write_burst(
         sv=sv,
         cb=cb,
         hb=hb,
+        hint_floor=hint_floor,
         free_final=free_final,
         active_final=active,
         aoff_final=aoff,
@@ -326,6 +403,15 @@ def plan_write_burst(
         probe_lpns=probe_lpns,
         probe_old=old_all,
     )
+
+
+def _runs(slot0: np.ndarray, starts: np.ndarray, lens: np.ndarray):
+    """Flatten runs: run ``i`` covers ``lens[i]`` consecutive slots from
+    ``slot0[i]`` and as many stream positions from ``starts[i]``.
+    Returns ``(slots, positions, run offsets)``."""
+    red = lens.cumsum() - lens
+    intra = np.arange(int(lens.sum()), dtype=np.int64) - np.repeat(red, lens)
+    return np.repeat(slot0, lens) + intra, np.repeat(starts, lens) + intra, red
 
 
 def _next_links(U: np.ndarray, num_logical_units: int):
@@ -385,25 +471,231 @@ def _next_links(U: np.ndarray, num_logical_units: int):
     return nxt, np.flatnonzero(isfirst)
 
 
+def _pop_free(free: List[int], dynamic: bool, eff_l: List[float]) -> int:
+    """Mirror ``_pop_free_block`` on a non-empty free list: FIFO, or
+    under dynamic wear leveling the least-worn block (strict <, so the
+    first of ties wins, like ``pick_free_block``)."""
+    if not dynamic or len(free) == 1:
+        return free.pop(0)
+    best = free[0]
+    best_pe = eff_l[best]
+    for blk in free:
+        if eff_l[blk] < best_pe:
+            best = blk
+            best_pe = eff_l[blk]
+    free.remove(best)
+    return best
+
+
+class _Contents:
+    """Per-slot contents of a pool, materialized by the walk at the first
+    reclaim that has to look inside blocks (a relocating GC victim or a
+    static wear-leveling migration) and kept current from then on.
+
+    ``deaths[s]`` is the stream position of the next write to the LPN of
+    the unit in slot ``s`` — its *data longevity* — so the unit is live
+    at stream position ``p`` iff ``deaths[s] >= p`` (``_NEVER`` when no
+    write follows, -1 for a slot never written); ``lpns[s]`` is its LPN.
+    A relocated unit keeps its death.  Slots of erased blocks keep stale
+    values: only GC candidates (closed, fully written blocks) are ever
+    counted or relocated, and the final placements read written slots
+    only.  ``pkey`` holds each block's pending zero-valid event until it
+    fires: an event left behind by a block relocated before it fired no
+    longer matches and is skipped (a refill can re-push the same key,
+    which then fires once).
+    """
+
+    __slots__ = (
+        "deaths", "lpns", "rows", "upb", "bits", "dynamic", "free", "eff_l",
+        "alive", "closed", "candidates", "pending", "pkey", "counts",
+        "scanned", "post_closed", "scan_pos", "queued", "runs", "filled",
+        "stream", "host",
+    )
+
+    def __init__(self, ftl, stream, a0, b0_pre, at, walk_state):
+        U, nxt, old_ppu, old_pos, ext_starts, ext_ends = stream
+        (self.bits, self.dynamic, self.free, self.eff_l, self.alive,
+         self.closed, self.pending, victims) = walk_state
+        upb = ftl.units_per_block
+        # From here on the walk's closed flags mark every GC candidate —
+        # the victim queue's members — pre-burst ones not erased since
+        # included.
+        self.candidates = np.frombuffer(self.closed, dtype=np.bool_)
+        before = ftl._gc_queue._count_of >= 0
+        before[victims] = False
+        self.candidates |= before
+        deaths = np.where(ftl._valid, _NEVER, -1)
+        deaths[old_ppu] = old_pos
+        lpns = ftl._p2l.copy()
+        # In-burst placements so far: the walk materializes inside a
+        # reclaim, with no block open and no copy made yet, so every
+        # block written since its last erase is full and holds exactly
+        # its fixed-geometry extent.
+        ext_of = np.array(self.alive, dtype=np.int64)
+        blocks = np.flatnonzero(ext_of >= 0)
+        ks = ext_of[blocks]
+        slot0 = blocks * upb
+        if b0_pre:
+            slot0[ks == 0] += a0
+        starts = ext_starts[ks]
+        slots, pos, _ = _runs(slot0, starts, ext_ends[ks] - starts)
+        deaths[slots] = nxt[pos]
+        lpns[slots] = U[pos]
+        self.deaths = deaths
+        self.lpns = lpns
+        self.rows = deaths.reshape(-1, upb)
+        self.upb = upb
+        # Until now no block was relocated, so no pending event is stale.
+        mask = (1 << self.bits) - 1
+        self.pkey = [-1] * len(self.closed)
+        for key in self.pending:
+            self.pkey[key & mask] = key
+        self.counts = None
+        self.scanned = -1  # stream position of the last count scan
+        self.post_closed: List[int] = []
+        self.scan_pos = at
+        # Copies queued in the current reclaim: victims, destination
+        # runs ``[block, offset, length]``, blocks the copies filled.
+        self.queued: List[int] = []
+        self.runs: List[list] = []
+        self.filled: List[int] = []
+        # Host fills not yet written: ``(slot, stream position, length)``.
+        self.stream = (U, nxt)
+        self.host: List[tuple] = []
+
+    def sync(self) -> None:
+        """Write the host fills placed since the last sync."""
+        U, nxt = self.stream
+        deaths = self.deaths
+        lpns = self.lpns
+        for s0, p0, n in self.host:
+            deaths[s0 : s0 + n] = nxt[p0 : p0 + n]
+            lpns[s0 : s0 + n] = U[p0 : p0 + n]
+        self.host = []
+
+    def counts_at(self, idx: int) -> np.ndarray:
+        """Live units per block at stream position ``idx``, with every
+        block that is not a GC candidate above any real count.  The
+        first call of a reclaim scans the pool; later ones return the
+        counts :meth:`move` kept current."""
+        if self.scanned != idx:
+            self.sync()
+            self.counts = np.count_nonzero(self.rows >= idx, axis=1)
+            self.counts[~self.candidates] = _UNTRACKED
+            self.scanned = idx
+        return self.counts
+
+    def move(self, v, n, active, aoff, next_ext):
+        """Mirror ``_collect_block``'s copy of block ``v``'s ``n`` live
+        units: they go, in slot order, into the active block and fresh
+        free blocks (opened without a reclaim, as ``_write_units`` does
+        for GC and WL sources), and each block the copy fills closes
+        into the candidates with every unit live.  The slots are written
+        by :meth:`flush`, once per reclaim.  Returns the new ``(active,
+        aoff, next_ext)``, or None when the free list runs dry (the
+        scalar path raises OutOfSpaceError).
+        """
+        if v in self.filled:
+            self.flush()  # the victim's own contents are still queued
+        self.counts[v] = _UNTRACKED
+        self.pkey[v] = -1
+        self.queued.append(v)
+        upb = self.upb
+        runs = self.runs
+        free = self.free
+        j = 0
+        while j < n:
+            if active is None:
+                if not free:
+                    return None
+                active = _pop_free(free, self.dynamic, self.eff_l)
+                aoff = 0
+                self.alive[active] = next_ext
+                next_ext += 1
+            take = upb - aoff if upb - aoff < n - j else n - j
+            if runs and runs[-1][0] == active:
+                runs[-1][2] += take
+            else:
+                runs.append([active, aoff, take])
+            aoff += take
+            j += take
+            if aoff == upb:
+                self.closed[active] = 1
+                self.post_closed.append(active)
+                self.counts[active] = upb
+                self.filled.append(active)
+                active = None
+                aoff = 0
+        return active, aoff, next_ext
+
+    def flush(self) -> None:
+        """Write the queued copies — every queued victim's units live at
+        the reclaim's stream position, victim by victim in slot order —
+        into their destination runs in one pass, and queue the zero-valid
+        event of each block they filled."""
+        victims = self.queued
+        upb = self.upb
+        held = self.rows[victims]
+        live = held >= self.scanned  # copies follow the reclaim's scan
+        moved_d = held[live]
+        moved_l = self.lpns.reshape(-1, upb)[victims][live]
+        deaths = self.deaths
+        lpns = self.lpns
+        o = 0
+        for b, off, n in self.runs:
+            s0 = b * upb + off
+            deaths[s0 : s0 + n] = moved_d[o : o + n]
+            lpns[s0 : s0 + n] = moved_l[o : o + n]
+            o += n
+        filled = self.filled
+        if filled:
+            bits = self.bits
+            for b, top in zip(filled, np.maximum.reduce(self.rows[filled], axis=1).tolist()):
+                if top < _NEVER:
+                    key = ((top + 1) << bits) | b
+                    heapq.heappush(self.pending, key)
+                    self.pkey[b] = key
+        self.queued = []
+        self.runs = []
+        self.filled = []
+
+    def lowered_after_scan(self, C: int) -> Optional[np.ndarray]:
+        """GC candidates whose count may have fallen below the last
+        scan's: closed after it, or holding a unit overwritten after it
+        (at a stream position in ``[scan_pos, C)``)."""
+        hit = ((self.rows >= self.scan_pos) & (self.rows < C)).any(axis=1)
+        if self.post_closed:
+            hit[self.post_closed] = True
+        hit &= self.candidates
+        blocks = np.flatnonzero(hit)
+        return blocks if blocks.size else None
+
+
 def _walk(
-    ftl, pkg, segments, seg_lens, num_groups, stop_erases, ext_t,
+    ftl, pkg, segments, seg_lens, num_groups, stop_erases, stream, ext_t,
     exhaust_pos, cof0, pe0, active0, a0, b0_pre, b0_extra,
     low, high, cfg,
 ):
     """The planning walk: Python-scalar mirrors of every structure the
     plan mutates.  Float arithmetic on list elements is bit-identical
     to the numpy float64 scalar ops of the real path.  The GC mirror
-    (plan_reclaim: clean-path victim selection + erase wear arithmetic)
-    and the free-block pull (pop_free: FIFO, or the least-worn scan
-    under dynamic WL, strict-< first-of-ties like pick_free_block) are
-    inlined — this loop runs once per block fill and is the simulator's
-    true hot path.  Returns None on any event only the scalar path can
-    reproduce — except a cycle-limit crossing, which instead returns
-    the 0-based group containing the crossing erase (an int) so the
-    planner can retry with the window truncated to the clean prefix.
+    (victim selection, erase wear arithmetic), the static wear-leveling
+    mirror — both share one erase block — and the free-block pulls
+    (:func:`_pop_free`) are inlined: this loop runs once per block fill
+    and is the simulator's true hot path.
+
+    Zero-valid victims come off the event path and never look inside a
+    block; per-slot contents (:class:`_Contents`) are materialized only
+    when a reclaim finds no zero-valid candidate or static wear leveling
+    migrates, and from then on host fills are recorded into them too.
+    Returns None on any event only the scalar path can reproduce —
+    except a cycle-limit crossing, which instead returns the 0-based
+    group containing the crossing erase (an int) so the planner can
+    retry with the window truncated.
     """
     upb = ftl.units_per_block
     n_blocks = ftl._num_blocks
+    U, nxt = stream[0], stream[1]
     perm_l = pkg._pe_permanent.tolist()
     reco_l = pkg._pe_recoverable.tolist()
     eff_l = pe0.tolist()
@@ -438,9 +730,25 @@ def _walk(
 
     victims: List[int] = []
     n_erased = 0
-    alive = [-1] * n_blocks  # extent ordinal of each block's in-burst extent
-    closed = bytearray(n_blocks)  # closed in-burst (and not erased since)
+    alive = [-1] * n_blocks  # fill ordinal of each block's in-burst content
+    # Closed in-burst (and not erased since); once contents are
+    # materialized, every GC candidate.
+    closed = bytearray(n_blocks)
     erase_prefix: List[int] = []
+    # The walk's structures a materialized _Contents shares.
+    shared = (bits, dynamic, free, eff_l, alive, closed, pending, victims)
+    # Relocation state: per-slot contents once materialized, the latest
+    # victim scan's count, and what the commit charges for copies.
+    cont = None
+    nxt_l = pkey = None
+    c_last = None
+    n_wl = gc_units = wl_units = 0
+    victim_valid: List[int] = []
+    copies = None
+    pe_max = None  # max wear over every block, as of ``pe_seen`` victims
+    pe_seen = 0
+    rmax = -1  # latest death among the active block's copied units
+    act_hs = -1  # stream position of the active block's first host unit
 
     heappush = heapq.heappush
     heappop = heapq.heappop
@@ -468,12 +776,17 @@ def _walk(
                 if active is None:
                     nf = len(free)
                     if nf <= low:
-                        # plan_reclaim(idx) — see module docstring for
-                        # the bail conditions (every `return None` below
-                        # is a dirty event the scalar path must replay).
+                        # The reclaim — see module docstring for the bail
+                        # conditions (every `return None` below is an
+                        # event the scalar path must replay).
                         due = (idx + 1) << bits
                         while pending and pending[0] < due:
-                            b = heappop(pending) & mask
+                            key = heappop(pending)
+                            b = key & mask
+                            if pkey is not None:
+                                if pkey[b] != key:
+                                    continue  # relocated before it fired
+                                pkey[b] = -1
                             w = eff_l[b]
                             bucket = buckets.get(w)
                             if bucket is None:
@@ -481,34 +794,113 @@ def _walk(
                                 heappush(wears, w)
                             else:
                                 heappush(bucket, b)
-                        while nf < high:
-                            if not wears:
-                                # Scalar would pick a valid victim
-                                # (relocation) or stall.
-                                return None
-                            w = wears[0]
-                            bucket = buckets[w]
-                            v = heappop(bucket)
-                            # Victim order equals the scalar argmin iff
-                            # no remaining candidate's score can round
-                            # into v's.  Equal wear gives equal scores
-                            # (id order == argmin index order); the
-                            # nearest larger wear within _SCORE_GUARD
-                            # could collide after the float divide — bail.
-                            if bucket:
-                                nw = len(wears)
-                                if nw > 2:
-                                    gap = wears[1] if wears[1] < wears[2] else wears[2]
+                        c_last = 0
+                        wl = False
+                        while True:
+                            if nf < high and wears:
+                                w = wears[0]
+                                bucket = buckets[w]
+                                v = heappop(bucket)
+                                # Victim order equals the scalar argmin
+                                # iff no remaining candidate's score can
+                                # round into v's.  Equal wear gives equal
+                                # scores (id order == argmin index order);
+                                # the nearest larger wear within
+                                # _SCORE_GUARD could collide after the
+                                # float divide — bail.
+                                if bucket:
+                                    nw = len(wears)
+                                    if nw > 2:
+                                        gap = wears[1] if wears[1] < wears[2] else wears[2]
+                                    else:
+                                        gap = wears[1] if nw == 2 else None
                                 else:
-                                    gap = wears[1] if nw == 2 else None
+                                    del buckets[w]
+                                    heappop(wears)
+                                    gap = wears[0] if wears else None
+                                if gap is not None and gap - w <= (
+                                    gap if gap > 1.0 else 1.0
+                                ) * _SCORE_GUARD:
+                                    return None
                             else:
-                                del buckets[w]
-                                heappop(wears)
-                                gap = wears[0] if wears else None
-                            if gap is not None and gap - w <= (
-                                gap if gap > 1.0 else 1.0
-                            ) * _SCORE_GUARD:
-                                return None
+                                if nf >= high:
+                                    # GC is done; _maybe_static_wear_level
+                                    # may migrate one block.
+                                    if not static_enabled or wl_ctr < wl_interval:
+                                        break
+                                    wl_ctr = 0
+                                    if num_bad:
+                                        # Mirror wear_gap_exceeds: the gap
+                                        # is taken over good blocks only.
+                                        good_eff = [
+                                            e2 for b2, e2 in enumerate(eff_l)
+                                            if not bad_l[b2]
+                                        ]
+                                        if not good_eff or (
+                                            max(good_eff) - min(good_eff) <= wl_threshold
+                                        ):
+                                            break
+                                    elif max(eff_l) - min(eff_l) <= wl_threshold:
+                                        break
+                                    wl = True
+                                # The victim holds live units: a static WL
+                                # migration, or a greedy GC victim when no
+                                # zero-valid candidate is left.
+                                if cont is None:
+                                    cont = _Contents(ftl, stream, a0, b0_pre, idx, shared)
+                                    pkey, nxt_l, copies = cont.pkey, nxt.tolist(), [0] * n_segs
+                                counts = cont.counts_at(idx)
+                                if wl:
+                                    # pick_cold_victim: the least-worn
+                                    # candidate holding live units (lowest
+                                    # id on ties).
+                                    cold = np.flatnonzero((counts > 0) & (counts < _UNTRACKED)).tolist()
+                                    if not cold:
+                                        break
+                                    v = min(cold, key=eff_l.__getitem__)
+                                    n_mv = int(counts[v])
+                                    wl_units += n_mv
+                                else:
+                                    v = int(counts.argmin())
+                                    c_last = int(counts[v])
+                                    if c_last >= _UNTRACKED:
+                                        return None  # empty queue: scalar stalls
+                                    counts[v] = _UNTRACKED
+                                    if counts[counts.argmin()] == c_last:
+                                        # Tied counts: the scalar tie-break,
+                                        # same float ops, where the
+                                        # package's running max P/E is the
+                                        # max over every block.
+                                        counts[v] = c_last
+                                        tied = (counts == c_last).nonzero()[0].tolist()
+                                        # Wear only rises, so the running
+                                        # max moves only with blocks erased
+                                        # since.
+                                        if pe_max is None:
+                                            pe_max = max(eff_l)
+                                        else:
+                                            for b in victims[pe_seen:]:
+                                                if eff_l[b] > pe_max:
+                                                    pe_max = eff_l[b]
+                                        pe_seen = len(victims)
+                                        scale = pe_max + 1.0
+                                        best = c_last + eff_l[v] / scale * 0.5
+                                        for b in tied[1:]:
+                                            score = c_last + eff_l[b] / scale * 0.5
+                                            if score < best:
+                                                v = b
+                                                best = score
+                                    cont.scan_pos = idx
+                                    cont.post_closed = []
+                                    victim_valid.append(c_last)
+                                    n_mv = c_last
+                                    gc_units += c_last
+                                moved = cont.move(v, n_mv, active, aoff, next_ext)
+                                if moved is None:
+                                    return None
+                                active, aoff, next_ext = moved
+                                copies[seg_i] += n_mv
+                                nf = len(free)
                             p_ = perm_l[v] + one_minus
                             r_ = reco_l[v] + frac
                             e_ = p_ + r_
@@ -524,39 +916,37 @@ def _walk(
                             victims_append(v)
                             n_erased += 1
                             wl_ctr += 1
-                        if static_enabled and wl_ctr >= wl_interval:
-                            wl_ctr = 0
-                            if num_bad:
-                                # Mirror wear_gap_exceeds: the gap is
-                                # taken over good (non-bad) blocks only.
-                                good_eff = [
-                                    e2 for b2, e2 in enumerate(eff_l)
-                                    if not bad_l[b2]
-                                ]
-                                gap_big = bool(good_eff) and (
-                                    max(good_eff) - min(good_eff) > wl_threshold
-                                )
-                            else:
-                                gap_big = max(eff_l) - min(eff_l) > wl_threshold
-                            if gap_big:
-                                return None  # static WL would migrate
-                    # pop_free
-                    if nf == 0:
-                        return None  # OutOfSpaceError territory: bail
-                    if not dynamic or nf == 1:
-                        active = free.pop(0)
-                    else:
-                        active = free[0]
-                        best_pe = eff_l[active]
-                        for blk in free:
-                            v_ = eff_l[blk]
-                            if v_ < best_pe:
-                                active = blk
-                                best_pe = v_
-                        free_remove(active)
-                    aoff = 0
-                    alive[active] = next_ext
-                    next_ext += 1
+                            if wl:
+                                n_wl += 1
+                                break
+                        if cont is not None and cont.queued:
+                            cont.flush()
+                            if active is not None:
+                                # Opened by this reclaim's copies.
+                                rmax = int(cont.rows[active, :aoff].max())
+                        nf = len(free)
+                    if active is None:
+                        # pop_free (a relocation may have opened a block
+                        # already; the host appends to it).  _pop_free
+                        # inlined: on clean walks this runs for about
+                        # every other erase.
+                        if nf == 0:
+                            return None  # OutOfSpaceError territory: bail
+                        if not dynamic or nf == 1:
+                            active = free.pop(0)
+                        else:
+                            active = free[0]
+                            best_pe = eff_l[active]
+                            for blk in free:
+                                v_ = eff_l[blk]
+                                if v_ < best_pe:
+                                    active = blk
+                                    best_pe = v_
+                            free_remove(active)
+                        aoff = 0
+                        rmax = -1
+                        alive[active] = next_ext
+                        next_ext += 1
                 safe = len(free) - low
                 if safe < 0:
                     safe = 0
@@ -564,44 +954,77 @@ def _walk(
                 if end > s_end:
                     end = s_end
                 p = idx
-                while True:
+                if cont is None:
+                    while True:
+                        room = upb - aoff
+                        take = end - p if end - p < room else room
+                        aoff += take
+                        p += take
+                        if aoff == upb:
+                            k = alive[active]
+                            ev = ext_tl[k] + 1
+                            if p > ev:
+                                ev = p
+                            if k == 0 and b0_pre and b0_extra > ev:
+                                ev = b0_extra
+                            if ev < _NEVER:
+                                heappush(pending, (ev << bits) | active)
+                            closed[active] = 1
+                            active = None
+                            aoff = 0
+                            if p < end:
+                                # pop_free (mid-span: no reclaim, the span
+                                # sizing already proved the free blocks
+                                # safe); _pop_free inlined
+                                nf = len(free)
+                                if nf == 0:
+                                    return None
+                                if not dynamic or nf == 1:
+                                    active = free.pop(0)
+                                else:
+                                    active = free[0]
+                                    best_pe = eff_l[active]
+                                    for blk in free:
+                                        v_ = eff_l[blk]
+                                        if v_ < best_pe:
+                                            active = blk
+                                            best_pe = v_
+                                    free_remove(active)
+                                alive[active] = next_ext
+                                next_ext += 1
+                                continue
+                        break
+                else:
+                    # A copy shifted the log off the fixed extent
+                    # geometry: fill one block per pass, writing its
+                    # slots.  The next pass opens the next block without
+                    # a reclaim exactly where the span would have (the
+                    # span's end stays the same), so this is the same
+                    # placement.
                     room = upb - aoff
                     take = end - p if end - p < room else room
+                    if act_hs < 0:
+                        act_hs = p
+                    cont.host.append((active * upb + aoff, p, take))
                     aoff += take
                     p += take
                     if aoff == upb:
-                        k = alive[active]
-                        ev = ext_tl[k] + 1
+                        # The block's latest death: host units and copies.
+                        ev = max(nxt_l[act_hs:p]) + 1
+                        if rmax >= ev:
+                            ev = rmax + 1
                         if p > ev:
                             ev = p
-                        if k == 0 and b0_pre and b0_extra > ev:
-                            ev = b0_extra
                         if ev < _NEVER:
-                            heappush(pending, (ev << bits) | active)
+                            key = (ev << bits) | active
+                            heappush(pending, key)
+                            pkey[active] = key
+                        cont.post_closed.append(active)
+                        act_hs = -1
                         closed[active] = 1
                         active = None
                         aoff = 0
-                        if p < end:
-                            # pop_free (mid-span: no reclaim, the span
-                            # sizing already proved the free blocks safe)
-                            nf = len(free)
-                            if nf == 0:
-                                return None
-                            if not dynamic or nf == 1:
-                                active = free.pop(0)
-                            else:
-                                active = free[0]
-                                best_pe = eff_l[active]
-                                for blk in free:
-                                    v_ = eff_l[blk]
-                                    if v_ < best_pe:
-                                        active = blk
-                                        best_pe = v_
-                                free_remove(active)
-                            alive[active] = next_ext
-                            next_ext += 1
-                            continue
-                    break
+                    end = p
                 idx = end
             pos = s_end
             seg_i += 1
@@ -622,14 +1045,13 @@ def _walk(
         vic_perm = np.empty(0)
         vic_reco = np.empty(0)
         vic_eff = np.empty(0)
-    ext_of = np.array(alive, dtype=np.int64)
-    a_blocks = np.flatnonzero(ext_of >= 0)
-    ks = ext_of[a_blocks]
-    cb = np.flatnonzero(np.frombuffer(closed, dtype=np.uint8))
+    reloc = None
+    if cont is not None:
+        reloc = (cont, n_wl, gc_units, wl_units, victim_valid, copies)
     return (
         vic_u, vic_perm, vic_reco, vic_eff, n_erased,
-        a_blocks, ks, cb if cb.size else None, tuple(free), active, aoff,
-        wl_ctr, m, C, erase_prefix, seg_i,
+        alive, closed, tuple(free), active, aoff, wl_ctr,
+        m, C, erase_prefix, seg_i, c_last, reloc,
     )
 
 
@@ -649,14 +1071,20 @@ def commit_planned_burst(ftl, plan: BurstPlan) -> None:
     queue = ftl._gc_queue
     hint0 = queue._min_hint
     n_erased = plan.n_erased
+    n_gc = n_erased - plan.wl_runs
 
-    programs = plan.units_executed * ftl.unit_pages
+    copies = plan.gc_pages + plan.wl_pages
+    programs = plan.units_executed * ftl.unit_pages + copies
     stats = ftl.stats
     stats.host_pages_requested += plan.host_pages
     stats.host_pages_programmed += plan.host_pages
     stats.rmw_pages_programmed += plan.rmw_pages
     stats.pages_read += plan.rmw_pages
-    stats.gc_runs += n_erased
+    stats.gc_pages_copied += plan.gc_pages
+    stats.wl_pages_copied += plan.wl_pages
+    stats.migration_pages += plan.migration_pages
+    stats.gc_runs += n_gc
+    stats.wl_runs += plan.wl_runs
     stats.blocks_erased += n_erased
     counters = pkg.counters
     counters.page_programs += programs
@@ -665,8 +1093,9 @@ def commit_planned_burst(ftl, plan: BurstPlan) -> None:
 
     # Instruments count from the plan (DESIGN.md §9): the same totals
     # the scalar write and reclaim paths bump call by call.  Every
-    # clean-path victim is fully invalid, and every clean reclaim stops
-    # exactly at the high watermark, so that is the free-block gauge.
+    # reclaim stops exactly at the high watermark (each victim returns
+    # one free block after its copies took theirs), so that is the
+    # free-block gauge.
     obs = ftl._obs
     if obs is not None:
         obs.host_pages.inc(plan.host_pages)
@@ -674,10 +1103,19 @@ def commit_planned_burst(ftl, plan: BurstPlan) -> None:
         obs.pages_read.inc(plan.rmw_pages)
         obs.flash_pages.inc(programs)
         if n_erased:
-            obs.gc_runs.inc(n_erased)
+            obs.gc_runs.inc(n_gc)
             obs.blocks_erased.inc(n_erased)
-            obs.gc_victim_valid.observe_repeat(0, n_erased)
+            valid_counts = plan.victim_valid
+            obs.gc_victim_valid.observe_repeat(0, n_gc - len(valid_counts))
+            obs.gc_victim_valid.observe_many(valid_counts)
             obs.free_blocks.set(ftl.gc_high_water)
+        if plan.gc_pages:
+            obs.gc_pages.inc(plan.gc_pages)
+        if plan.wl_runs:
+            obs.wl_runs.inc(plan.wl_runs)
+            obs.wl_pages.inc(plan.wl_pages)
+        if plan.migration_pages:
+            obs.migration_pages.inc(plan.migration_pages)
     flash_obs = pkg._obs
     if flash_obs is not None:
         flash_obs.page_programs.inc(programs)
@@ -694,7 +1132,8 @@ def commit_planned_burst(ftl, plan: BurstPlan) -> None:
         delta = np.bincount(old_exec // upb, minlength=n_blocks)
         np.subtract(vcount, delta, out=vcount)
 
-    # Erased blocks: final wear plus a full per-block state reset.
+    # Erased blocks: final wear plus a full per-block state reset (a
+    # relocated unit's old slot goes with its block).
     vic_u = plan.vic_u
     if vic_u.size:
         pkg.apply_erase_burst(
@@ -705,9 +1144,9 @@ def commit_planned_burst(ftl, plan: BurstPlan) -> None:
         vcount[vic_u] = 0
         ftl._closed[vic_u] = False
 
-    # Scatter the surviving in-burst placements: per alive extent, the
+    # Scatter the surviving in-burst placements: per written block, the
     # placed units' reverse map, validity, per-block counts, and the
-    # forward map of each LPN's last executed write.
+    # forward map of each LPN's last placement (host write or copy).
     ppus = plan.ppus
     su = plan.su
     sv = plan.sv
@@ -726,24 +1165,18 @@ def commit_planned_burst(ftl, plan: BurstPlan) -> None:
     # Victim-queue end state.  Tracked counts always equal the valid
     # counts (add/apply_delta maintain that), so membership + counts
     # rebuild from the committed arrays.  The min hint follows the
-    # scalar rules: any selection settles it at the zero bucket; with no
-    # erase it is only ever lowered, by close-time counts and by updated
-    # counts of delta-hit tracked blocks — whose infimum over the burst
-    # is the final count of each contributing block.
+    # scalar rules: each victim scan settles it at the victim's count
+    # (``hint_floor``; with no reclaim it stays where it was); after the
+    # last scan it is only ever lowered, by close-time counts and by
+    # updated counts of delta-hit tracked blocks — whose infimum over
+    # the burst is the final count of each contributing block (``hb``).
     closed_now = ftl._closed
     np.copyto(queue._count_of, np.where(closed_now, vcount, -1))
     queue._tracked = int(np.count_nonzero(closed_now))
-    if n_erased:
-        queue._min_hint = 0
-    else:
-        hint = hint0
-        hb = plan.hb
-        if hb is not None:
-            lowest = int(vcount[hb].min())
-            if lowest < hint:
-                hint = lowest
-        if cb is not None:
-            lowest = int(vcount[cb].min())
-            if lowest < hint:
-                hint = lowest
-        queue._min_hint = hint
+    hint = hint0 if plan.hint_floor is None else plan.hint_floor
+    hb = plan.hb
+    if hint and hb is not None:
+        lowest = int(vcount[hb].min())
+        if lowest < hint:
+            hint = lowest
+    queue._min_hint = hint

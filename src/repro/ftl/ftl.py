@@ -246,12 +246,14 @@ class PageMappedFTL:
 
         ``segments`` are :class:`repro.ftl.burst.BurstSegment` plans —
         one per would-be :meth:`write_requests` call — grouped into
-        ``num_groups`` workload steps.  Returns the number of whole
-        groups executed (the burst truncates at the group boundary where
-        ``stop_erases`` further block erases have landed), or ``None``
-        with the FTL untouched when the burst cannot be proven
-        equivalent to the scalar path — the caller must then replay the
-        same writes through :meth:`write_requests`.
+        ``num_groups`` workload steps.  Returns the committed
+        :class:`~repro.ftl.plancache.BurstPlan`: its ``executed_groups``
+        whole groups ran (the burst truncates at the group boundary
+        where ``stop_erases`` further block erases have landed) and its
+        ``seg_copies`` are the GC/WL copy pages each executed call
+        caused.  Returns ``None`` with the FTL untouched when the burst
+        cannot be proven equivalent to the scalar path — the caller must
+        then replay the same writes through :meth:`write_requests`.
         """
         return execute_write_burst(self, segments, num_groups, stop_erases)
 

@@ -181,13 +181,23 @@ class HybridFTL:
         immediately superseded by the ring's wraparound, so Type A's own
         GC stays cheap while its P/E budget drains at the host rate.
         """
+        lpns, self._staging_cursor = self.staging_units(
+            num_requests, request_bytes, self._staging_cursor
+        )
         unit = self.pool_a.unit_bytes
-        requests = max(1, -(-request_bytes // unit))
+        self.pool_a.write_requests(lpns * unit, unit, as_migration=True)
+
+    def staging_units(self, num_requests: int, request_bytes: int, cursor: int):
+        """The ring's pure function: the pool-A unit LPNs that staging
+        ``num_requests`` requests of ``request_bytes`` writes from ring
+        position ``cursor``, and the cursor after them.  The scalar
+        staging path and the device's fused burst path (DESIGN.md §16)
+        both go through here."""
+        unit = self.pool_a.unit_bytes
+        count = num_requests * max(1, -(-request_bytes // unit))
         ring_units = max(1, self._staging_bytes // unit)
-        base = self.hot_window_bytes // unit
-        slots = (self._staging_cursor + np.arange(num_requests * requests, dtype=np.int64)) % ring_units
-        self._staging_cursor = int((self._staging_cursor + num_requests * requests) % ring_units)
-        self.pool_a.write_requests((base + slots) * unit, unit, as_migration=True)
+        slots = (cursor + np.arange(count, dtype=np.int64)) % ring_units
+        return self.hot_window_bytes // unit + slots, int((cursor + count) % ring_units)
 
     def read_requests(self, offsets_bytes: np.ndarray, request_bytes: int) -> None:
         offsets = np.asarray(offsets_bytes, dtype=np.int64)

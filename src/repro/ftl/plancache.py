@@ -1,7 +1,7 @@
 """Megaburst plan cache (DESIGN.md §14).
 
 Steady-state wear-out trajectories execute the same fused burst over and
-over: the clean-path proof and placement plan that
+over: the proof and placement plan that
 :mod:`repro.ftl.burst` derives from scratch on every ``write_burst``
 call are a *pure function* of a small set of simulator state components
 — the pattern-RNG phase, the FTL's free-list order and per-block wear,
@@ -65,6 +65,15 @@ class BurstPlan:
     apply the burst, plus the probe data (``probe_lpns``/``probe_old``,
     ``erase_prefix``) the cache needs to validate a replay.  All arrays
     are owned by the plan (never views of live FTL state).
+
+    ``n_erased`` counts every erase, ``wl_runs`` of them static
+    wear-leveling migrations; ``victim_valid`` lists the live-unit count
+    of each GC victim that relocated (the rest held none), and
+    ``seg_copies`` the GC and WL copy pages each executed segment caused
+    — None for a plan that copied nothing, the only kind the cache
+    keeps.  ``hint_floor`` is the victim queue's min hint after the last
+    victim scan (None: no scan ran) and ``hb`` the blocks whose final
+    counts may lower it afterwards.
     """
 
     executed_groups: int
@@ -73,7 +82,13 @@ class BurstPlan:
     n_erased: int
     host_pages: int
     rmw_pages: int
+    migration_pages: int
     wl_ctr_final: int
+    wl_runs: int
+    gc_pages: int
+    wl_pages: int
+    victim_valid: Tuple[int, ...]
+    seg_copies: Optional[List[int]]
     old_exec: np.ndarray
     vic_u: np.ndarray
     vic_perm: np.ndarray
@@ -86,6 +101,7 @@ class BurstPlan:
     sv: np.ndarray
     cb: Optional[np.ndarray]
     hb: Optional[np.ndarray]
+    hint_floor: Optional[int]
     free_final: Tuple[int, ...]
     active_final: Optional[int]
     aoff_final: int

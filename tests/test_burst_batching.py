@@ -19,15 +19,17 @@ from hypothesis import strategies as st
 
 from repro.core.experiment import WearOutExperiment
 from repro.devices import build_device
-from repro.flash import FlashGeometry, FlashPackage
+from repro.flash import CELL_SPECS, CellType, FlashGeometry, FlashPackage
 from repro.flash.healing import HealingModel
 from repro.fs import Ext4Model, F2fsModel
-from repro.ftl import PageMappedFTL
+from repro.ftl import PageMappedFTL, burst
 from repro.ftl.burst import _NEVER, BurstSegment, _next_links, plan_write_burst
 from repro.ftl.wear_leveling import WearLevelingConfig
 from repro.state.checkpoint import CheckpointManager
+from repro.state.snapshot import capture_ftl, save_state, snapshot_experiment
 from repro.units import KIB
 from repro.workloads import FileRewriteWorkload, generic_step_batch
+from repro.workloads.wearout import fill_static_space
 from tests.test_ftl_equivalence import ftl_fingerprint
 from tests.test_megaburst_fallback import _fused_steps
 from tests.test_state_snapshot import device_fingerprint, make_experiment, result_json
@@ -432,6 +434,141 @@ class TestFusedWalkEquivalence:
         fused, windows = self._pair(lambda exp: exp.run(until_level=3, max_steps=300), scale=8)
         assert fused.device.ftl.num_logical_units > 1 << 16
         assert windows
+
+
+def _state_bytes(tmp_path, name, state):
+    """A snapshot's bytes as :func:`save_state` writes them."""
+    return save_state(tmp_path / f"{name}.npz", state).read_bytes()
+
+
+@pytest.fixture
+def committed(monkeypatch):
+    """Every plan the fused path commits, in commit order."""
+    plans = []
+    commit = burst.commit_planned_burst
+
+    def recording(ftl, plan):
+        plans.append(plan)
+        return commit(ftl, plan)
+
+    monkeypatch.setattr(burst, "commit_planned_burst", recording)
+    return plans
+
+
+def _full_ftl(pages_per_block, num_blocks, fill, wear=None):
+    """A page-mapped FTL with every logical unit written once."""
+    geom = FlashGeometry(page_size=4 * KIB, pages_per_block=pages_per_block, num_blocks=num_blocks)
+    pkg = FlashPackage(geom, cell_spec=CELL_SPECS[CellType.MLC].derated(100_000), seed=5)
+    ftl = PageMappedFTL(pkg, logical_capacity_bytes=int(geom.capacity_bytes * fill), seed=5)
+    if wear is not None:
+        pkg.set_permanent_wear(wear)
+    for start in range(0, ftl.num_logical_units, 2048):
+        ftl.write_span(start, min(2048, ftl.num_logical_units - start))
+    return ftl
+
+
+def _churn(ftl, fused, steps, per_step, hot, window=4):
+    """``steps`` calls of ``per_step`` random 4 KiB writes over the first
+    ``hot`` LPNs: per call through ``write_requests``, or ``window``
+    calls per ``write_requests_batch`` (each must fuse whole)."""
+    rng = np.random.default_rng(5)
+    draws = [rng.integers(0, hot, size=per_step, dtype=np.int64) for _ in range(steps)]
+    if not fused:
+        for lpns in draws:
+            ftl.write_requests(lpns * 4096, 4096)
+        return
+    for w0 in range(0, steps, window):
+        segments = [
+            BurstSegment(unit_lpns=lpns, host_pages=per_step, rmw_pages=0, group=g,
+                         total_bytes=per_step * 4096, request_bytes=4096)
+            for g, lpns in enumerate(draws[w0 : w0 + window])
+        ]
+        plan = ftl.write_requests_batch(segments, len(segments))
+        assert plan is not None and plan.executed_groups == len(segments)
+
+
+class TestRelocatingWalk:
+    """Windows whose reclaims copy live data (DESIGN.md §11): greedy GC
+    relocation and static wear-leveling migration run inside the walk,
+    and each fused run must equal the scalar one in results, device
+    fingerprint and snapshot bytes (the victim queue's min hint
+    included)."""
+
+    def _pair(self, tmp_path, build, churn):
+        fused, scalar = build(), build()
+        churn(fused, True)
+        churn(scalar, False)
+        assert ftl_fingerprint(fused) == ftl_fingerprint(scalar)
+        assert _state_bytes(tmp_path, "fused", capture_ftl(fused)) == _state_bytes(
+            tmp_path, "scalar", capture_ftl(scalar)
+        )
+        return fused
+
+    def test_static_rewrite_at_86_percent_fill(self, tmp_path, committed):
+        """A page-mapped device rewriting static data at 86% fill: GC
+        victims hold live units in nearly every window."""
+
+        def run(step_batching):
+            exp = _experiment()
+            exp.step_batching = step_batching
+            exp.run(until_level=2, max_steps=8)  # maps every workload file
+            static = fill_static_space(exp.filesystem, 0.86)
+            exp.workload = FileRewriteWorkload(
+                exp.filesystem, request_bytes=4 * KIB, target_files=static[:2], seed=8
+            )
+            exp.run_one_increment("A", max_steps=60)
+            return exp
+
+        fused = run(True)
+        scalar = run(False)
+        assert _outcome(fused) == _outcome(scalar)
+        assert result_json(fused) == result_json(scalar)
+        assert device_fingerprint(fused.device) == device_fingerprint(scalar.device)
+        assert _state_bytes(tmp_path, "fused", snapshot_experiment(fused)) == _state_bytes(
+            tmp_path, "scalar", snapshot_experiment(scalar)
+        )
+        assert sum(plan.gc_pages for plan in committed) > 0
+
+    def test_gc_heavy_churn(self, tmp_path, committed):
+        """``bench_perf_ftl.py``'s gc_heavy shape — 90% utilization,
+        uniform random churn — through ``write_requests_batch``."""
+        self._pair(
+            tmp_path,
+            lambda: _full_ftl(64, 256, 0.90),
+            lambda ftl, fused: _churn(ftl, fused, 24, 2048, ftl.num_logical_units),
+        )
+        assert committed and all(plan.gc_pages > 0 for plan in committed)
+
+    def test_static_wear_leveling_migrates(self, tmp_path, committed):
+        """A preloaded wear gap over cold blocks makes static wear
+        leveling migrate inside fused windows."""
+        wear = np.where(np.arange(64) % 2 == 0, 0.0, 300.0)
+        fused = self._pair(
+            tmp_path,
+            lambda: _full_ftl(16, 64, 0.80, wear),
+            lambda ftl, fused: _churn(ftl, fused, 40, 256, ftl.num_logical_units // 4),
+        )
+        assert sum(plan.wl_runs for plan in committed) == fused.stats.wl_runs > 0
+        assert sum(plan.wl_pages for plan in committed) == fused.stats.wl_pages_copied > 0
+
+    def test_copy_spills_past_the_active_block(self, tmp_path, committed, monkeypatch):
+        """Copies larger than the active block's remaining room open
+        fresh blocks mid-copy, which then close into the candidates."""
+        spills = []
+        move = burst._Contents.move
+
+        def watched(self, v, n, active, aoff, next_ext):
+            if active is not None and n > self.upb - aoff:
+                spills.append(n)
+            return move(self, v, n, active, aoff, next_ext)
+
+        monkeypatch.setattr(burst._Contents, "move", watched)
+        self._pair(
+            tmp_path,
+            lambda: _full_ftl(8, 128, 0.85),
+            lambda ftl, fused: _churn(ftl, fused, 16, 512, ftl.num_logical_units),
+        )
+        assert spills and sum(plan.gc_pages for plan in committed) > 0
 
 
 def _last_seen_links(stream):

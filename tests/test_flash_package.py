@@ -1,5 +1,8 @@
 """Tests for FlashPackage wear accounting and retirement."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -220,6 +223,36 @@ class TestWearCache:
         assert package.permanent_pe_counts[0] == 0.0
         package.cycle_limits()[0] = 1.0
         assert package.cycle_limits()[0] != 1.0
+
+
+class TestCopies:
+    """A copied or unpickled package reads its own live wear: the shared
+    read-only views are rebuilt on the copy's arrays."""
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda pkg: pickle.loads(pickle.dumps(pkg))],
+                             ids=["deepcopy", "pickle"])
+    def test_copy_reads_its_own_wear(self, package, clone):
+        package.pe_counts  # validate the cache before copying
+        twin = clone(package)
+        twin.erase_block(3)
+        assert twin.pe_counts[3] == 1.0
+        assert twin.max_pe_count == 1.0
+        assert package.pe_counts[3] == 0.0
+        with pytest.raises(ValueError):
+            twin.pe_counts[0] = 99.0
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda pkg: pickle.loads(pickle.dumps(pkg))],
+                             ids=["deepcopy", "pickle"])
+    def test_copy_reads_its_own_bad_blocks(self, clone):
+        geom = FlashGeometry(page_size=4 * KIB, pages_per_block=16, num_blocks=8)
+        pkg = FlashPackage(geom, cell_spec=CELL_SPECS[CellType.MLC].derated(1), seed=1)
+        twin = clone(pkg)
+        while not twin.erase_block(2):
+            pass
+        assert twin.bad_blocks_view[2] and twin.bad_blocks_view.sum() == twin.num_bad_blocks
+        assert not pkg.bad_blocks_view.any()
+        with pytest.raises(ValueError):
+            twin.bad_blocks_view[0] = True
 
 
 class TestReliabilityQueries:

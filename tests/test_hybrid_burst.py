@@ -1,14 +1,16 @@
 """Differential tests for fused bursts on the hybrid FTL (DESIGN.md §16).
 
-An unmerged two-pool device fuses like a page-mapped one: every write
-call is routed to its pool, each pool is planned under its own erase
-stop, and both are cut at the shorter plan.  The contract is the same
+A two-pool device fuses like a page-mapped one: every write call is
+routed to its pool, each pool is planned under its own erase stop, and
+both are cut at the shorter plan.  Merged pools fuse too: each call's
+pool-B requests also stage through pool A's ring, and both pools' GC
+relocates live data inside the walk.  The contract is the same
 bit-identity as everywhere else — a batched run must equal the
 ``step_batching=False`` loop in result JSON, device fingerprint, and
 the hybrid's own ``host_pages_requested`` — whichever pool stops a
-window, when a weak block retires inside one pool, and when a window is
-refused (a request straddling the hot window, fresh pool-B mappings
-that could merge the pools, merged mode itself).
+window, when a weak block retires inside one pool, through Table 1's
+merged phases, and when a window is refused (a request straddling the
+hot window, fresh pool-B mappings that could merge the pools).
 """
 
 from __future__ import annotations
@@ -148,7 +150,7 @@ class TestRefusedWindows:
     def test_fresh_pool_b_mappings_near_merge_match_scalar(self, monkeypatch):
         """Sequential first writes map pool B up past merge_utilization:
         a window that could merge the pools stays scalar, and once
-        merged the device is ineligible."""
+        merged the windows fuse again."""
         merges = []
         could_merge = HybridFTL.could_merge
 
@@ -161,7 +163,8 @@ class TestRefusedWindows:
                                  until_level=2, max_steps=200)
         assert log[0] is not None and None in log
         assert True in merges
-        assert exp.device.ftl.merged_mode and not exp.device.burst_eligible()
+        assert exp.device.ftl.merged_mode and exp.device.burst_eligible()
+        assert log[-1] is not None
 
 
 class TestPhaseProtocol:
@@ -189,17 +192,25 @@ class TestPhaseProtocol:
         exp.workload = FileRewriteWorkload(
             fs, request_bytes=4 * KIB, batch_requests=256, target_files=static[:2], seed=4,
         )
-        assert device.ftl.merged_mode and not device.burst_eligible()
+        assert device.ftl.merged_mode and device.burst_eligible()
         exp.run_one_increment("A")
         exp.run_one_increment("A")
-        return exp, fused
+        merged_fused = sum(w[0] for w in log if w) - fused
+        return exp, fused, merged_fused
 
     def test_matches_scalar(self):
-        batched, fused = self._table1(step_batching=True)
-        scalar, _ = self._table1(step_batching=False)
+        batched, fused, merged_fused = self._table1(step_batching=True)
+        scalar, _, _ = self._table1(step_batching=False)
         assert fused > 0
+        assert merged_fused > 0
         assert _outcome(batched) == _outcome(scalar)
         assert [r.memory_type for r in batched.result.increments].count("A") >= 2
+        ftl = batched.device.ftl
+        # The merged phases staged through pool A's ring, migrated cold
+        # pool-A data, and relocated in pool B's GC.
+        assert ftl.pool_a.stats.migration_pages > 0
+        assert ftl.pool_a.stats.wl_pages_copied > 0
+        assert ftl.pool_b.stats.gc_pages_copied > 0
 
 
     def test_first_window_after_workload_swap_is_a_pilot(self):

@@ -8,7 +8,10 @@ identical registry snapshots: the fused run, the per-step loop
 inside ``plancache.sharing()`` after a first run captured its windows.
 The burst commit counts the ``ftl.*``/``flash.*`` instruments from the
 plan and the experiment loop counts its own per step, so every
-instrument must land on the scalar loop's value.  The one instrument
+instrument must land on the scalar loop's value — copy traffic
+included: a merged-mode hybrid run and a 90%-fill static rewrite, whose
+fused windows relocate and migrate live data, must match their scalar
+twins snapshot for snapshot.  The one instrument
 outside the oracle is ``experiment.increment_wall_s``, a wall-clock
 histogram: only its observation count is compared.
 """
@@ -27,6 +30,7 @@ from repro.ftl import burst, plancache
 from repro.obs import MetricsRegistry, metrics_enabled
 from repro.units import KIB
 from repro.workloads import FileRewriteWorkload
+from repro.workloads.wearout import fill_static_space
 from tests.test_megaburst_fallback import _fused_steps
 from tests.test_state_snapshot import device_fingerprint, result_json
 
@@ -132,6 +136,46 @@ def test_fused_scalar_and_replayed_snapshots_match(case, monkeypatch):
     assert fused_snap["experiment.host_bytes"]["value"] == fused.result.total_host_bytes
     assert fused_snap["ftl.gc_runs"]["value"] > 0
     assert fused_snap["flash.block_erases"]["value"] == fused_snap["ftl.blocks_erased"]["value"]
+
+
+def _relocating_run(case, step_batching):
+    """A metrics-on run whose reclaims copy live data: the merged hybrid
+    (Table 1's last phase, staging ring and GC relocation in both pools)
+    or a page-mapped device rewriting static data at 90% fill."""
+    device_name, fill = {"merged": ("emmc-16gb", 0.86), "fill-90": ("emmc-8gb", 0.90)}[case]
+    with metrics_enabled(MetricsRegistry()) as registry:
+        device = build_device(device_name, scale=SCALE, seed=7)
+        fs = Ext4Model(device)
+        workload = FileRewriteWorkload(fs, num_files=4, request_bytes=4 * KIB, seed=7)
+        experiment = WearOutExperiment(device, workload, filesystem=fs)
+    experiment.step_batching = step_batching
+    experiment.run(until_level=2, max_steps=8)  # maps every workload file
+    static = fill_static_space(fs, fill)
+    experiment.workload = FileRewriteWorkload(
+        fs, request_bytes=4 * KIB, target_files=static[:2], seed=8
+    )
+    fused = _fused_steps(experiment)
+    experiment.run_one_increment("A", max_steps=40)
+    return experiment, registry.snapshot(), sum(fused)
+
+
+@pytest.mark.parametrize("case", ["merged", "fill-90"])
+def test_relocating_snapshots_match(case):
+    fused, fused_snap, fused_steps = _relocating_run(case, step_batching=True)
+    scalar, scalar_snap, scalar_steps = _relocating_run(case, step_batching=False)
+    assert fused_steps > 0 and scalar_steps == 0
+    assert _outcome(fused) == _outcome(scalar)
+    assert _comparable(fused_snap) == _comparable(scalar_snap)
+
+    # The copies the oracle compares were counted from fused plans.
+    assert fused_snap["ftl.gc_pages_copied"]["value"] > 0
+    assert fused_snap["ftl.gc_victim_valid_units"]["sum"] > 0
+    assert fused_snap["ftl.free_blocks"]["value"] > 0
+    if case == "merged":
+        assert fused.device.ftl.merged_mode
+        assert fused_snap["ftl.migration_pages"]["value"] > 0
+        assert fused_snap["ftl.wl_runs"]["value"] > 0
+        assert fused_snap["ftl.wl_pages_copied"]["value"] > 0
 
 
 class TestHostBytesCountedOnce:
