@@ -19,7 +19,6 @@ from typing import Any, Callable, Dict, Optional
 from repro.core.clock import SimClock
 from repro.core.results import IncrementRecord, WearOutResult
 from repro.devices.interface import BlockDevice
-from repro.errors import DeviceWornOut, OutOfSpaceError, ReadOnlyError, UncorrectableError
 from repro.ftl import plancache
 from repro.ftl.wear_indicator import WearIndicator
 from repro.obs import ExperimentInstruments, JsonlEmitter
@@ -197,13 +196,12 @@ class WearOutExperiment:
         whole remaining budget executes as one ``step_batch`` call — a
         precomputed step plan the kernel truncates exactly at the
         budget, so increment boundaries no longer force a Python unwind
-        per poll window.  The loop then polls, records increments, and
-        checkpoints exactly as the per-step loop would at the same
-        ``steps_completed``.  Any step the fused path cannot prove
-        uneventful is replayed through ``_step_once`` — the scalar
-        reference path — so results are bit-identical to
-        ``step_batching=False`` and ``fast_poll=False`` runs, which take
-        that path for every step.  Metrics-on runs fuse too: instruments
+        per poll window.  Any step the fused path cannot prove
+        uneventful runs as one scalar ``workload.step()``; fused and
+        scalar steps then share one post-advance block (accounting,
+        skip-or-poll, record, checkpoint), so results are bit-identical
+        to ``step_batching=False`` and ``fast_poll=False`` runs, which
+        step scalar every time.  Metrics-on runs fuse too: instruments
         are counted from the plan (DESIGN.md §9).  Inside
         ``plancache.sharing()``, steady-state windows additionally hit
         the megaburst plan cache and skip planning entirely.
@@ -214,15 +212,12 @@ class WearOutExperiment:
         while steps_done < max_steps:
             n = self._fusion_bound(stop, max_steps - steps_done) if fuse else 1
             out = stepper(n, self._poll_budget) if n > 1 else None
-            if out is None:
-                # Scalar reference step: first-ever poll, budget spent,
-                # or a step the fused path refused (GC relocation, wear
-                # retirement, ... — see repro.ftl.burst).
-                indicators = self._step_once()
-                steps_done += 1
-                if indicators is None or stop(indicators):
-                    return
-                continue
+            fused = out is not None and bool(out[0] or out[2])
+            if out is None or not fused:
+                # Scalar step: first-ever poll, budget spent, a window
+                # the fused path refused (see repro.ftl.burst), or an
+                # empty batch that would otherwise spin.
+                out = generic_step_batch(self.workload, 1)
             durations, byte_counts, bricked = out
             m = len(durations)
             budget = self._poll_budget
@@ -232,6 +227,9 @@ class WearOutExperiment:
                 clock = self.clock
                 obs = self._obs
                 for i in range(m):
+                    # Durations, like volumes, are per-scaled-capacity
+                    # and are reported at full-device equivalents
+                    # (DESIGN.md §6).
                     duration = durations[i]
                     clock.advance(duration)
                     result.total_seconds += duration * scale
@@ -241,7 +239,7 @@ class WearOutExperiment:
                         obs.app_bytes.inc(byte_counts[i] * scale)
                 self.steps_completed += m
                 steps_done += m
-                if budget:
+                if fused and budget:
                     self._erase_rate = {
                         id(c): (c.block_erases - base) / m
                         for (c, _), base in zip(budget, self._batch_erases_base)
@@ -249,16 +247,10 @@ class WearOutExperiment:
             if bricked:
                 self.result.bricked = True
                 return
-            if m == 0:
-                # Defensive: an empty, non-bricked batch would spin.
-                indicators = self._step_once()
-                steps_done += 1
-                if indicators is None or stop(indicators):
-                    return
-                continue
             if budget is not None and all(c.block_erases < t for c, t in budget):
-                # Budget not spent: every step in the batch was a
-                # skip-poll step in scalar terms.
+                # Budget not spent: provably no pool crossed a level
+                # since the last real poll, so every step was a
+                # skip-poll step and the cached reading is current.
                 self._maybe_checkpoint(crossed=False)
                 indicators = self._last_indicators
             else:
@@ -266,11 +258,12 @@ class WearOutExperiment:
                 before = len(self.result.increments)
                 self._record_increments(indicators)
                 self._last_indicators = indicators
-                self._poll_budget = [
-                    (counters, counters.block_erases + min_more)
-                    for counters, min_more in self.device.wear_poll_hints().values()
-                    if min_more != float("inf")
-                ]
+                if self.fast_poll:
+                    self._poll_budget = [
+                        (counters, counters.block_erases + min_more)
+                        for counters, min_more in self.device.wear_poll_hints().values()
+                        if min_more != float("inf")
+                    ]
                 self._maybe_checkpoint(crossed=len(self.result.increments) > before)
             if indicators is not None and stop(indicators):
                 return
@@ -300,11 +293,10 @@ class WearOutExperiment:
     def _fusion_bound(self, stop, remaining: int) -> int:
         """Steps provably safe to fuse before the next poll/checkpoint.
 
-        Returns 1 when the next step must go through the scalar
-        reference path: no budget yet (the step must poll), budget
-        already spent, or the cached reading already satisfies ``stop``
-        (a repeated ``run()`` at a lower level executes exactly one
-        step, as the scalar loop does).
+        Returns 1 when the next step must be a scalar step: no budget
+        yet (the step must poll), budget already spent, or the cached
+        reading already satisfies ``stop`` (a repeated ``run()`` at a
+        lower level executes exactly one step, as the scalar loop does).
         """
         budget = self._poll_budget
         if budget is None:
@@ -348,50 +340,6 @@ class WearOutExperiment:
                 # only how much planning the truncation wastes.
                 n = self._pilot_batch_steps
         return n if n > 0 else 1
-
-    def _step_once(self) -> Optional[Dict[str, "WearIndicator"]]:
-        """One workload batch: advance time, accumulate volumes, record
-        any indicator crossings.
-
-        Returns the per-step indicator reading (read once and shared
-        with the callers' termination checks), or None if the device
-        failed — in which case ``result.bricked`` is set.
-        """
-        try:
-            duration, app_bytes = self.workload.step()
-        except (DeviceWornOut, ReadOnlyError, OutOfSpaceError, UncorrectableError):
-            self.result.bricked = True
-            return None
-        self.clock.advance(duration)
-        # Durations, like volumes, are per-scaled-capacity and are
-        # reported at full-device equivalents (DESIGN.md §6).
-        self.result.total_seconds += duration * self.device.scale
-        self.result.total_app_bytes += app_bytes * self.device.scale
-        obs = self._obs
-        if obs is not None:
-            obs.steps.inc()
-            obs.app_bytes.inc(app_bytes * self.device.scale)
-        budget = self._poll_budget
-        if budget is not None and all(c.block_erases < t for c, t in budget):
-            # Provably no pool crossed a level since the last real poll:
-            # skip the indicator read and reuse the cached reading (its
-            # levels are by construction still current).
-            self.steps_completed += 1
-            self._maybe_checkpoint(crossed=False)
-            return self._last_indicators
-        indicators = self.device.wear_indicators()
-        before = len(self.result.increments)
-        self._record_increments(indicators)
-        self._last_indicators = indicators
-        if self.fast_poll:
-            self._poll_budget = [
-                (counters, counters.block_erases + min_more)
-                for counters, min_more in self.device.wear_poll_hints().values()
-                if min_more != float("inf")
-            ]
-        self.steps_completed += 1
-        self._maybe_checkpoint(crossed=len(self.result.increments) > before)
-        return indicators
 
     def _maybe_checkpoint(self, crossed: bool) -> None:
         manager = self._ckpt_manager

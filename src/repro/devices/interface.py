@@ -170,15 +170,9 @@ class BlockDevice:
         ftl = self.ftl
         if type(ftl) is HybridFTL:
             return self._hybrid_burst(groups, budget)
-        stop_erases = None
-        if budget is not None:
-            counters = ftl.package.counters
-            for ctr, threshold in budget:
-                if ctr is not counters:
-                    return None
-                remaining = threshold - ctr.block_erases
-                if stop_erases is None or remaining < stop_erases:
-                    stop_erases = remaining
+        stops = self.erase_stops(budget)
+        if stops is None:
+            return None
         unit_bytes = ftl.unit_bytes
         unit_pages = ftl.unit_pages
         page = self.page_size
@@ -197,89 +191,51 @@ class BlockDevice:
             return None
         # unit/page sizes are powers of two in every catalog device;
         # shifts beat int64 division on the big offset matrices.
-        unit_shift = unit_bytes.bit_length() - 1 if unit_bytes & (unit_bytes - 1) == 0 else -1
-        page_shift = page.bit_length() - 1 if page & (page - 1) == 0 else -1
+        pow2 = unit_bytes & (unit_bytes - 1) == 0 and page & (page - 1) == 0
+        unit_shift = unit_bytes.bit_length() - 1
         segments = [None] * len(calls)
         for (count, request_bytes), indices in buckets.items():
-            vectorized = False
-            if len(indices) > 1:
+            if len(indices) > 1 and pow2 and request_bytes <= page:
                 stacked = np.stack([calls[i][1] for i in indices])
-                if int(stacked.min()) >= 0 and int(stacked.max()) + request_bytes <= limit:
-                    combinable = False
-                    if count > 1:
-                        # Cheap first-gap screen; only surviving rows pay
-                        # the full write-combining check.
-                        maybe = (stacked[:, 1] - stacked[:, 0]) == request_bytes
-                        if maybe.any():
-                            sub = stacked[maybe]
-                            combinable = bool(
-                                ((sub[:, 1:] - sub[:, :-1]) == request_bytes).all(axis=1).any()
-                            )
-                    if not combinable:
-                        programs = count * unit_pages
-                        if (
-                            page_shift >= 0
-                            and unit_shift >= 0
-                            and request_bytes <= page
-                            and int((stacked & (page - 1)).max()) + request_bytes <= page
-                        ):
-                            # Fastest shape — every request fits inside
-                            # one page (hence one mapping unit: unit
-                            # boundaries are page boundaries).  No span
-                            # math needed; host pages is one per request.
-                            first_unit = stacked >> unit_shift
-                            host_pages = count
-                            for row, i in enumerate(indices):
-                                segments[i] = BurstSegment(
-                                    unit_lpns=first_unit[row],
-                                    host_pages=host_pages,
-                                    rmw_pages=programs - host_pages,
-                                    group=calls[i][0],
-                                    total_bytes=count * request_bytes,
-                                    request_bytes=request_bytes,
-                                )
-                            vectorized = True
-                    if not combinable and not vectorized:
-                        last = stacked + (request_bytes - 1)
-                        if unit_shift >= 0:
-                            first_unit = stacked >> unit_shift
-                            last_unit = last >> unit_shift
-                        else:
-                            first_unit = stacked // unit_bytes
-                            last_unit = last // unit_bytes
-                        if bool((first_unit == last_unit).all()):
-                            # Common shape — aligned single-unit requests,
-                            # no write combining: one matrix pass builds
-                            # every call's segment.
-                            if page_shift >= 0:
-                                span_pages = (last >> page_shift) - (stacked >> page_shift)
-                            else:
-                                span_pages = last // page - stacked // page
-                            host_rows = span_pages.sum(axis=1) + count
-                            programs = count * unit_pages
-                            for row, i in enumerate(indices):
-                                host_pages = int(host_rows[row])
-                                segments[i] = BurstSegment(
-                                    unit_lpns=first_unit[row],
-                                    host_pages=host_pages,
-                                    rmw_pages=programs - host_pages,
-                                    group=calls[i][0],
-                                    total_bytes=count * request_bytes,
-                                    request_bytes=request_bytes,
-                                )
-                            vectorized = True
-            if not vectorized:
-                for i in indices:
-                    # Scalar fallback: exact write_many math for one call.
-                    group, offsets, request_bytes = calls[i]
-                    segment = _burst_segment(
-                        ftl, group, *_write_combine(offsets, request_bytes),
-                        int(offsets.size) * request_bytes, request_bytes, page,
-                    )
-                    if segment is None:
-                        return None
-                    segments[i] = segment
-        plan = ftl.write_requests_batch(segments, len(groups), stop_erases)
+                fits = int(stacked.min()) >= 0 and int(stacked.max()) + request_bytes <= limit
+                if fits and count > 1:
+                    # A row that write-combines is one wider request.
+                    # Cheap first-gap screen; only surviving rows pay
+                    # the full write-combining check.
+                    maybe = (stacked[:, 1] - stacked[:, 0]) == request_bytes
+                    if maybe.any():
+                        sub = stacked[maybe]
+                        fits = not ((sub[:, 1:] - sub[:, :-1]) == request_bytes).all(axis=1).any()
+                # Checked last, so sequential windows, which combine,
+                # never pay for this pass over the whole matrix.
+                if fits and int((stacked & (page - 1)).max()) + request_bytes <= page:
+                    # Stacked page-fit shape — every request fits inside
+                    # one page (hence one mapping unit: unit boundaries
+                    # are page boundaries).  No span math needed; host
+                    # pages is one per request.
+                    first_unit = stacked >> unit_shift
+                    rmw_pages = count * unit_pages - count
+                    for row, i in enumerate(indices):
+                        segments[i] = BurstSegment(
+                            unit_lpns=first_unit[row],
+                            host_pages=count,
+                            rmw_pages=rmw_pages,
+                            group=calls[i][0],
+                            total_bytes=count * request_bytes,
+                            request_bytes=request_bytes,
+                        )
+                    continue
+            for i in indices:
+                # Per-call segment: exact write_many math for one call.
+                group, offsets, request_bytes = calls[i]
+                segment = _burst_segment(
+                    ftl, group, *_write_combine(offsets, request_bytes),
+                    int(offsets.size) * request_bytes, request_bytes, page,
+                )
+                if segment is None:
+                    return None
+                segments[i] = segment
+        plan = ftl.write_requests_batch(segments, len(groups), stops[0])
         if plan is None:
             return None
         copies = plan.seg_copies or ()
@@ -289,6 +245,30 @@ class BlockDevice:
              for i, s in enumerate(segments)),
             plan.executed_groups,
         )
+
+    def erase_stops(self, budget):
+        """Fold a poll ``budget`` into one erase stop per flash pool.
+
+        ``budget`` holds the experiment's ``(counters, threshold)``
+        pairs, or None.  Returns one entry per pool, in
+        :meth:`_packages` order: the fewest further erases any pair
+        naming that pool's counters allows (the minimum when a pool is
+        named twice), or None when no pair names it.  Returns None
+        outright when a pair names a counter of no pool; the fused path
+        then refuses, and so does the plan cache.
+        """
+        counters = [package.counters for package in self._packages()]
+        stops = [None] * len(counters)
+        for ctr, threshold in budget or ():
+            for i, own in enumerate(counters):
+                if ctr is own:
+                    break
+            else:
+                return None
+            remaining = threshold - ctr.block_erases
+            if stops[i] is None or remaining < stops[i]:
+                stops[i] = remaining
+        return stops
 
     def _hybrid_burst(self, groups, budget):
         """:meth:`write_burst` on :class:`HybridFTL` pools (DESIGN.md §16).
@@ -308,17 +288,9 @@ class BlockDevice:
         if ftl.hot_window_bytes % page:
             return None  # host pages would not split exactly by pool
         pools = (ftl.pool_a, ftl.pool_b)
-        stops = [None, None]
-        for ctr, threshold in budget or ():
-            if ctr is pools[0].package.counters:
-                i = 0
-            elif ctr is pools[1].package.counters:
-                i = 1
-            else:
-                return None
-            remaining = threshold - ctr.block_erases
-            if stops[i] is None or remaining < stops[i]:
-                stops[i] = remaining
+        stops = self.erase_stops(budget)
+        if stops is None:
+            return None
         # Utilization only grows inside a window, so a window that
         # starts merged stays merged for every call.
         merged = ftl.merged_mode

@@ -179,7 +179,6 @@ class PageMappedFTL:
         # Bound fast-path methods, cached so victim selection skips
         # per-call attribute probes (it runs once per erased block).
         self._select_fast = getattr(policy, "select_incremental", None)
-        self._select_burst = getattr(policy, "select_burst", None) if self._select_fast else None
 
     # ------------------------------------------------------------------
     # Public API
@@ -629,14 +628,12 @@ class PageMappedFTL:
             high_water = self.gc_high_water
             queue = self._gc_queue
             valid_count = self._valid_count
-            burst = self._select_burst
-            cache: dict = {}
             if fast is not None:
                 # The cached effective-P/E array is patched in place by
-                # the erase path, so one property read serves the burst.
-                # Reading max_pe_count once revalidates the running max;
-                # erase_block then maintains it in place, which makes the
-                # direct ``_pe_max`` reads below exact for the burst.
+                # the erase path, so one property read serves the whole
+                # reclaim.  Reading max_pe_count once revalidates the
+                # running max; erase_block then maintains it in place,
+                # which makes the direct ``_pe_max`` reads below exact.
                 pe_counts = package.pe_counts
                 package.max_pe_count
             upb = self.units_per_block
@@ -648,17 +645,13 @@ class PageMappedFTL:
             runs = 0
             zero_victims = 0
             while len(free_blocks) < high_water:
-                if burst is not None:
-                    victim = burst(queue, pe_counts, package._pe_max, cache)
-                elif fast is not None:
+                if fast is not None:
                     victim = fast(queue, pe_counts, package._pe_max)
                 else:
                     victim = self._select_victim()
                 if victim is None:
                     break
                 if valid_count[victim]:
-                    # Relocation closes/opens blocks and moves counts;
-                    # the burst selection snapshot is no longer exact.
                     # Flush locally accumulated counters first so stats
                     # stay exact even if relocation raises.
                     if erased:
@@ -674,7 +667,6 @@ class PageMappedFTL:
                             obs.gc_victim_valid.observe_repeat(0, zero_victims)
                             zero_victims = 0
                         runs = 0
-                    cache.clear()
                     freed = self._collect_block(victim, _Source.GC)
                     stats.gc_runs += 1
                     if obs is not None:

@@ -4,14 +4,16 @@ Greedy selection (fewest valid units first) is the standard baseline
 and what simple mobile controllers implement; cost-benefit is provided
 for ablations.
 
-Victim selection is the FTL's hottest decision: a wear-out run invokes
-it once per erased block (tens of thousands of times).  Rather than
-rescanning every block per call, the FTL maintains a
-:class:`VictimQueue` — candidate blocks bucketed by valid-unit count,
-updated incrementally as invalidations land — and policies that
-implement ``select_incremental`` answer from it without touching
-non-candidate blocks.  The array-based ``select`` methods remain as the
-reference implementation (and the fallback for custom policies).
+Victim selection is the scalar FTL's hottest decision: a reclaim
+invokes it once per erased block.  Rather than rescanning every block
+per call, the FTL maintains a :class:`VictimQueue` — candidate blocks
+bucketed by valid-unit count, updated incrementally as invalidations
+land — and policies that implement ``select_incremental`` answer from
+it without touching non-candidate blocks, one call per victim.  The
+array-based ``select`` methods remain as the reference implementation
+(and the fallback for custom policies).  Fused bursts pick greedy
+victims inside the planning walk (:mod:`repro.ftl.burst`), at the same
+tie-break.
 
 Policies themselves carry no observability hooks: the FTL records each
 selected victim's valid-unit count into the
@@ -91,19 +93,6 @@ class VictimQueue:
         if self._count_of[block] >= 0:
             self._count_of[block] = -1
             self._tracked -= 1
-
-    def update_counts(self, blocks: np.ndarray, new_counts: np.ndarray) -> None:
-        """Move tracked ``blocks`` (unique ids) to their ``new_counts``."""
-        old = self._count_of[blocks]
-        tracked = old >= 0
-        moved = blocks[tracked]
-        if moved.size == 0:
-            return
-        new = new_counts[tracked]
-        self._count_of[moved] = new
-        lowest = int(new.min())
-        if lowest < self._min_hint:
-            self._min_hint = lowest
 
     def apply_delta(self, delta: np.ndarray) -> None:
         """Subtract per-block ``delta`` from every tracked block's count.
@@ -234,67 +223,6 @@ class GreedyVictimPolicy:
             pe_max = float(pe_counts.max())
         score = count + pe_counts[blocks] / (pe_max + 1.0) * 0.5
         return int(blocks[score.argmin()])
-
-    def select_burst(
-        self,
-        queue: VictimQueue,
-        pe_counts: np.ndarray,
-        pe_max: float,
-        cache: dict,
-    ) -> Optional[int]:
-        """:meth:`select_incremental` for consecutive selections inside
-        one reclaim burst; results are identical, call for call.
-
-        When the previous victim carried no live data, collecting it
-        only removed it from the queue and advanced its own P/E count:
-        every remaining candidate's valid count and wear are untouched.
-        If the device-wide max P/E also did not move (checked against
-        the snapshot, so ties keep exact float semantics), the previous
-        bucket-and-score snapshot is still exact and the next victim is
-        the argmin over the snapshot minus the previous victim — no
-        rescan, no rescore.  The FTL clears ``cache`` whenever a
-        collection relocated data (which can close blocks into the
-        queue and change counts), which falls back to a fresh scan.
-        """
-        blocks = cache.get("blocks")
-        if blocks is not None and blocks.size > 1 and pe_max == cache["pe_max"]:
-            keep = blocks != cache["victim"]
-            blocks = blocks[keep]
-            score = cache["score"][keep]
-            victim = int(blocks[score.argmin()])
-            cache["blocks"] = blocks
-            cache["score"] = score
-            cache["victim"] = victim
-            return victim
-        cache.clear()
-        if not queue._tracked:
-            return None
-        cof = queue._count_of
-        hit = queue._mask_buf
-        count = queue._min_hint
-        misses = 0
-        while True:
-            np.equal(cof, count, out=hit)
-            blocks = hit.nonzero()[0]
-            if blocks.size:
-                break
-            count += 1
-            misses += 1
-            if misses == 8:
-                count = int(cof[cof >= 0].min())
-                np.equal(cof, count, out=hit)
-                blocks = hit.nonzero()[0]
-                break
-        queue._min_hint = count
-        if blocks.size == 1:
-            return int(blocks[0])
-        score = count + pe_counts[blocks] / (pe_max + 1.0) * 0.5
-        victim = int(blocks[score.argmin()])
-        cache["blocks"] = blocks
-        cache["score"] = score
-        cache["pe_max"] = pe_max
-        cache["victim"] = victim
-        return victim
 
 
 class CostBenefitVictimPolicy:

@@ -280,7 +280,8 @@ def _stop_matches(plan: BurstPlan, stop_rel: Optional[int]) -> bool:
 
 
 def _freeze(obj: Any) -> Any:
-    """Canonical hashable form of a (possibly nested) RNG state dict."""
+    """Canonical hashable form of a (possibly nested) snapshot: the
+    workload's pattern state with its RNG state dicts."""
     if isinstance(obj, dict):
         return tuple((k, _freeze(v)) for k, v in sorted(obj.items()))
     if isinstance(obj, (list, tuple)):
@@ -288,11 +289,6 @@ def _freeze(obj: Any) -> Any:
     if isinstance(obj, np.ndarray):
         return (obj.dtype.str, obj.shape, obj.tobytes())
     return obj
-
-
-def freeze_state(state: Any) -> Any:
-    """Public alias used by the workload's pattern-state export."""
-    return _freeze(state)
 
 
 def _ftl_probe(ftl) -> tuple:
@@ -339,7 +335,7 @@ def workload_probe(workload) -> Optional[tuple]:
     if not hasattr(ftl, "_gc_queue"):
         return None  # hybrid / duck-typed FTLs are never cached
     return (
-        workload._export_pattern_states(),
+        _freeze(workload._pattern_state()),
         workload._next_file,
         fs_probe,
         _ftl_probe(ftl),
@@ -378,30 +374,6 @@ def static_key(workload, n: int) -> tuple:
         perf.peak_write_mib_s,
         perf.write_half_size,
     )
-
-
-def resolve_stop(workload, budget) -> Tuple[bool, Optional[int]]:
-    """Replicate ``BlockDevice.write_burst``'s budget folding.
-
-    Returns ``(ok, stop_rel)``: ``ok`` is False when the budget names a
-    foreign counter (the device layer would refuse the fused path, so
-    the cache must stay out of the way) and ``stop_rel`` is the minimal
-    further-erase allowance, or None for an unbounded window.
-    """
-    if budget is None:
-        return True, None
-    package = getattr(workload.fs.device.ftl, "package", None)
-    if package is None:
-        return False, None  # hybrid FTL: two pools, never cached (DESIGN.md §16)
-    counters = package.counters
-    stop = None
-    for ctr, threshold in budget:
-        if ctr is not counters:
-            return False, None
-        remaining = threshold - ctr.block_erases
-        if stop is None or remaining < stop:
-            stop = remaining
-    return True, stop
 
 
 # ----------------------------------------------------------------------
@@ -500,15 +472,17 @@ def lookup(workload, n: int, budget):
     _active = None
     if not _cache.enabled or not sharing.depth:
         return None
-    ok, stop_rel = resolve_stop(workload, budget)
-    if not ok:
+    stops = workload.fs.device.erase_stops(budget)
+    if stops is None or len(stops) > 1:
+        # A foreign budget counter (the device would refuse the fused
+        # path) or a hybrid's two pools (never cached, DESIGN.md §16).
         return None
     probe = workload_probe(workload)
     if probe is None:
         return None
     key = static_key(workload, n)
     ftl = workload.fs.device.ftl
-    entry = _cache.find(key, probe, ftl._l2p, stop_rel, ftl.package._cycle_limit)
+    entry = _cache.find(key, probe, ftl._l2p, stops[0], ftl.package._cycle_limit)
     if entry is None:
         _active = _Capture(key, probe)
         return None
@@ -543,7 +517,7 @@ def _replay(workload, entry: _Entry) -> None:
     device.busy_seconds = busy
     fs.app_bytes_written += entry.app_delta
     fs._burst_commit((entry.fs_state,), 1)
-    workload._import_pattern_states(entry.pattern_end)
+    workload._set_pattern_state(entry.pattern_end)
     workload._next_file = entry.next_file_end
 
 
@@ -569,7 +543,7 @@ def finish_capture(cap: _Capture, durations: List[float], workload) -> None:
         host_delta=cap.host_delta,
         app_delta=cap.app_delta,
         fs_state=cap.fs_state,
-        pattern_end=workload._export_pattern_state_values(),
+        pattern_end=workload._pattern_state(),
         next_file_end=workload._next_file,
         nbytes=cap.plan.nbytes() + 16 * (len(durations) + len(cap.seg_durations)) + 512,
     )

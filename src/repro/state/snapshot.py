@@ -47,7 +47,7 @@ from repro.devices.interface import BlockDevice
 from repro.errors import ConfigurationError
 from repro.ftl.ftl import PageMappedFTL
 from repro.ftl.hybrid import HybridFTL
-from repro.workloads.patterns import RandomPattern, SequentialPattern
+from repro.workloads.patterns import RandomPattern, SequentialPattern, StridePattern
 
 #: Bump when the snapshot layout changes; loaders reject other versions.
 STATE_FORMAT_VERSION = 1
@@ -284,6 +284,8 @@ def capture_workload(workload) -> Dict[str, Any]:
             generators.append({"kind": "rand", "rng": gen._rng.bit_generator.state})
         elif isinstance(gen, SequentialPattern):
             generators.append({"kind": "seq", "cursor": int(gen._cursor)})
+        elif isinstance(gen, StridePattern):
+            generators.append({"kind": "stride", "cursor": int(gen._cursor)})
         else:
             raise CheckpointError(f"cannot snapshot pattern generator {type(gen).__name__}")
     return {
@@ -317,7 +319,8 @@ def restore_workload(workload, state: Dict[str, Any], fs=None) -> None:
             _require(isinstance(gen, RandomPattern), "pattern generator kind mismatch")
             gen._rng.bit_generator.state = gen_state["rng"]
         else:
-            _require(isinstance(gen, SequentialPattern), "pattern generator kind mismatch")
+            cls = StridePattern if gen_state["kind"] == "stride" else SequentialPattern
+            _require(isinstance(gen, cls), "pattern generator kind mismatch")
             gen._cursor = int(gen_state["cursor"])
 
 

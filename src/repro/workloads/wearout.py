@@ -162,9 +162,9 @@ class FileRewriteWorkload:
             return None
         eligible = getattr(self.fs.device, "burst_eligible", None)
         if eligible is not None and not eligible():
-            # Statically ineligible device (merged hybrid pools, event
-            # timing, read-only): skip the whole-window pre-draw, not just the
-            # burst — the caller replays through the scalar path.
+            # Statically ineligible device (event timing, read-only, a
+            # duck-typed FTL): skip the whole-window pre-draw, not just
+            # the burst — the caller replays through the scalar path.
             return None
         hit = plancache.lookup(self, n, budget)
         if hit is not None:
@@ -172,7 +172,7 @@ class FileRewriteWorkload:
         cap = plancache.active_capture()
         num_files = len(self.files)
         start_file = self._next_file
-        saved = self._capture_pattern_state()
+        saved = self._pattern_state()
         plans = []
         for i in range(n):
             index = (start_file + i) % num_files
@@ -180,12 +180,12 @@ class FileRewriteWorkload:
             plans.append((self.files[index], offsets))
         out = fs_burst(plans, self.request_bytes, budget)
         if out is None:
-            self._restore_pattern_state(saved)
+            self._set_pattern_state(saved)
             plancache.abort_capture()
             return None
         m, durations = out
         if m < n:
-            self._restore_pattern_state(saved)
+            self._set_pattern_state(saved)
             for i in range(m):
                 index = (start_file + i) % num_files
                 self._generators[index].next_batch(self.batch_requests)
@@ -195,55 +195,17 @@ class FileRewriteWorkload:
             plancache.finish_capture(cap, durations, self)
         return durations, [app_bytes] * m, False
 
-    def _capture_pattern_state(self):
-        """Snapshot every generator's RNG state / cursor for rewind.
+    def _pattern_state(self):
+        """Positional snapshot of every generator's phase: one
+        ``("rng", state)`` entry per distinct RNG object (random
+        patterns may share the workload substream's Generator), one
+        ``("cursor", value)`` per cursor, in generator order.
 
-        Random patterns may share one Generator object (they are built
-        from the workload's substream), so RNG states are captured once
-        per distinct object.
+        Holding no object references, it rewinds a window
+        (:meth:`step_batch`) and, frozen, is the plan cache's pattern
+        probe; a state captured in one window re-applies in a later,
+        state-identical one (DESIGN.md §14).
         """
-        entries = []
-        seen = set()
-        for generator in self._generators:
-            rng = getattr(generator, "_rng", None)
-            if rng is not None and id(rng) not in seen:
-                seen.add(id(rng))
-                entries.append(("rng", rng, rng.bit_generator.state))
-            if hasattr(generator, "_cursor"):
-                entries.append(("cursor", generator, generator._cursor))
-        return entries
-
-    def _restore_pattern_state(self, entries) -> None:
-        for kind, target, value in entries:
-            if kind == "rng":
-                target.bit_generator.state = value
-            else:
-                target._cursor = value
-
-    # ------------------------------------------------------------------
-    # Plan-cache pattern-state protocol (DESIGN.md §14).  Unlike the
-    # rewind snapshot above, these are *positional* (no object
-    # references), so a state captured in one window can be compared and
-    # re-applied in a later, state-identical window.  Distinct RNG
-    # objects are visited once, in generator order (random patterns may
-    # share the workload substream's Generator).
-    # ------------------------------------------------------------------
-
-    def _export_pattern_states(self):
-        """Hashable positional probe of every generator's phase."""
-        entries = []
-        seen = set()
-        for generator in self._generators:
-            rng = getattr(generator, "_rng", None)
-            if rng is not None and id(rng) not in seen:
-                seen.add(id(rng))
-                entries.append(("rng", plancache.freeze_state(rng.bit_generator.state)))
-            if hasattr(generator, "_cursor"):
-                entries.append(("cursor", generator._cursor))
-        return tuple(entries)
-
-    def _export_pattern_state_values(self):
-        """Settable positional snapshot (raw RNG state dicts)."""
         entries = []
         seen = set()
         for generator in self._generators:
@@ -255,8 +217,8 @@ class FileRewriteWorkload:
                 entries.append(("cursor", generator._cursor))
         return tuple(entries)
 
-    def _import_pattern_states(self, entries) -> None:
-        """Apply a positional snapshot from :meth:`_export_pattern_state_values`."""
+    def _set_pattern_state(self, entries) -> None:
+        """Apply a snapshot taken by :meth:`_pattern_state`."""
         it = iter(entries)
         seen = set()
         for generator in self._generators:

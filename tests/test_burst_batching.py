@@ -27,7 +27,7 @@ from repro.ftl.burst import _NEVER, BurstSegment, _next_links, plan_write_burst
 from repro.ftl.wear_leveling import WearLevelingConfig
 from repro.state.checkpoint import CheckpointManager
 from repro.state.snapshot import capture_ftl, save_state, snapshot_experiment
-from repro.units import KIB
+from repro.units import KIB, MIB
 from repro.workloads import FileRewriteWorkload, generic_step_batch
 from repro.workloads.wearout import fill_static_space
 from tests.test_ftl_equivalence import ftl_fingerprint
@@ -81,8 +81,8 @@ class TestBatchedRunEquivalence:
         assert len(batched.result.increments) >= 2  # non-trivial run
 
     def test_matches_naive_polling_reference(self):
-        """fast_poll=False / batch=1 is the untouched reference path
-        (ISSUE: must stay available); the fused loop must match it."""
+        """Naive per-step polling (``fast_poll=False``) is a reference
+        oracle; the fused loop must match it."""
         batched = _experiment()
         batched.run(until_level=3)
 
@@ -434,6 +434,39 @@ class TestFusedWalkEquivalence:
         fused, windows = self._pair(lambda exp: exp.run(until_level=3, max_steps=300), scale=8)
         assert fused.device.ftl.num_logical_units > 1 << 16
         assert windows
+
+    def test_aligned_requests_spanning_pages_inside_one_unit(self, tmp_path):
+        """8 KiB aligned random rewrites on emmc-8gb's 2-page units:
+        every request spans two pages but stays inside one mapping
+        unit, a segment shape the page-fit stacking does not build."""
+
+        def run(step_batching):
+            device = build_device("emmc-8gb", scale=512, seed=11)
+            fs = Ext4Model(device)
+            # 100 MiB files scale to whole units, so every file (and
+            # every request) starts on a unit boundary.
+            workload = FileRewriteWorkload(
+                fs, num_files=4, file_bytes=100 * MIB, request_bytes=8 * KIB,
+                pattern="rand", seed=11,
+            )
+            exp = WearOutExperiment(device, workload, filesystem=fs)
+            exp.step_batching = step_batching
+            windows = _fused_steps(exp)
+            exp.run(until_level=3)
+            return exp, windows
+
+        fused, windows = run(True)
+        scalar, scalar_windows = run(False)
+        ftl = fused.device.ftl
+        assert ftl.unit_pages == 2 and ftl.unit_bytes == 8 * KIB
+        assert all(f.extent_start % ftl.unit_bytes == 0 for f in fused.workload.files)
+        assert sum(windows) > 0 and not scalar_windows
+        assert len(fused.result.increments) >= 2
+        assert result_json(fused) == result_json(scalar)
+        assert device_fingerprint(fused.device) == device_fingerprint(scalar.device)
+        assert _state_bytes(tmp_path, "fused", snapshot_experiment(fused)) == _state_bytes(
+            tmp_path, "scalar", snapshot_experiment(scalar)
+        )
 
 
 def _state_bytes(tmp_path, name, state):

@@ -165,11 +165,12 @@ class _ScriptedWorkload:
 
 
 class TestStepEquivalence:
-    """Pin the shared ``_step_once`` loop behind both public methods.
+    """Pin the one experiment loop behind both public methods.
 
-    ``run`` and ``run_one_increment`` were near-identical copies before
-    being deduplicated; these scripted-device assertions pin the exact
-    accounting, recording, and brick semantics both must keep.
+    ``run`` and ``run_one_increment`` share one loop whose scalar and
+    fused steps go through one post-advance block; these
+    scripted-device assertions pin the exact accounting, recording, and
+    brick semantics both must keep.
     """
 
     def make(self, brick_at=None, steps_per_level=3):

@@ -211,7 +211,6 @@ class _ReferenceOnlyGreedy(GreedyVictimPolicy):
     array-based reference ``select`` every reclaim."""
 
     select_incremental = None
-    select_burst = None
 
 
 class TestFastPathCrossChecks:
@@ -276,54 +275,6 @@ class TestFastPathCrossChecks:
         assert pkg.counters.page_programs == 3
         assert int(ftl._p2l[ppu_5]) == 5 and int(ftl._p2l[ppu_9]) == 9
 
-    def test_burst_selection_matches_incremental(self):
-        """select_burst must reproduce select_incremental call for call
-        while its snapshot-reuse precondition holds (previous victim had
-        no live data, device-wide max P/E unchanged)."""
-        policy = GreedyVictimPolicy()
-        rng = np.random.default_rng(3)
-        n = 24
-        pe = rng.uniform(0.0, 80.0, size=n)
-        pe_max = float(pe.max())
-
-        q_burst, q_ref = VictimQueue(n, 32), VictimQueue(n, 32)
-        for b in range(n):
-            q_burst.add(b, 0)
-            q_ref.add(b, 0)
-
-        cache: dict = {}
-        for _ in range(n):
-            got = policy.select_burst(q_burst, pe, pe_max, cache)
-            want = policy.select_incremental(q_ref, pe, pe_max)
-            assert got == want
-            q_burst.discard(got)
-            q_ref.discard(want)
-        assert policy.select_burst(q_burst, pe, pe_max, cache) is None
-
-    def test_burst_cache_invalidated_by_pe_max_change(self):
-        policy = GreedyVictimPolicy()
-        rng = np.random.default_rng(4)
-        n = 12
-        pe = rng.uniform(0.0, 50.0, size=n)
-        q_burst, q_ref = VictimQueue(n, 32), VictimQueue(n, 32)
-        for b in range(n):
-            q_burst.add(b, 0)
-            q_ref.add(b, 0)
-
-        cache: dict = {}
-        pe_max = float(pe.max())
-        first = policy.select_burst(q_burst, pe, pe_max, cache)
-        q_burst.discard(first)
-        q_ref.discard(policy.select_incremental(q_ref, pe, pe_max))
-
-        # The erase pushed a block past the previous max: wear fractions
-        # rescale, so the snapshot must be discarded and rebuilt.
-        pe[first] = pe_max + 5.0
-        new_max = float(pe.max())
-        got = policy.select_burst(q_burst, pe, new_max, cache)
-        want = policy.select_incremental(q_ref, pe, new_max)
-        assert got == want
-
 
 class TestVictimQueue:
     def test_add_discard_contains(self):
@@ -351,15 +302,6 @@ class TestVictimQueue:
         assert len(q) == 2
         assert q.min_count() == 2
         assert list(q.candidates()) == [2, 4]
-
-    def test_update_counts_only_moves_tracked_blocks(self):
-        q = VictimQueue(8, 32)
-        q.add(1, 6)
-        q.add(5, 3)
-        q.update_counts(np.array([1, 2, 5]), np.array([4, 0, 1]))
-        assert 2 not in q
-        assert list(q.counts_of(np.array([1, 5]))) == [4, 1]
-        assert q.min_count() == 1
 
     def test_apply_delta_hits_tracked_blocks_only(self):
         q = VictimQueue(6, 32)

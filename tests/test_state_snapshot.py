@@ -22,6 +22,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.campaign import runner as campaign_runner
 from repro.campaign.runner import CampaignRunner
 from repro.campaign.spec import CampaignSpec, PointSpec
 from repro.campaign.store import ResultStore
@@ -48,7 +49,7 @@ from tests.test_ftl_equivalence import ftl_fingerprint
 
 
 def make_experiment(device="emmc-8gb", fs_kind="ext4", seed=7, scale=512,
-                    healing=None, idle_seconds=0.0, fast_poll=True):
+                    healing=None, idle_seconds=0.0, fast_poll=True, pattern="rand"):
     """A small catalog-device wear-out experiment (optionally with a
     healing model swapped in and per-step idle periods)."""
     dev = build_device(device, scale=scale, seed=seed)
@@ -57,7 +58,7 @@ def make_experiment(device="emmc-8gb", fs_kind="ext4", seed=7, scale=512,
             pkg.healing = healing
     fs = make_filesystem(fs_kind, dev)
     workload = FileRewriteWorkload(
-        fs, num_files=4, request_bytes=4 * KIB, pattern="rand", seed=seed
+        fs, num_files=4, request_bytes=4 * KIB, pattern=pattern, seed=seed
     )
     if idle_seconds:
         workload = _IdleBetweenSteps(workload, dev, idle_seconds)
@@ -171,6 +172,69 @@ class TestSnapshotRoundTrip:
         twin = make_experiment(fs_kind="f2fs")
         with pytest.raises(CheckpointError):
             restore_experiment(twin, snapshot_experiment(probe))
+
+
+class TestStrideSnapshots:
+    """Stride points (uFLIP's third micro-pattern) snapshot their
+    cursors as their own generator kind, so they checkpoint and
+    warm-start like rand and seq points."""
+
+    def test_round_trip_is_byte_identical(self, tmp_path):
+        probe = make_experiment(pattern="stride")
+        probe.run(until_level=3, max_steps=200)
+        state = snapshot_experiment(probe)
+        assert [g["kind"] for g in state["workload"]["generators"]] == ["stride"] * 4
+        saved = save_state(tmp_path / "probe.npz", state)
+
+        twin = make_experiment(pattern="stride")
+        restore_experiment(twin, load_state(saved))
+        again = save_state(tmp_path / "twin.npz", snapshot_experiment(twin))
+        assert again.read_bytes() == saved.read_bytes()
+
+        twin.run(until_level=3)
+        cold = make_experiment(pattern="stride")
+        cold.run(until_level=3)
+        assert result_json(twin) == result_json(cold)
+        assert device_fingerprint(twin.device) == device_fingerprint(cold.device)
+
+    def test_restore_checks_the_generator_kind(self):
+        probe = make_experiment(pattern="stride")
+        probe.run(until_level=2, max_steps=20)
+        state = snapshot_experiment(probe)
+        state["workload"]["generators"][0]["kind"] = "seq"
+        with pytest.raises(CheckpointError, match="kind mismatch"):
+            restore_experiment(make_experiment(pattern="stride"), state)
+
+    def test_cold_checkpointed_and_warm_fingerprints_agree(self, tmp_path, monkeypatch):
+        grid = CampaignSpec(
+            name="stride",
+            points=[
+                PointSpec(kind="wearout", device="emmc-8gb", scale=512, filesystem="ext4",
+                          pattern="stride", until_level=lvl, seed=3)
+                for lvl in (2, 3)
+            ],
+            base_seed=1,
+        )
+        # A snapshot that fails to restore silently cold-starts the
+        # point, so record the restores that succeed.
+        restored = []
+        restore = campaign_runner.restore_experiment
+
+        def recording(experiment, state):
+            restore(experiment, state)
+            restored.append(experiment.steps_completed)
+
+        monkeypatch.setattr(campaign_runner, "restore_experiment", recording)
+        cold = ResultStore(None)
+        CampaignRunner(grid, store=cold).run()
+        for _ in ("checkpointed", "warm"):
+            store = ResultStore(None)
+            CampaignRunner(
+                grid, store=store, checkpoint_dir=tmp_path, checkpoint_interval=100
+            ).run()
+            assert store.fingerprint() == cold.fingerprint()
+        assert list(tmp_path.glob("*.npz"))
+        assert restored and all(steps > 0 for steps in restored)
 
 
 class TestSaveLoad:
