@@ -55,7 +55,8 @@ class ResultStore:
         an interrupted run may have left behind."""
         kept: List[str] = []
         dropped = 0
-        for line in self.path.read_text().splitlines():
+        text = self.path.read_text()
+        for line in text.splitlines():
             if not line.strip():
                 continue
             try:
@@ -66,8 +67,11 @@ class ResultStore:
                 continue
             self._records[key] = record
             kept.append(line)
-        if dropped:
-            # Compact away the torn lines so the file is clean JSONL again.
+        if dropped or not text.endswith("\n"):
+            # Compact away the torn lines so the file is clean JSONL
+            # again.  A complete last record without its newline is
+            # rewritten too: the next append would otherwise land on
+            # its line and the following load would drop both.
             self.path.write_text("".join(line + "\n" for line in kept))
 
     def append(self, record: Dict[str, Any]) -> None:

@@ -119,11 +119,6 @@ class FlashPackage:
         self._pe_cache_valid = True
         self._bind_views()
         self._num_bad = 0
-        # Running maximum of effective P/E: erases only ever raise a
-        # block's count, so the max can be maintained per erase; healing
-        # lowers counts and invalidates it alongside the cache.
-        self._pe_max = 0.0
-        self._pe_max_valid = True
 
         # Observability: None while metrics are disabled (DESIGN.md §9);
         # the erase fast path pays one attribute load + is-None test.
@@ -174,11 +169,8 @@ class FlashPackage:
 
     @property
     def max_pe_count(self) -> float:
-        """Largest effective P/E count across all blocks (cached)."""
-        if not self._pe_max_valid:
-            self._pe_max = float(self.pe_counts.max()) if self.num_blocks else 0.0
-            self._pe_max_valid = True
-        return self._pe_max
+        """Largest effective P/E count across all blocks."""
+        return float(self.pe_counts.max()) if self.num_blocks else 0.0
 
     @property
     def permanent_pe_counts(self) -> np.ndarray:
@@ -237,10 +229,6 @@ class FlashPackage:
         effective = self._pe_permanent[block_ids] + self._pe_recoverable[block_ids]
         if self._pe_cache_valid:
             self._pe_cache[block_ids] = effective
-        if self._pe_max_valid:
-            top = float(effective.max())
-            if top > self._pe_max:
-                self._pe_max = top
         newly_bad = effective >= self._cycle_limit[block_ids]
         if newly_bad.any():
             # block_ids never repeat within a batch (the FTL erases each
@@ -277,8 +265,6 @@ class FlashPackage:
         effective = perm + reco
         if self._pe_cache_valid:
             self._pe_cache[block_id] = effective
-        if self._pe_max_valid and effective > self._pe_max:
-            self._pe_max = float(effective)
         if effective >= self._cycle_limit[block_id]:
             self._bad[block_id] = True
             self._num_bad += 1
@@ -311,12 +297,6 @@ class FlashPackage:
         self.counters.block_erases += num_erases
         if self._pe_cache_valid:
             self._pe_cache[block_ids] = effective
-        if self._pe_max_valid and effective.size:
-            # Per-block effective wear only rises across a burst, so the
-            # running max over final values equals the scalar running max.
-            top = float(effective.max())
-            if top > self._pe_max:
-                self._pe_max = top
 
     def set_permanent_wear(self, pe_counts) -> None:
         """Overwrite permanent per-block wear (scalar or per-block array).
@@ -327,7 +307,6 @@ class FlashPackage:
         """
         self._pe_permanent[:] = pe_counts
         self._pe_cache_valid = False
-        self._pe_max_valid = False
 
     def record_page_programs(self, count: int) -> None:
         """Account ``count`` page programs (wear itself is charged at erase)."""
@@ -350,7 +329,6 @@ class FlashPackage:
             return
         self._pe_recoverable = self.healing.heal(self._pe_recoverable, elapsed_seconds, temp_c)
         self._pe_cache_valid = False
-        self._pe_max_valid = False
 
     def anneal(self, temp_c: float, duration_seconds: float) -> None:
         """Heat-accelerated healing of worn-out cells (§2.2).
@@ -362,7 +340,6 @@ class FlashPackage:
             return
         self._pe_recoverable = self.healing.heal(self._pe_recoverable, duration_seconds, temp_c)
         self._pe_cache_valid = False
-        self._pe_max_valid = False
         effective = self._pe_permanent + self._pe_recoverable
         healed = self._bad & (effective < self._cycle_limit)
         self._bad[healed] = False

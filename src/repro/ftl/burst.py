@@ -19,7 +19,7 @@ pick the greedy victim and its live units move, in slot order, into the
 active block.  Only then is the aggregate effect committed in a handful
 of vectorized scatters (:func:`commit_planned_burst`).  Any event the
 plan cannot reproduce bit-for-bit (a score collision it cannot order,
-an empty candidate queue, an empty free list) makes it *bail with
+no GC candidate left, an empty free list) makes it *bail with
 nothing planned* (return ``None``), and the caller re-executes the same
 writes through the ordinary scalar path — which therefore remains the
 reference semantics, exceptions included.
@@ -47,12 +47,14 @@ never cached: which units a victim holds is outside the cache's probe.
 Bit identity with the scalar path is the contract: every mirrored float
 uses the same IEEE-754 operations on the same values, zero-valid victim
 order is proven equal to the scalar argmin (with a conservative bail
-when two scores could round together), relocating victims are scored
-with the scalar's own float expression, and the queue/min-hint end
-state follows the scalar update rules exactly (tests/test_ftl_equivalence.py
-and tests/test_burst_batching.py hold the line; the relocating cases are
-test_burst_batching.py's ``TestRelocatingWalk``, tests/test_hybrid_burst.py
-and tests/test_metrics_fused.py).
+when two scores could round together), and relocating victims are
+scored with the scalar's own float expression.  GC candidates are the
+FTL's closed blocks and their counts its per-block valid counts, so the
+commit's scatters leave no derived index to rebuild
+(tests/test_ftl_equivalence.py and tests/test_burst_batching.py hold
+the line; the relocating cases are test_burst_batching.py's
+``TestRelocatingWalk``, tests/test_hybrid_burst.py and
+tests/test_metrics_fused.py).
 """
 
 from __future__ import annotations
@@ -145,7 +147,7 @@ def plan_write_burst(
     if ftl.read_only or ftl._in_reclaim:
         return None
     pkg = ftl.package
-    if type(ftl._victim_policy) is not GreedyVictimPolicy:
+    if type(ftl.victim_policy) is not GreedyVictimPolicy:
         return None
 
     upb = ftl.units_per_block
@@ -154,10 +156,9 @@ def plan_write_burst(
     high = ftl.gc_high_water
     cfg = ftl.wl_config
 
-    # Validate the lazy wear caches once, exactly as the scalar reclaim
-    # path does on entry; the mirrors below read the same values.
+    # Validate the lazy wear cache once; the mirrors below read the
+    # same values the scalar path would.
     pe0 = pkg.pe_counts
-    pkg.max_pe_count
 
     parts = [s.unit_lpns for s in segments]
     U = np.concatenate(parts) if len(parts) > 1 else parts[0]
@@ -180,9 +181,7 @@ def plan_write_burst(
     old_pos = first_pos[hit]
     old_blk = old_ppu // upb
 
-    queue = ftl._gc_queue
-    cof0 = queue._count_of
-    tracked0 = cof0 >= 0
+    closed0 = ftl._closed  # the GC candidates (read only while planning)
     vc0 = ftl._valid_count
     active0 = ftl._active_block
     a0 = ftl._active_offset
@@ -202,7 +201,7 @@ def plan_write_burst(
         ends_u = np.append(bounds, ob.size)
         blocks_u = ob[starts_u]
         counts_u = ends_u - starts_u
-        ok = tracked0[blocks_u]
+        ok = closed0[blocks_u]
         if b0_pre:
             ok = ok | (blocks_u == active0)
         if not ok.all():
@@ -252,7 +251,7 @@ def plan_write_burst(
     def _do_walk(ng):
         return _walk(
             ftl, pkg, segments, seg_lens, ng, stop_erases, stream, ext_t,
-            exhaust_pos, cof0, pe0, active0, a0, b0_pre, b0_extra,
+            exhaust_pos, pe0, active0, a0, b0_pre, b0_extra,
             low, high, cfg,
         )
 
@@ -275,7 +274,7 @@ def plan_write_burst(
     (
         vic_u, vic_perm, vic_reco, vic_eff, n_erased,
         alive, closed, free_final, active, aoff, wl_ctr,
-        m, C, erase_prefix, seg_cut, c_last, reloc,
+        m, C, erase_prefix, seg_cut, reloc,
     ) = walked
 
     # ------------------------------------------------------------------
@@ -299,7 +298,7 @@ def plan_write_burst(
     # erased.
     closed_now = np.frombuffer(closed, dtype=np.bool_)
     if reloc is not None:
-        closed_now = closed_now & ~tracked0
+        closed_now = closed_now & ~closed0
         closed_now[vic_u] = np.frombuffer(closed, dtype=np.bool_)[vic_u]
     cb = np.flatnonzero(closed_now)
     cb = cb if cb.size else None
@@ -339,26 +338,6 @@ def plan_write_burst(
         ppus = ppus.astype(np.uint32, copy=False)
         su = su.astype(np.uint32, copy=False)
 
-    # The victim queue's min hint (see commit_planned_burst): every
-    # victim scan settles it at the victim's count; afterwards it only
-    # falls, to the final count of any block closed or invalidated into
-    # while tracked.
-    if c_last is None:
-        hint_floor = None
-        lowered = [cb] if cb is not None else []
-        if old_exec.size:
-            hb_arr = np.unique(old_exec // upb)
-            hb_arr = hb_arr[tracked0[hb_arr]]
-            if hb_arr.size:
-                lowered.append(hb_arr)
-        hb = np.concatenate(lowered) if lowered else None
-    elif c_last == 0:
-        hint_floor = 0
-        hb = None
-    else:
-        hint_floor = c_last
-        hb = reloc[0].lowered_after_scan(C)
-
     if reloc is None:
         wl_runs = gc_pages = wl_pages = 0
         victim_valid = ()
@@ -394,8 +373,6 @@ def plan_write_burst(
         su=su,
         sv=sv,
         cb=cb,
-        hb=hb,
-        hint_floor=hint_floor,
         free_final=free_final,
         active_final=active,
         aoff_final=aoff,
@@ -508,20 +485,18 @@ class _Contents:
     __slots__ = (
         "deaths", "lpns", "rows", "upb", "bits", "dynamic", "free", "eff_l",
         "alive", "closed", "candidates", "pending", "pkey", "counts",
-        "scanned", "post_closed", "scan_pos", "queued", "runs", "filled",
-        "stream", "host",
+        "scanned", "queued", "runs", "filled", "stream", "host",
     )
 
-    def __init__(self, ftl, stream, a0, b0_pre, at, walk_state):
+    def __init__(self, ftl, stream, a0, b0_pre, walk_state):
         U, nxt, old_ppu, old_pos, ext_starts, ext_ends = stream
         (self.bits, self.dynamic, self.free, self.eff_l, self.alive,
          self.closed, self.pending, victims) = walk_state
         upb = ftl.units_per_block
-        # From here on the walk's closed flags mark every GC candidate —
-        # the victim queue's members — pre-burst ones not erased since
-        # included.
+        # From here on the walk's closed flags mark every GC candidate,
+        # pre-burst closed blocks not erased since included.
         self.candidates = np.frombuffer(self.closed, dtype=np.bool_)
-        before = ftl._gc_queue._count_of >= 0
+        before = ftl._closed.copy()
         before[victims] = False
         self.candidates |= before
         deaths = np.where(ftl._valid, _NEVER, -1)
@@ -552,8 +527,6 @@ class _Contents:
             self.pkey[key & mask] = key
         self.counts = None
         self.scanned = -1  # stream position of the last count scan
-        self.post_closed: List[int] = []
-        self.scan_pos = at
         # Copies queued in the current reclaim: victims, destination
         # runs ``[block, offset, length]``, blocks the copies filled.
         self.queued: List[int] = []
@@ -621,7 +594,6 @@ class _Contents:
             j += take
             if aoff == upb:
                 self.closed[active] = 1
-                self.post_closed.append(active)
                 self.counts[active] = upb
                 self.filled.append(active)
                 active = None
@@ -659,21 +631,10 @@ class _Contents:
         self.runs = []
         self.filled = []
 
-    def lowered_after_scan(self, C: int) -> Optional[np.ndarray]:
-        """GC candidates whose count may have fallen below the last
-        scan's: closed after it, or holding a unit overwritten after it
-        (at a stream position in ``[scan_pos, C)``)."""
-        hit = ((self.rows >= self.scan_pos) & (self.rows < C)).any(axis=1)
-        if self.post_closed:
-            hit[self.post_closed] = True
-        hit &= self.candidates
-        blocks = np.flatnonzero(hit)
-        return blocks if blocks.size else None
-
 
 def _walk(
     ftl, pkg, segments, seg_lens, num_groups, stop_erases, stream, ext_t,
-    exhaust_pos, cof0, pe0, active0, a0, b0_pre, b0_extra,
+    exhaust_pos, pe0, active0, a0, b0_pre, b0_extra,
     low, high, cfg,
 ):
     """The planning walk: Python-scalar mirrors of every structure the
@@ -723,7 +684,7 @@ def _walk(
     # order, the scalar argmin order, and the nearest larger wear — the
     # one the collision guard needs — is an O(1) lookup in ``wears``.
     buckets: dict = {}
-    for b in np.flatnonzero(cof0 == 0).tolist():
+    for b in np.flatnonzero(ftl._closed & (ftl._valid_count == 0)).tolist():
         buckets.setdefault(eff_l[b], []).append(b)
     wears = list(buckets)
     heapq.heapify(wears)
@@ -737,11 +698,10 @@ def _walk(
     erase_prefix: List[int] = []
     # The walk's structures a materialized _Contents shares.
     shared = (bits, dynamic, free, eff_l, alive, closed, pending, victims)
-    # Relocation state: per-slot contents once materialized, the latest
-    # victim scan's count, and what the commit charges for copies.
+    # Relocation state: per-slot contents once materialized, and what
+    # the commit charges for copies.
     cont = None
     nxt_l = pkey = None
-    c_last = None
     n_wl = gc_units = wl_units = 0
     victim_valid: List[int] = []
     copies = None
@@ -794,7 +754,6 @@ def _walk(
                                 heappush(wears, w)
                             else:
                                 heappush(bucket, b)
-                        c_last = 0
                         wl = False
                         while True:
                             if nf < high and wears:
@@ -847,7 +806,7 @@ def _walk(
                                 # migration, or a greedy GC victim when no
                                 # zero-valid candidate is left.
                                 if cont is None:
-                                    cont = _Contents(ftl, stream, a0, b0_pre, idx, shared)
+                                    cont = _Contents(ftl, stream, a0, b0_pre, shared)
                                     pkey, nxt_l, copies = cont.pkey, nxt.tolist(), [0] * n_segs
                                 counts = cont.counts_at(idx)
                                 if wl:
@@ -862,19 +821,18 @@ def _walk(
                                     wl_units += n_mv
                                 else:
                                     v = int(counts.argmin())
-                                    c_last = int(counts[v])
-                                    if c_last >= _UNTRACKED:
-                                        return None  # empty queue: scalar stalls
+                                    n_mv = int(counts[v])
+                                    if n_mv >= _UNTRACKED:
+                                        return None  # no candidate: scalar stalls
                                     counts[v] = _UNTRACKED
-                                    if counts[counts.argmin()] == c_last:
+                                    if counts[counts.argmin()] == n_mv:
                                         # Tied counts: the scalar tie-break,
-                                        # same float ops, where the
-                                        # package's running max P/E is the
-                                        # max over every block.
-                                        counts[v] = c_last
-                                        tied = (counts == c_last).nonzero()[0].tolist()
-                                        # Wear only rises, so the running
-                                        # max moves only with blocks erased
+                                        # same float ops, scaled by the
+                                        # max P/E over every block.
+                                        counts[v] = n_mv
+                                        tied = (counts == n_mv).nonzero()[0].tolist()
+                                        # Wear only rises, so the max
+                                        # moves only with blocks erased
                                         # since.
                                         if pe_max is None:
                                             pe_max = max(eff_l)
@@ -884,17 +842,14 @@ def _walk(
                                                     pe_max = eff_l[b]
                                         pe_seen = len(victims)
                                         scale = pe_max + 1.0
-                                        best = c_last + eff_l[v] / scale * 0.5
+                                        best = n_mv + eff_l[v] / scale * 0.5
                                         for b in tied[1:]:
-                                            score = c_last + eff_l[b] / scale * 0.5
+                                            score = n_mv + eff_l[b] / scale * 0.5
                                             if score < best:
                                                 v = b
                                                 best = score
-                                    cont.scan_pos = idx
-                                    cont.post_closed = []
-                                    victim_valid.append(c_last)
-                                    n_mv = c_last
-                                    gc_units += c_last
+                                    victim_valid.append(n_mv)
+                                    gc_units += n_mv
                                 moved = cont.move(v, n_mv, active, aoff, next_ext)
                                 if moved is None:
                                     return None
@@ -1019,7 +974,6 @@ def _walk(
                             key = (ev << bits) | active
                             heappush(pending, key)
                             pkey[active] = key
-                        cont.post_closed.append(active)
                         act_hs = -1
                         closed[active] = 1
                         active = None
@@ -1051,7 +1005,7 @@ def _walk(
     return (
         vic_u, vic_perm, vic_reco, vic_eff, n_erased,
         alive, closed, tuple(free), active, aoff, wl_ctr,
-        m, C, erase_prefix, seg_i, c_last, reloc,
+        m, C, erase_prefix, seg_i, reloc,
     )
 
 
@@ -1062,14 +1016,12 @@ def commit_planned_burst(ftl, plan: BurstPlan) -> None:
     plan cache's replay path (plan validated by exact probe), which is
     what makes a replayed window bit-identical to a fresh one: the same
     scatters run on the same committed values, and anything derived from
-    live state (P/E cache validity, queue hint infimum rules, float
-    accumulation) is re-derived here, not replayed from a recording.
+    live state (P/E cache validity, float accumulation) is re-derived
+    here, not replayed from a recording.
     """
     pkg = ftl.package
     upb = ftl.units_per_block
     n_blocks = ftl._num_blocks
-    queue = ftl._gc_queue
-    hint0 = queue._min_hint
     n_erased = plan.n_erased
     n_gc = n_erased - plan.wl_runs
 
@@ -1161,22 +1113,3 @@ def commit_planned_burst(ftl, plan: BurstPlan) -> None:
     ftl._free_blocks[:] = plan.free_final
     ftl._active_block = plan.active_final
     ftl._active_offset = plan.aoff_final
-
-    # Victim-queue end state.  Tracked counts always equal the valid
-    # counts (add/apply_delta maintain that), so membership + counts
-    # rebuild from the committed arrays.  The min hint follows the
-    # scalar rules: each victim scan settles it at the victim's count
-    # (``hint_floor``; with no reclaim it stays where it was); after the
-    # last scan it is only ever lowered, by close-time counts and by
-    # updated counts of delta-hit tracked blocks — whose infimum over
-    # the burst is the final count of each contributing block (``hb``).
-    closed_now = ftl._closed
-    np.copyto(queue._count_of, np.where(closed_now, vcount, -1))
-    queue._tracked = int(np.count_nonzero(closed_now))
-    hint = hint0 if plan.hint_floor is None else plan.hint_floor
-    hb = plan.hb
-    if hint and hb is not None:
-        lowest = int(vcount[hb].min())
-        if lowest < hint:
-            hint = lowest
-    queue._min_hint = hint

@@ -18,10 +18,16 @@ per-call recomputation (see DESIGN.md "Performance"):
 
 * duplicate resolution uses O(chunk) scatter/gather against a
   persistent position-scratch array — no sorting/`np.unique` per chunk;
-* GC victim selection reads a :class:`~repro.ftl.gc.VictimQueue` that
-  is updated as invalidations land, instead of rescanning every block;
 * per-block wear comes from the package's cached effective-P/E array,
   patched in place by the single-block erase fast path.
+
+GC candidates are the closed blocks (``_closed``: fully written, never
+the active block, never a retired one — blocks only go bad at erase,
+after they leave the set), scored by their ``_valid_count``.  The
+reclaim asks the policy's array ``select`` for one victim at a time;
+since fused bursts plan nearly every reclaim inside the walk
+(:mod:`repro.ftl.burst`), this scalar path is the reference the walk is
+tested against, not a hot path (DESIGN.md §7).
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from repro.errors import ConfigurationError, DeviceWornOut, OutOfSpaceError, Rea
 from repro.flash.package import FlashPackage
 from repro.ftl.burst import execute_write_burst
 from repro.obs import FtlInstruments
-from repro.ftl.gc import GreedyVictimPolicy, VictimQueue
+from repro.ftl.gc import GreedyVictimPolicy
 from repro.ftl.stats import FtlStats
 from repro.ftl.wear_indicator import MAX_LEVEL, PreEolState, WearIndicator, wear_level
 from repro.ftl.wear_leveling import (
@@ -152,10 +158,8 @@ class PageMappedFTL:
         self._erases_since_wl_check = 0
         self._in_reclaim = False
 
-        # Incremental GC-victim index (see repro.ftl.gc.VictimQueue), the
-        # position-scratch used for O(span) duplicate resolution, and
+        # The position-scratch used for O(span) duplicate resolution, and
         # reusable index buffers for the placement hot path.
-        self._gc_queue = VictimQueue(geom.num_blocks, self.units_per_block)
         self._occ_scratch = np.zeros(self.num_logical_units, dtype=np.int64)
         self._iota = np.arange(self.units_per_block, dtype=np.int64)
         self._pos_buf = np.arange(max(self.units_per_block, 4096), dtype=np.int64)
@@ -168,17 +172,6 @@ class PageMappedFTL:
         # paths below pay one attribute load + is-None test (DESIGN.md
         # §9).  Instruments only observe; they never steer simulation.
         self._obs = FtlInstruments.create()
-
-    @property
-    def victim_policy(self):
-        return self._victim_policy
-
-    @victim_policy.setter
-    def victim_policy(self, policy) -> None:
-        self._victim_policy = policy
-        # Bound fast-path methods, cached so victim selection skips
-        # per-call attribute probes (it runs once per erased block).
-        self._select_fast = getattr(policy, "select_incremental", None)
 
     # ------------------------------------------------------------------
     # Public API
@@ -459,11 +452,9 @@ class PageMappedFTL:
             # Span fits in the active block: one segment, no buffer fill.
             ppus = iota[:m] + (block * upb + offset)
             segments = [(block, 0, m)]
-            filled = []
             self._active_offset = offset + m
             if self._active_offset == upb:
                 self._closed[block] = True
-                filled.append(block)
                 self._active_block = None
                 self._active_offset = 0
         else:
@@ -472,7 +463,6 @@ class PageMappedFTL:
                 self._ppu_buf = buf = np.empty(max(m, buf.size * 2), dtype=np.int64)
             ppus = buf[:m]
             segments = []  # (block, start, end) index ranges into the span
-            filled = []
             start = 0
             while True:
                 take = min(upb - offset, m - start)
@@ -483,7 +473,6 @@ class PageMappedFTL:
                 start = seg_end
                 if offset == upb:
                     self._closed[block] = True
-                    filled.append(block)
                     block = None
                     offset = 0
                     if start < m:
@@ -530,19 +519,12 @@ class PageMappedFTL:
                     counts[block] += c - prev
                     prev = c
 
-        # Filled blocks become GC candidates with their settled counts
-        # (span-internal invalidation has already landed above).
-        if filled:
-            self._gc_queue.add_many(filled, counts)
-
     def _invalidate_stale(self, old_ppus: np.ndarray) -> None:
         """Invalidate the physical units behind a set of old mappings.
 
         ``old_ppus`` must come from distinct LPNs (``_l2p`` is injective
         on mapped units, so the stale entries are distinct too).
-        Per-block valid counts are updated with one bincount, and the
-        same decrement vector is pushed into the GC victim queue — one
-        fused vector pass instead of per-block candidate updates.
+        Per-block valid counts are updated with one bincount.
         """
         if old_ppus.size == 0:
             return
@@ -556,30 +538,12 @@ class PageMappedFTL:
         self._valid[stale] = False
         delta = np.bincount(stale // self.units_per_block, minlength=self._num_blocks)
         np.subtract(self._valid_count, delta, out=self._valid_count)
-        self._gc_queue.apply_delta(delta)
 
     def _pop_free_block(self) -> int:
         free = self._free_blocks
         if not free:
             raise OutOfSpaceError("FTL has no free blocks (over-provisioning exhausted)")
-        if not self.wl_config.dynamic or len(free) == 1:
-            # FIFO allocation; pop head without the policy call.
-            return free.pop(0)
-        if len(free) <= 4:
-            # Inlined least-worn scan for the steady-state tiny free
-            # list (strict < keeps pick_free_block's first-of-ties
-            # winner); larger lists go through the shared policy helper.
-            pe = self.package.pe_counts
-            best = free[0]
-            best_pe = pe[best]
-            for block in free[1:]:
-                v = pe[block]
-                if v < best_pe:
-                    best = block
-                    best_pe = v
-            block = best
-        else:
-            block = pick_free_block(free, self.package.pe_counts, True)
+        block = pick_free_block(free, self.package.pe_counts, self.wl_config.dynamic)
         free.remove(block)
         return block
 
@@ -597,118 +561,32 @@ class PageMappedFTL:
     # Reclaim: garbage collection + static wear leveling
     # ------------------------------------------------------------------
 
-    def _candidate_mask(self) -> np.ndarray:
-        mask = self._closed & ~self.package.bad_blocks_view
-        if self._active_block is not None:
-            mask[self._active_block] = False
-        return mask
-
-    def _select_victim(self) -> Optional[int]:
-        """Ask the policy for a victim, via the incremental queue when
-        the policy supports it (custom policies fall back to the
-        array-scan interface)."""
-        fast = self._select_fast
-        if fast is not None:
-            return fast(self._gc_queue, self.package.pe_counts, self.package.max_pe_count)
-        return self.victim_policy.select(
-            self._candidate_mask(),
-            self._valid_count,
-            self.package.pe_counts,
-            self.units_per_block,
-        )
-
     def _reclaim_space(self) -> None:
+        """Collect the victim policy's picks, one ``select`` per victim,
+        until the free list is back at the high watermark; then run the
+        periodic static wear-leveling check and the end-of-life check."""
         self._in_reclaim = True
         try:
             stall_guard = 0
-            fast = self._select_fast
-            package = self.package
-            stats = self.stats
-            free_blocks = self._free_blocks
-            high_water = self.gc_high_water
-            queue = self._gc_queue
-            valid_count = self._valid_count
-            if fast is not None:
-                # The cached effective-P/E array is patched in place by
-                # the erase path, so one property read serves the whole
-                # reclaim.  Reading max_pe_count once revalidates the
-                # running max; erase_block then maintains it in place,
-                # which makes the direct ``_pe_max`` reads below exact.
-                pe_counts = package.pe_counts
-                package.max_pe_count
-            upb = self.units_per_block
-            p2l = self._p2l
-            closed = self._closed
-            cof = queue._count_of
-            obs = self._obs
-            erased = 0
-            runs = 0
-            zero_victims = 0
-            while len(free_blocks) < high_water:
-                if fast is not None:
-                    victim = fast(queue, pe_counts, package._pe_max)
-                else:
-                    victim = self._select_victim()
+            while len(self._free_blocks) < self.gc_high_water:
+                victim = self.victim_policy.select(
+                    self._closed, self._valid_count, self.package.pe_counts, self.units_per_block
+                )
                 if victim is None:
                     break
-                if valid_count[victim]:
-                    # Flush locally accumulated counters first so stats
-                    # stay exact even if relocation raises.
-                    if erased:
-                        stats.blocks_erased += erased
-                        self._erases_since_wl_check += erased
-                        if obs is not None:
-                            obs.blocks_erased.inc(erased)
-                        erased = 0
-                    if runs:
-                        stats.gc_runs += runs
-                        if obs is not None:
-                            obs.gc_runs.inc(runs)
-                            obs.gc_victim_valid.observe_repeat(0, zero_victims)
-                            zero_victims = 0
-                        runs = 0
-                    freed = self._collect_block(victim, _Source.GC)
-                    stats.gc_runs += 1
-                    if obs is not None:
-                        obs.gc_runs.inc()
-                else:
-                    # Inlined _collect_block for the (dominant) case of a
-                    # fully-invalid victim: nothing to relocate — drop it
-                    # from the queue, clear its reverse map, erase.
-                    if cof[victim] >= 0:  # inlined queue.discard
-                        cof[victim] = -1
-                        queue._tracked -= 1
-                    start = victim * upb
-                    p2l[start:start + upb] = -1
-                    closed[victim] = False
-                    went_bad = package.erase_block(victim)
-                    erased += 1
-                    runs += 1
-                    zero_victims += 1
-                    if not went_bad:
-                        free_blocks.append(victim)
-                    elif obs is not None:
-                        obs.bad_blocks.inc()
-                    freed = not went_bad
+                freed = self._collect_block(victim, _Source.GC)
+                self.stats.gc_runs += 1
+                if self._obs is not None:
+                    self._obs.gc_runs.inc()
                 stall_guard = stall_guard + 1 if not freed else 0
                 if stall_guard > 4:
                     break
-            if erased:
-                stats.blocks_erased += erased
-                self._erases_since_wl_check += erased
-            if runs:
-                stats.gc_runs += runs
-            if obs is not None:
-                if erased:
-                    obs.blocks_erased.inc(erased)
-                if runs:
-                    obs.gc_runs.inc(runs)
-                obs.gc_victim_valid.observe_repeat(0, zero_victims)
-                obs.free_blocks.set(len(free_blocks))
+            if self._obs is not None:
+                self._obs.free_blocks.set(len(self._free_blocks))
             cfg = self.wl_config
             if cfg.static_enabled and self._erases_since_wl_check >= cfg.static_check_interval:
                 self._maybe_static_wear_level()
-            if self._num_blocks - package.num_bad_blocks < self._eol_min_usable:
+            if self._num_blocks - self.package.num_bad_blocks < self._eol_min_usable:
                 self._check_end_of_life()
         finally:
             self._in_reclaim = False
@@ -722,7 +600,6 @@ class PageMappedFTL:
         obs = self._obs
         if obs is not None and source is _Source.GC:
             obs.gc_victim_valid.observe(int(self._valid_count[victim]))
-        self._gc_queue.discard(victim)
         start = victim * self.units_per_block
         end = start + self.units_per_block
         if self._valid_count[victim]:
@@ -756,7 +633,7 @@ class PageMappedFTL:
         good = ~self.package.bad_blocks_view
         if not wear_gap_exceeds(self.package.pe_counts, good, cfg.static_delta_threshold):
             return
-        victim = pick_cold_victim(self._candidate_mask(), self.package.pe_counts, self._valid_count)
+        victim = pick_cold_victim(self._closed, self.package.pe_counts, self._valid_count)
         if victim is None:
             return
         self._collect_block(victim, _Source.WL)

@@ -4,11 +4,11 @@ Steady-state wear-out trajectories execute the same fused burst over and
 over: the proof and placement plan that
 :mod:`repro.ftl.burst` derives from scratch on every ``write_burst``
 call are a *pure function* of a small set of simulator state components
-— the pattern-RNG phase, the FTL's free-list order and per-block wear,
-the GC queue counts, and the filesystem's journal/node cursors.  This
-module memoizes whole ``step_batch`` windows on an **exact-equality
-probe** of precisely those components, so a repeated trajectory pays
-only the vectorized apply.
+— the pattern-RNG phase, the FTL's free-list order, closed blocks,
+per-block valid counts and wear, and the filesystem's journal/node
+cursors.  This module memoizes whole ``step_batch`` windows on an
+**exact-equality probe** of precisely those components, so a repeated
+trajectory pays only the vectorized apply.
 
 Soundness is by construction, not by hashing: a cached plan replays
 only when *every value the planner reads* compares equal to the value
@@ -71,9 +71,7 @@ class BurstPlan:
     of each GC victim that relocated (the rest held none), and
     ``seg_copies`` the GC and WL copy pages each executed segment caused
     — None for a plan that copied nothing, the only kind the cache
-    keeps.  ``hint_floor`` is the victim queue's min hint after the last
-    victim scan (None: no scan ran) and ``hb`` the blocks whose final
-    counts may lower it afterwards.
+    keeps.
     """
 
     executed_groups: int
@@ -100,8 +98,6 @@ class BurstPlan:
     su: np.ndarray
     sv: np.ndarray
     cb: Optional[np.ndarray]
-    hb: Optional[np.ndarray]
-    hint_floor: Optional[int]
     free_final: Tuple[int, ...]
     active_final: Optional[int]
     aoff_final: int
@@ -114,7 +110,7 @@ class BurstPlan:
         for arr in (
             self.old_exec, self.vic_u, self.vic_perm, self.vic_reco,
             self.vic_eff, self.a_blocks, self.red, self.ppus, self.su,
-            self.sv, self.cb, self.hb, self.probe_lpns, self.probe_old,
+            self.sv, self.cb, self.probe_lpns, self.probe_old,
         ):
             if arr is not None:
                 total += arr.nbytes
@@ -294,20 +290,17 @@ def _freeze(obj: Any) -> Any:
 def _ftl_probe(ftl) -> tuple:
     """Exact values of every FTL/flash component the planner reads."""
     pkg = ftl.package
-    queue = ftl._gc_queue
     return (
         ftl.read_only,
         ftl._in_reclaim,
         pkg._num_bad,
-        type(ftl._victim_policy).__name__,
+        type(ftl.victim_policy).__name__,
         tuple(ftl._free_blocks),
         ftl._active_block,
         ftl._active_offset,
         ftl._erases_since_wl_check,
         ftl._closed.tobytes(),
         ftl._valid_count.tobytes(),
-        queue._count_of.tobytes(),
-        queue._min_hint,
         pkg._pe_permanent.tobytes(),
         pkg._pe_recoverable.tobytes(),
         # _cycle_limit is deliberately NOT probed: the planner reads it
@@ -331,14 +324,11 @@ def workload_probe(workload) -> Optional[tuple]:
         return None
     if getattr(device, "failed", False):
         return None  # write_burst would refuse; never replay into it
-    ftl = device.ftl
-    if not hasattr(ftl, "_gc_queue"):
-        return None  # hybrid / duck-typed FTLs are never cached
     return (
         _freeze(workload._pattern_state()),
         workload._next_file,
         fs_probe,
-        _ftl_probe(ftl),
+        _ftl_probe(device.ftl),
     )
 
 
@@ -508,7 +498,6 @@ def _replay(workload, entry: _Entry) -> None:
     pkg = ftl.package
     # Prologue cache validation, exactly as the fresh planner's entry.
     pkg.pe_counts
-    pkg.max_pe_count
     commit_planned_burst(ftl, entry.plan)
     device.host_bytes_written += entry.host_delta
     busy = device.busy_seconds

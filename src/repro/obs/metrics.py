@@ -105,8 +105,8 @@ class Histogram:
 
     def observe_repeat(self, value: Number, times: int) -> None:
         """Record ``value`` ``times`` times with one bucket update — the
-        reclaim loop batches its (dominant) fully-invalid victims this
-        way instead of observing per erased block."""
+        fused burst commit records its (dominant) fully-invalid victims
+        this way instead of observing per erased block."""
         if times <= 0:
             return
         self.count += times

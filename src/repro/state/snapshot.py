@@ -2,11 +2,11 @@
 
 Capture/restore for every simulator layer a wear-out experiment
 mutates: the flash package (P/E arrays, bad mask, counters, healing
-clock), the FTL (mapping tables, validity tracking, free-list order,
-GC queue, wear-leveling state, stats, the read-error RNG), the hybrid
-two-pool wrapper, the device's host counters, the filesystem (allocator
-cursor, files, dirty page cache, journal/node cursors) and the rewrite
-workload (round-robin cursor, pattern RNGs).
+clock), the FTL (mapping tables, validity tracking, closed blocks,
+free-list order, wear-leveling state, stats, the read-error RNG), the
+hybrid two-pool wrapper, the device's host counters, the filesystem
+(allocator cursor, files, dirty page cache, journal/node cursors) and
+the rewrite workload (round-robin cursor, pattern RNGs).
 
 The contract is *bit identity*: restoring a snapshot into a freshly
 built twin (same device spec, scale, and seed) and continuing the run
@@ -18,10 +18,10 @@ properties make that cheap to guarantee:
   snapshots carry only *mutable* state plus a config digest that
   restore verifies;
 * scratch buffers whose contents are provably written before read
-  (``_occ_scratch``, the position/PPU buffers) and lazily recomputed
-  caches (effective-P/E cache, running max) are excluded — restore
-  invalidates the caches and the next access recomputes the exact
-  values the in-place patching would have maintained;
+  (``_occ_scratch``, the position/PPU buffers) and the lazily
+  recomputed effective-P/E cache are excluded — restore invalidates
+  the cache and the next access recomputes the exact values the
+  in-place patching would have maintained;
 * RNG streams round-trip through ``Generator.bit_generator.state``,
   and order-sensitive containers (the FTL free list, the filesystem's
   file table) are serialized in order.
@@ -111,9 +111,8 @@ def restore_package(package, state: Dict[str, Any]) -> None:
     package.counters.page_programs = int(counters["page_programs"])
     package.counters.block_erases = int(counters["block_erases"])
     package.counters.page_reads = int(counters["page_reads"])
-    # Lazy caches recompute bit-exactly from the restored arrays.
+    # The lazy cache recomputes bit-exactly from the restored arrays.
     package._pe_cache_valid = False
-    package._pe_max_valid = False
 
 
 # ----------------------------------------------------------------------
@@ -122,7 +121,6 @@ def restore_package(package, state: Dict[str, Any]) -> None:
 
 
 def capture_ftl(ftl: PageMappedFTL) -> Dict[str, Any]:
-    queue = ftl._gc_queue
     return {
         "package": capture_package(ftl.package),
         "l2p": ftl._l2p.copy(),
@@ -130,9 +128,6 @@ def capture_ftl(ftl: PageMappedFTL) -> Dict[str, Any]:
         "valid": ftl._valid.copy(),
         "valid_count": ftl._valid_count.copy(),
         "closed": ftl._closed.copy(),
-        "gc_count_of": queue._count_of.copy(),
-        "gc_tracked": int(queue._tracked),
-        "gc_min_hint": int(queue._min_hint),
         # Free-list *order* matters: allocation pops the head in FIFO
         # mode, so a sorted copy would change block placement.
         "free_blocks": [int(b) for b in ftl._free_blocks],
@@ -155,11 +150,11 @@ def restore_ftl(ftl: PageMappedFTL, state: Dict[str, Any]) -> None:
     ftl._p2l[:] = state["p2l"]
     ftl._valid[:] = state["valid"]
     ftl._valid_count[:] = state["valid_count"]
+    # The closed blocks are the GC candidates and ``valid_count`` their
+    # counts.  Checkpoints written while the FTL kept a separate victim
+    # queue also carry its ``gc_*`` entries (per-block counts, tracked
+    # total, min hint); they duplicate this state and are ignored.
     ftl._closed[:] = state["closed"]
-    queue = ftl._gc_queue
-    queue._count_of[:] = state["gc_count_of"]
-    queue._tracked = int(state["gc_tracked"])
-    queue._min_hint = int(state["gc_min_hint"])
     ftl._free_blocks[:] = [int(b) for b in state["free_blocks"]]
     active = state["active_block"]
     ftl._active_block = None if active is None else int(active)

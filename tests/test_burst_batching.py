@@ -348,7 +348,7 @@ def _guard_ftl(low_wear, high_wear):
     lpns = np.arange(ftl.num_logical_units, dtype=np.int64)
     for _ in range(3):  # every block of the earlier passes closes fully invalid
         ftl.write_requests(lpns * PAGE, PAGE)
-    zero_valid = np.flatnonzero(ftl._gc_queue._count_of == 0)
+    zero_valid = np.flatnonzero(ftl._closed & (ftl._valid_count == 0))
     assert zero_valid.size > 2 and len(ftl._free_blocks) == ftl.gc_low_water
     wear = np.full(geom.num_blocks, 1500.0)
     wear[-1] = PE_MAX
@@ -524,8 +524,7 @@ class TestRelocatingWalk:
     """Windows whose reclaims copy live data (DESIGN.md §11): greedy GC
     relocation and static wear-leveling migration run inside the walk,
     and each fused run must equal the scalar one in results, device
-    fingerprint and snapshot bytes (the victim queue's min hint
-    included)."""
+    fingerprint and snapshot bytes."""
 
     def _pair(self, tmp_path, build, churn):
         fused, scalar = build(), build()

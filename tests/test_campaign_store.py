@@ -53,6 +53,23 @@ class TestPersistence:
         lines = path.read_text().splitlines()
         assert [json.loads(l)["key"] for l in lines] == ["aa", "cc"]
 
+    def test_unterminated_last_record_is_kept_and_compacted(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        store = ResultStore(path)
+        store.append(record("aa", 1))
+        store.append(record("bb", 2))
+        # A complete last record whose newline never reached the disk.
+        path.write_text(path.read_text().rstrip("\n"))
+
+        reloaded = ResultStore(path)
+        assert reloaded.completed_keys() == {"aa", "bb"}
+        # The next append must start a line of its own: no record is
+        # lost on the load after it.
+        reloaded.append(record("cc", 3))
+        assert ResultStore(path).completed_keys() == {"aa", "bb", "cc"}
+        lines = path.read_text().splitlines()
+        assert [json.loads(l)["key"] for l in lines] == ["aa", "bb", "cc"]
+
     def test_invalidate_deletes_file(self, tmp_path):
         path = tmp_path / "store.jsonl"
         store = ResultStore(path)

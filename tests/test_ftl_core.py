@@ -26,12 +26,19 @@ def check_mapping_invariants(ftl: PageMappedFTL) -> None:
         (mapped // ftl.units_per_block).astype(np.int64), minlength=ftl.geometry.num_blocks
     )
     assert (counts == ftl._valid_count).all()
-    # Block states partition the package.
-    free = len(ftl._free_blocks)
-    closed = int(ftl._closed.sum())
-    active = int(ftl._active_block is not None)
-    bad = ftl.package.num_bad_blocks
-    assert free + closed + active + bad == ftl.geometry.num_blocks
+    # Block states partition the package: closed (the GC candidates),
+    # free, active and bad are disjoint and cover every block.
+    n = ftl.geometry.num_blocks
+    closed = ftl._closed
+    bad = ftl.package.bad_blocks
+    free = np.zeros(n, dtype=bool)
+    free[ftl._free_blocks] = True
+    assert len(ftl._free_blocks) == int(free.sum())  # no block listed twice
+    active = np.zeros(n, dtype=bool)
+    if ftl._active_block is not None:
+        active[ftl._active_block] = True
+    states = closed.astype(int) + free + active + bad
+    assert (states == 1).all()
 
 
 class TestConstruction:

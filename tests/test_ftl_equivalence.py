@@ -1,14 +1,19 @@
 """Bit-identity tests for the vectorized FTL hot paths.
 
 The FTL's write/GC/wear-leveling paths were rewritten for speed
-(batch duplicate resolution, span placement, the incremental
-:class:`VictimQueue`, cached wear state).  A perf "optimization" that
-drifts the simulation is worse than a slow simulator, so these tests
-pin the complete observable end state — mapping tables, validity,
-free-list, per-block wear, bad blocks, stats, package counters — to
-sha256 digests captured from the pre-optimization implementation
-(commit 4c627d2) on randomized workloads, and cross-check the fast
-paths against their in-tree reference implementations.
+(batch duplicate resolution, span placement, cached wear state, the
+fused burst walk).  A perf "optimization" that drifts the simulation
+is worse than a slow simulator, so these tests pin the complete
+observable end state — mapping tables, validity, free-list, per-block
+wear, bad blocks, stats, package counters — to sha256 digests captured
+from the pre-optimization implementation (commit 4c627d2) on
+randomized workloads, and cross-check the fast paths against their
+in-tree reference implementations.
+
+GC victim selection has one scalar implementation, the policies'
+array ``select`` over the FTL's closed blocks; the ``SEED_FINGERPRINTS``
+scenarios pin it (``rand-*`` and ``dup-*`` for greedy, ``seq-cb-*`` for
+cost-benefit).
 """
 
 from __future__ import annotations
@@ -20,8 +25,17 @@ import pytest
 
 from repro.flash import CELL_SPECS, CellType, FlashGeometry, FlashPackage
 from repro.ftl import PageMappedFTL
-from repro.ftl.gc import CostBenefitVictimPolicy, GreedyVictimPolicy, VictimQueue
+from repro.ftl.gc import CostBenefitVictimPolicy, GreedyVictimPolicy
+from repro.state.snapshot import (
+    capture_ftl,
+    capture_package,
+    load_state,
+    restore_ftl,
+    restore_package,
+    save_state,
+)
 from repro.units import KIB
+from tests.test_ftl_core import check_mapping_invariants
 
 
 def ftl_fingerprint(ftl) -> str:
@@ -112,6 +126,10 @@ class TestSeedEquivalence:
         assert ftl_fingerprint(ftl) == SEED_FINGERPRINTS[name], (
             f"scenario {name}: optimized hot paths changed simulation results"
         )
+        # GC-heavy end states, most with retired blocks: the closed
+        # blocks (the GC candidates) stay disjoint from free, active
+        # and bad.
+        check_mapping_invariants(ftl)
 
 
 class TestCheckpointRoundTripDigests:
@@ -122,13 +140,6 @@ class TestCheckpointRoundTripDigests:
 
     @pytest.mark.parametrize("name", ["rand-u1", "dup-u8", "seq-cb-u8"])
     def test_restored_twin_matches_golden_digest(self, name):
-        from repro.state.snapshot import (
-            capture_ftl,
-            capture_package,
-            restore_ftl,
-            restore_package,
-        )
-
         ftl = run_scenario(**SCENARIOS[name])
         pkg_state = capture_package(ftl.package)
         ftl_state = capture_ftl(ftl)
@@ -138,14 +149,27 @@ class TestCheckpointRoundTripDigests:
         restore_ftl(twin, ftl_state)
         assert ftl_fingerprint(twin) == SEED_FINGERPRINTS[name]
 
-    def test_mid_scenario_restore_continues_on_trajectory(self):
-        from repro.state.snapshot import (
-            capture_ftl,
-            capture_package,
-            restore_ftl,
-            restore_package,
-        )
+    def test_checkpoint_with_legacy_victim_queue_keys_restores(self, tmp_path):
+        # Checkpoints written while the FTL kept a separate GC victim
+        # queue carry its per-block counts, tracked total and min hint.
+        # Restore ignores them (the closed blocks and valid counts hold
+        # the same state), so existing warm-start checkpoint files load.
+        ftl = run_scenario(**SCENARIOS["dup-u1"])
+        ftl_state = capture_ftl(ftl)
+        assert not any(key.startswith("gc_") for key in ftl_state)
+        closed = ftl._closed
+        ftl_state["gc_count_of"] = np.where(closed, ftl._valid_count, -1)
+        ftl_state["gc_tracked"] = int(closed.sum())
+        ftl_state["gc_min_hint"] = int(ftl._valid_count[closed].min())
+        legacy = load_state(save_state(tmp_path / "legacy.npz", {"pool": ftl_state}))
 
+        twin = _fresh_twin_for("dup-u1")
+        restore_package(twin.package, capture_package(ftl.package))
+        restore_ftl(twin, legacy["pool"])
+        assert ftl_fingerprint(twin) == SEED_FINGERPRINTS["dup-u1"]
+        check_mapping_invariants(twin)
+
+    def test_mid_scenario_restore_continues_on_trajectory(self):
         # Stop the rand-u1 scenario halfway, snapshot, restore into a
         # twin, replay the second half on BOTH, and require the golden
         # end digest from each — the snapshot carries everything the
@@ -206,21 +230,7 @@ def _run_scenario_halves(first_half_only: bool, resume_ftl=None):
     return ftl
 
 
-class _ReferenceOnlyGreedy(GreedyVictimPolicy):
-    """Greedy policy stripped of its fast paths: forces the FTL onto the
-    array-based reference ``select`` every reclaim."""
-
-    select_incremental = None
-
-
 class TestFastPathCrossChecks:
-    def test_queue_backed_selection_matches_reference_select(self):
-        fast = run_scenario(unit_pages=1, pattern="rand")
-        reference = run_scenario(
-            unit_pages=1, pattern="rand", victim_policy=_ReferenceOnlyGreedy()
-        )
-        assert ftl_fingerprint(fast) == ftl_fingerprint(reference)
-
     def test_batched_writes_match_sequential_writes(self):
         """One batch == the same requests issued one at a time.
 
@@ -274,62 +284,6 @@ class TestFastPathCrossChecks:
         assert ftl.stats.host_pages_programmed == 3
         assert pkg.counters.page_programs == 3
         assert int(ftl._p2l[ppu_5]) == 5 and int(ftl._p2l[ppu_9]) == 9
-
-
-class TestVictimQueue:
-    def test_add_discard_contains(self):
-        q = VictimQueue(8, 32)
-        assert len(q) == 0 and q.min_count() is None
-        q.add(3, 5)
-        assert len(q) == 1 and 3 in q and 4 not in q
-        assert q.min_count() == 5
-        q.discard(3)
-        assert len(q) == 0 and 3 not in q
-        q.discard(3)  # no-op, not an error
-        assert len(q) == 0
-
-    def test_re_add_does_not_double_count(self):
-        q = VictimQueue(8, 32)
-        q.add(2, 4)
-        q.add(2, 1)
-        assert len(q) == 1
-        assert q.min_count() == 1
-
-    def test_add_many_reads_per_block_counts(self):
-        q = VictimQueue(8, 32)
-        counts = np.array([9, 9, 7, 9, 2, 9, 9, 9], dtype=np.int64)
-        q.add_many([2, 4], counts)
-        assert len(q) == 2
-        assert q.min_count() == 2
-        assert list(q.candidates()) == [2, 4]
-
-    def test_apply_delta_hits_tracked_blocks_only(self):
-        q = VictimQueue(6, 32)
-        q.add(0, 10)
-        q.add(2, 7)
-        delta = np.array([3, 5, 2, 1, 0, 0], dtype=np.int64)
-        q.apply_delta(delta)
-        assert list(q.counts_of(np.array([0, 2]))) == [7, 5]
-        # Untracked blocks stay untracked.
-        assert 1 not in q and 3 not in q
-        assert q.min_count() == 5
-
-    def test_min_count_recovers_after_collecting_low_blocks(self):
-        # The lazily-raised minimum hint must survive a large gap between
-        # the old minimum and the next-populated count (escape path).
-        q = VictimQueue(8, 32)
-        q.add(0, 0)
-        q.add(1, 25)
-        assert q.min_count() == 0
-        q.discard(0)
-        assert q.min_count() == 25
-
-    def test_blocks_at_ascending(self):
-        q = VictimQueue(8, 32)
-        for b in (6, 1, 4):
-            q.add(b, 2)
-        assert list(q.blocks_at(2)) == [1, 4, 6]
-        assert list(q.blocks_at(3)) == []
 
 
 def run_burst_scenario(fused: bool, steps: int = 120, chunk: int = 8, seed: int = 5):
