@@ -200,9 +200,13 @@ class BlockDevice:
                 fits = int(stacked.min()) >= 0 and int(stacked.max()) + request_bytes <= limit
                 if fits and count > 1:
                     # A row that write-combines is one wider request.
-                    # Cheap first-gap screen; only surviving rows pay
-                    # the full write-combining check.
-                    maybe = (stacked[:, 1] - stacked[:, 0]) == request_bytes
+                    # Cheap O(rows) screen — its first gap and its last
+                    # offset must both fit the sequential run — so rows
+                    # that wrap around their file never pay the full
+                    # write-combining check.
+                    first = stacked[:, 0]
+                    maybe = (stacked[:, 1] - first) == request_bytes
+                    maybe &= stacked[:, -1] == first + (count - 1) * request_bytes
                     if maybe.any():
                         sub = stacked[maybe]
                         fits = not ((sub[:, 1:] - sub[:, :-1]) == request_bytes).all(axis=1).any()

@@ -280,23 +280,28 @@ class FlashPackage:
         recoverable: np.ndarray,
         effective: np.ndarray,
         num_erases: int,
+        retired: np.ndarray,
     ) -> None:
         """Commit the final wear state of a fused write burst's erases.
 
-        The burst planner (:mod:`repro.ftl.burst`) guarantees that no
-        block crossed its cycle limit, and that the per-block values
-        are the exact floats the scalar :meth:`erase_block` sequence
-        would have produced.  The ``flash.*`` instruments are bumped
-        from the plan by the burst commit, not here.  ``block_ids``
-        are the unique erased blocks carrying their final wear;
-        ``num_erases`` counts every erase (a block may be erased more
-        than once per burst).
+        The burst planner (:mod:`repro.ftl.burst`) guarantees that the
+        per-block values are the exact floats the scalar
+        :meth:`erase_block` sequence would have produced, and that
+        ``retired`` lists exactly the erases that crossed their block's
+        cycle limit — each a block's last erase, so its final wear is
+        the crossing wear.  The ``flash.*`` instruments are bumped from
+        the plan by the burst commit, not here.  ``block_ids`` are the
+        unique erased blocks carrying their final wear; ``num_erases``
+        counts every erase (a block may be erased more than once per
+        burst).
         """
         self._pe_permanent[block_ids] = permanent
         self._pe_recoverable[block_ids] = recoverable
         self.counters.block_erases += num_erases
         if self._pe_cache_valid:
             self._pe_cache[block_ids] = effective
+        self._bad[retired] = True
+        self._num_bad += int(retired.size)
 
     def set_permanent_wear(self, pe_counts) -> None:
         """Overwrite permanent per-block wear (scalar or per-block array).

@@ -19,22 +19,26 @@ pick the greedy victim and its live units move, in slot order, into the
 active block.  Only then is the aggregate effect committed in a handful
 of vectorized scatters (:func:`commit_planned_burst`).  Any event the
 plan cannot reproduce bit-for-bit (a score collision it cannot order,
-no GC candidate left, an empty free list) makes it *bail with
-nothing planned* (return ``None``), and the caller re-executes the same
-writes through the ordinary scalar path — which therefore remains the
+no GC candidate left, an empty free list, a run of retiring victims
+the reclaim's stall guard may end short) makes it *bail with nothing
+planned* (return ``None``), and the caller re-executes the same writes
+through the ordinary scalar path — which therefore remains the
 reference semantics, exceptions included.
 
-One bail is recoverable: a cycle-limit crossing.  Wear is monotone
-within a window and the walk is deterministic, so every group before
-the crossing erase replays identically — the planner re-walks with the
-window truncated at the crossing group (a shorter fused window,
+Retirement is modelled, not bailed on: an erase that takes a block to
+its cycle limit retires it in the walk's erase mirror, as
+``FlashPackage.erase_block`` does, and the block leaves every pool the
+walk touches (GC candidates, free list, valid data); the plan carries
+the retired ids to the commit.  The only mirror that must see a bad
+block afterwards is the static wear-leveling gap check, which — like
+the scalar ``wear_gap_exceeds`` — measures the spread over good blocks
+only.  One event truncates instead: end of life, the reclaim after
+which too few good blocks remain and the scalar path goes read-only.
+Wear is monotone within a window and the walk is deterministic, so
+every group before it replays identically — the planner re-walks with
+the window truncated at that group (a shorter fused window,
 bit-identical by the window-size invariance the equivalence tests pin)
-and the scalar loop takes the retiring erase itself.  Devices that
-already carry bad blocks keep fusing: retired blocks sit outside every
-pool the walk touches (GC candidates, free list, valid data), so the
-only mirror that must see them is the static wear-leveling gap check,
-which — like the scalar ``wear_gap_exceeds`` — measures the spread over
-good blocks only.
+and the scalar step raises ``DeviceWornOut`` itself.
 
 The plan/commit split is what the megaburst plan cache
 (:mod:`repro.ftl.plancache`, DESIGN.md §14) builds on: a finalized
@@ -43,6 +47,8 @@ owned arrays, so a cached replay re-runs the *same* commit the fresh
 path runs — bit identity between fresh and replayed windows holds by
 construction, not by a separate code path.  A plan that copied data is
 never cached: which units a victim holds is outside the cache's probe.
+Nor is one that retired a block: the cache re-proves a replay's cycle
+limits only as "no erase crossed one".
 
 Bit identity with the scalar path is the contract: every mirrored float
 uses the same IEEE-754 operations on the same values, zero-valid victim
@@ -118,14 +124,15 @@ def execute_write_burst(
     copy pages each executed call caused — or ``None``, with the FTL
     untouched, when the burst is ineligible or the plan hit an event
     only the scalar path can reproduce.  When a plan-cache capture is
-    active, a plan that copied no data is deposited for memoization.
+    active, a plan that copied no data and retired no block is
+    deposited for memoization.
     """
     plan = plan_write_burst(ftl, segments, num_groups, stop_erases)
     if plan is None:
         return None
     commit_planned_burst(ftl, plan)
     cap = plancache.active_capture()
-    if cap is not None and plan.seg_copies is None:
+    if cap is not None and plan.seg_copies is None and not plan.retired.size:
         cap.plan = plan
     return plan
 
@@ -257,12 +264,11 @@ def plan_write_burst(
 
     walked = _do_walk(num_groups)
     if isinstance(walked, int):
-        # Retirement crossing inside 0-based group ``walked``: every
-        # group before it replays deterministically without touching a
-        # cycle limit (wear is monotone within a window), so re-walk
-        # with the window truncated at the crossing group and let the
-        # scalar step loop take the retiring erase itself.  A crossing
-        # in group 0 leaves nothing to fuse.
+        # End of life inside 0-based group ``walked``: every group
+        # before it replays deterministically, so re-walk with the
+        # window truncated there and let the scalar step raise
+        # DeviceWornOut itself.  End of life in group 0 leaves nothing
+        # to fuse.
         if walked < 1:
             return None
         num_groups = walked
@@ -272,7 +278,7 @@ def plan_write_burst(
     if walked is None:
         return None
     (
-        vic_u, vic_perm, vic_reco, vic_eff, n_erased,
+        vic_u, vic_perm, vic_reco, vic_eff, n_erased, retired,
         alive, closed, free_final, active, aoff, wl_ctr,
         m, C, erase_prefix, seg_cut, reloc,
     ) = walked
@@ -367,6 +373,7 @@ def plan_write_burst(
         vic_perm=vic_perm,
         vic_reco=vic_reco,
         vic_eff=vic_eff,
+        retired=np.array(retired, dtype=np.int64),
         a_blocks=a_blocks,
         red=red,
         ppus=ppus,
@@ -566,7 +573,7 @@ class _Contents:
         into the candidates with every unit live.  The slots are written
         by :meth:`flush`, once per reclaim.  Returns the new ``(active,
         aoff, next_ext)``, or None when the free list runs dry (the
-        scalar path raises OutOfSpaceError).
+        scalar path goes read-only).
         """
         if v in self.filled:
             self.flush()  # the victim's own contents are still queued
@@ -649,10 +656,16 @@ def _walk(
     block; per-slot contents (:class:`_Contents`) are materialized only
     when a reclaim finds no zero-valid candidate or static wear leveling
     migrates, and from then on host fills are recorded into them too.
-    Returns None on any event only the scalar path can reproduce —
-    except a cycle-limit crossing, which instead returns the 0-based
-    group containing the crossing erase (an int) so the planner can
-    retry with the window truncated.
+
+    The erase mirror retires a victim whose new wear reaches its cycle
+    limit, as ``erase_block``'s ``went_bad`` and ``_collect_block`` do:
+    it keeps the new wear, is marked bad, and stays out of the free
+    list.  Returns None on any event only the scalar path can reproduce
+    — among them a run of more than four retiring victims, which the
+    reclaim's stall guard may end short — and, at end of life (more bad
+    blocks than ``_eol_min_usable`` leaves room for), the 0-based group
+    of that reclaim (an int), so the planner can retry with the window
+    truncated.
     """
     upb = ftl.units_per_block
     n_blocks = ftl._num_blocks
@@ -665,6 +678,9 @@ def _walk(
     one_minus = 1.0 - frac
     num_bad = pkg._num_bad
     bad_l = pkg.bad_blocks_view.tolist() if num_bad else None
+    max_bad = n_blocks - ftl._eol_min_usable  # more is end of life
+    retired: List[int] = []
+    stall = stall_at = 0  # the latest run of retiring victims
     free = list(ftl._free_blocks)
     dynamic = cfg.dynamic
     static_enabled = cfg.static_enabled
@@ -859,13 +875,33 @@ def _walk(
                             p_ = perm_l[v] + one_minus
                             r_ = reco_l[v] + frac
                             e_ = p_ + r_
-                            if e_ >= limit_l[v]:
-                                return group  # crossing: truncate here
                             perm_l[v] = p_
                             reco_l[v] = r_
                             eff_l[v] = e_
-                            free_append(v)
-                            nf += 1
+                            if e_ >= limit_l[v]:
+                                # erase_block's went_bad: the block
+                                # retires instead of rejoining the free
+                                # list.
+                                if bad_l is None:
+                                    bad_l = [False] * n_blocks
+                                bad_l[v] = True
+                                num_bad += 1
+                                if num_bad > max_bad:
+                                    return group  # end of life: truncate
+                                # More than four retiring victims in a
+                                # row: the scalar stall guard may end the
+                                # reclaim short (it counts GC victims, and
+                                # a row spans reclaims only through a
+                                # migration), so bail.
+                                at = len(victims)
+                                stall = stall + 1 if stall_at == at - 1 else 1
+                                stall_at = at
+                                if stall > 4:
+                                    return None
+                                retired.append(v)
+                            else:
+                                free_append(v)
+                                nf += 1
                             alive[v] = -1
                             closed[v] = 0
                             victims_append(v)
@@ -886,7 +922,7 @@ def _walk(
                         # inlined: on clean walks this runs for about
                         # every other erase.
                         if nf == 0:
-                            return None  # OutOfSpaceError territory: bail
+                            return None  # end of life on the scalar path: bail
                         if not dynamic or nf == 1:
                             active = free.pop(0)
                         else:
@@ -1003,7 +1039,7 @@ def _walk(
     if cont is not None:
         reloc = (cont, n_wl, gc_units, wl_units, victim_valid, copies)
     return (
-        vic_u, vic_perm, vic_reco, vic_eff, n_erased,
+        vic_u, vic_perm, vic_reco, vic_eff, n_erased, retired,
         alive, closed, tuple(free), active, aoff, wl_ctr,
         m, C, erase_prefix, seg_i, reloc,
     )
@@ -1024,6 +1060,7 @@ def commit_planned_burst(ftl, plan: BurstPlan) -> None:
     n_blocks = ftl._num_blocks
     n_erased = plan.n_erased
     n_gc = n_erased - plan.wl_runs
+    n_retired = int(plan.retired.size)
 
     copies = plan.gc_pages + plan.wl_pages
     programs = plan.units_executed * ftl.unit_pages + copies
@@ -1068,11 +1105,15 @@ def commit_planned_burst(ftl, plan: BurstPlan) -> None:
             obs.wl_pages.inc(plan.wl_pages)
         if plan.migration_pages:
             obs.migration_pages.inc(plan.migration_pages)
+        if n_retired:
+            obs.bad_blocks.inc(n_retired)
     flash_obs = pkg._obs
     if flash_obs is not None:
         flash_obs.page_programs.inc(programs)
         flash_obs.page_reads.inc(plan.rmw_pages)
         flash_obs.block_erases.inc(n_erased)
+        if n_retired:
+            flash_obs.bad_blocks.inc(n_retired)
 
     valid = ftl._valid
     vcount = ftl._valid_count
@@ -1089,7 +1130,7 @@ def commit_planned_burst(ftl, plan: BurstPlan) -> None:
     vic_u = plan.vic_u
     if vic_u.size:
         pkg.apply_erase_burst(
-            vic_u, plan.vic_perm, plan.vic_reco, plan.vic_eff, n_erased
+            vic_u, plan.vic_perm, plan.vic_reco, plan.vic_eff, n_erased, plan.retired
         )
         ftl._p2l.reshape(n_blocks, upb)[vic_u] = -1
         valid.reshape(n_blocks, upb)[vic_u] = False

@@ -38,7 +38,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.errors import ConfigurationError, DeviceWornOut, OutOfSpaceError, ReadOnlyError, UncorrectableError
+from repro.errors import ConfigurationError, DeviceWornOut, ReadOnlyError, UncorrectableError
 from repro.flash.package import FlashPackage
 from repro.ftl.burst import execute_write_burst
 from repro.obs import FtlInstruments
@@ -542,7 +542,14 @@ class PageMappedFTL:
     def _pop_free_block(self) -> int:
         free = self._free_blocks
         if not free:
-            raise OutOfSpaceError("FTL has no free blocks (over-provisioning exhausted)")
+            # Retirements emptied the free list before the end-of-life
+            # check at the end of the reclaim could run: this is end of
+            # life too.
+            self.read_only = True
+            raise DeviceWornOut(
+                f"no free blocks left ({self.package.num_bad_blocks} bad of "
+                f"{self.geometry.num_blocks}); device is read-only"
+            )
         block = pick_free_block(free, self.package.pe_counts, self.wl_config.dynamic)
         free.remove(block)
         return block

@@ -67,11 +67,12 @@ class BurstPlan:
     are owned by the plan (never views of live FTL state).
 
     ``n_erased`` counts every erase, ``wl_runs`` of them static
-    wear-leveling migrations; ``victim_valid`` lists the live-unit count
-    of each GC victim that relocated (the rest held none), and
-    ``seg_copies`` the GC and WL copy pages each executed segment caused
-    — None for a plan that copied nothing, the only kind the cache
-    keeps.
+    wear-leveling migrations, and ``retired`` lists the blocks whose
+    erase crossed their cycle limit; ``victim_valid`` lists the
+    live-unit count of each GC victim that relocated (the rest held
+    none), and ``seg_copies`` the GC and WL copy pages each executed
+    segment caused — None for a plan that copied nothing.  The cache
+    keeps only plans that copied and retired nothing.
     """
 
     executed_groups: int
@@ -92,6 +93,7 @@ class BurstPlan:
     vic_perm: np.ndarray
     vic_reco: np.ndarray
     vic_eff: np.ndarray
+    retired: np.ndarray
     a_blocks: np.ndarray
     red: np.ndarray
     ppus: np.ndarray
@@ -235,16 +237,18 @@ def _limits_admit(plan: BurstPlan, cycle_limit) -> bool:
 
     Cycle limits are the one planner input that is *structural* rather
     than positional: the walk reads ``_cycle_limit[v]`` only at the
-    per-erase retirement check (``e_ >= limit`` bails the whole plan),
-    and per-block effective wear grows monotonically within a window,
-    so a plan whose *final* per-victim wear (``vic_eff``) clears a
-    device's limits would have cleared every intermediate check too.
-    That lets the limits live outside the equality probe: a fleet
-    cohort member with its own endurance draw (DESIGN.md §15) replays
-    the leader's plans as long as this predicate holds, and a member
-    whose limit would be crossed misses here — its fresh plan then
-    bails at the same erase and the scalar path retires the block,
-    exactly as re-planning from scratch would.
+    per-erase retirement check (``e_ >= limit`` retires the block), and
+    per-block effective wear grows monotonically within a window, so a
+    plan whose *final* per-victim wear (``vic_eff``) clears a device's
+    limits would have cleared every intermediate check too — it retired
+    nothing there.  Cached plans retired nothing where they were
+    captured (``execute_write_burst`` never deposits one that did), so
+    this predicate is exactly "the same plan on this device".  That
+    lets the limits live outside the equality probe: a fleet cohort
+    member with its own endurance draw (DESIGN.md §15) replays the
+    leader's plans as long as this predicate holds, and a member whose
+    limit would be crossed misses here — its fresh plan then retires
+    the block at that erase, exactly as re-planning from scratch would.
 
     A plan with no erases never read the limits; it is valid for any
     draw (``.all()`` on an empty comparison is True).

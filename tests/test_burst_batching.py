@@ -154,14 +154,12 @@ class TestBatchedRunEquivalence:
         assert wrapper.calls == batched.steps_completed
 
     @pytest.mark.slow
-    def test_retirement_crossing_truncates_and_matches_scalar(self):
-        """A retirement crossing inside a fused window truncates the
-        plan at the crossing group instead of bailing it wholesale
-        (DESIGN.md §15): with a wide endurance spread one block retires
-        mid-run, and the batched trajectory — including the truncated
-        window, the scalar crossing step, and every later window planned
-        around the bad block — must still match the scalar loop
-        bit-for-bit."""
+    def test_retirement_inside_a_window_matches_scalar(self, committed):
+        """A block whose cycle limit an erase crosses retires inside the
+        fused walk (DESIGN.md §15): with a wide endurance spread one
+        block retires mid-run, and the batched trajectory — the plan
+        that retires it and every later window planned around the bad
+        block — must still match the scalar loop bit-for-bit."""
 
         def experiment():
             device = build_device(
@@ -180,6 +178,7 @@ class TestBatchedRunEquivalence:
         scalar.run(until_level=5)
 
         assert batched.device.ftl.package.bad_blocks_view.any()
+        assert any(plan.retired.size for plan in committed)
         assert _outcome(batched) == _outcome(scalar)
 
     def test_generic_step_batch_stops_at_budget(self):
@@ -401,6 +400,107 @@ class TestVictimScoreGuard:
         assert ftl_fingerprint(fused) == ftl_fingerprint(scalar)
 
 
+def _retiring_ftl(k):
+    """An FTL whose next allocation reclaims, with wear preloaded so
+    that the first ``k`` zero-valid candidates in the scalar's pick
+    order are one erase from their cycle limits and every later one is
+    not."""
+    ftl = _guard_ftl(0.0, 0.0)
+    pkg = ftl.package
+    limits = pkg.cycle_limits()
+    zero_valid = np.flatnonzero(ftl._closed & (ftl._valid_count == 0))
+    order = zero_valid[np.argsort(limits[zero_valid], kind="stable")]
+    retiring, rest = order[:k], order[k:]
+    wear = np.zeros(pkg.num_blocks)
+    wear[retiring] = np.ceil(limits[retiring]) - 1.0  # the next erase crosses
+    # Every other candidate is more worn, so it is picked later, and
+    # stays more than one erase under its limit.
+    wear[rest] = wear[retiring].max() + 0.5
+    assert (wear[rest] + 1.0 < limits[rest]).all()
+    pkg.set_permanent_wear(wear)
+    return ftl, retiring
+
+
+class TestRetiringWalk:
+    """The erase mirror retires a block that reaches its cycle limit, as
+    the scalar ``erase_block`` does (DESIGN.md §11): the plan carries it
+    to the commit, and only end of life truncates the window."""
+
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_stall_guard(self, k):
+        """Four retiring GC victims in one reclaim plan; a fifth fires
+        the scalar reclaim's stall guard, so the plan bails and the
+        scalar path decides."""
+        ftl, retiring = _retiring_ftl(k)
+        plan = plan_write_burst(ftl, [GUARD_SEGMENT], 1, None)
+        if k == 4:
+            assert plan is not None
+            assert sorted(plan.retired.tolist()) == sorted(retiring.tolist())
+        else:
+            assert plan is None
+
+        fused, _ = _retiring_ftl(k)
+        scalar, _ = _retiring_ftl(k)
+        reclaim = scalar._reclaim_space
+        free_after = []
+
+        def watched():
+            reclaim()
+            free_after.append(len(scalar._free_blocks))
+
+        scalar._reclaim_space = watched
+        _guard_burst(fused, fused=True)
+        _guard_burst(scalar, fused=False)
+        assert ftl_fingerprint(fused) == ftl_fingerprint(scalar)
+        assert sorted(np.flatnonzero(scalar.package.bad_blocks).tolist()) == sorted(retiring.tolist())
+        # The first reclaim stops at the high watermark unless the stall
+        # guard breaks it with candidates left.
+        assert free_after[0] == (scalar.gc_high_water if k == 4 else scalar.gc_low_water)
+
+    @pytest.mark.slow
+    def test_end_of_life_inside_a_window(self, tmp_path, committed, monkeypatch):
+        """A wide endurance spread run to level 11: blocks retire inside
+        fused plans until the reclaim that leaves too few good blocks,
+        where the window truncates and the scalar step bricks the
+        device."""
+        windows = []
+        plan_write_burst = burst.plan_write_burst
+
+        def run(step_batching):
+            device = build_device("emmc-8gb", scale=512, seed=3, endurance_sigma=0.6)
+            fs = Ext4Model(device)
+            workload = FileRewriteWorkload(
+                fs, num_files=4, request_bytes=4 * KIB, pattern="seq", seed=3
+            )
+            exp = WearOutExperiment(device, workload, filesystem=fs)
+            exp.step_batching = step_batching
+
+            def watched(ftl, segments, num_groups, stop_erases):
+                plan = plan_write_burst(ftl, segments, num_groups, stop_erases)
+                if plan is not None:
+                    windows.append((exp.steps_completed, num_groups, plan))
+                return plan
+
+            monkeypatch.setattr(burst, "plan_write_burst", watched)
+            exp.run(until_level=11)
+            return exp
+
+        fused = run(True)
+        scalar = run(False)
+        assert fused.result.bricked and fused.device.ftl.read_only
+        assert result_json(fused) == result_json(scalar)
+        assert ftl_fingerprint(fused.device.ftl) == ftl_fingerprint(scalar.device.ftl)
+        assert _state_bytes(tmp_path, "fused", snapshot_experiment(fused)) == _state_bytes(
+            tmp_path, "scalar", snapshot_experiment(scalar)
+        )
+        assert any(plan.retired.size for plan in committed)
+        # The last fused window stopped short at the end-of-life group,
+        # and the device bricked on the step after it.
+        start, planned, plan = windows[-1]
+        assert plan.executed_groups == plan.num_groups < planned
+        assert fused.steps_completed == start + plan.executed_groups
+
+
 class TestFusedWalkEquivalence:
     """Fused runs the other differentials do not reach."""
 
@@ -601,6 +701,33 @@ class TestRelocatingWalk:
             lambda ftl, fused: _churn(ftl, fused, 16, 512, ftl.num_logical_units),
         )
         assert spills and sum(plan.gc_pages for plan in committed) > 0
+
+
+    def test_relocating_victim_retires(self, tmp_path, committed, monkeypatch):
+        """At 90% fill GC victims hold live units: blocks one erase from
+        their cycle limits retire after the walk copies their units."""
+        copied = []
+        move = burst._Contents.move
+
+        def watched(self, v, n, active, aoff, next_ext):
+            if n:
+                copied.append(v)
+            return move(self, v, n, active, aoff, next_ext)
+
+        monkeypatch.setattr(burst._Contents, "move", watched)
+
+        def build():
+            ftl = _full_ftl(64, 256, 0.90)
+            weak = np.arange(0, 224, 32)  # blocks holding data
+            ftl.package._cycle_limit[weak] = ftl.package.pe_counts[weak] + 0.5
+            return ftl
+
+        self._pair(
+            tmp_path, build,
+            lambda ftl, fused: _churn(ftl, fused, 24, 2048, ftl.num_logical_units),
+        )
+        retired = {int(b) for plan in committed for b in plan.retired}
+        assert retired & set(copied)
 
 
 def _last_seen_links(stream):

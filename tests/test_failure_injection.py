@@ -75,6 +75,28 @@ class TestEndOfLifeBehaviour:
         assert PreEolState.NORMAL in seen
         assert PreEolState.URGENT in seen or PreEolState.WARNING in seen
 
+    def test_empty_free_list_is_end_of_life(self):
+        """Retirements can empty the free list while more good blocks
+        remain than the end-of-life check requires: the write that finds
+        it empty puts the device in read-only mode, as that check does,
+        and every later write is rejected."""
+        geom = FlashGeometry(page_size=4 * KIB, pages_per_block=16, num_blocks=32)
+        pkg = FlashPackage(
+            geom, cell_spec=CELL_SPECS[CellType.MLC].derated(25), endurance_sigma=0.02, seed=3
+        )
+        ftl = PageMappedFTL(pkg, logical_capacity_bytes=int(geom.capacity_bytes * 0.6), seed=3)
+        rng = np.random.default_rng(1)
+        page = ftl.geometry.page_size
+        with pytest.raises(DeviceWornOut):
+            for _ in range(5_000):
+                lpns = rng.integers(0, ftl.num_logical_units, size=64)
+                ftl.write_requests(lpns * page, page)
+        assert not ftl._free_blocks
+        assert geom.num_blocks - pkg.num_bad_blocks >= ftl._eol_min_usable
+        assert ftl.read_only
+        with pytest.raises(ReadOnlyError):
+            ftl.write_requests(np.array([0]), page)
+
     def test_reads_near_death_can_be_uncorrectable(self):
         """A block sitting just under its retirement limit has a real
         per-read uncorrectable probability; repeated reads hit it."""

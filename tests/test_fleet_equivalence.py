@@ -85,9 +85,10 @@ class TestDemotionHeavyPlanSharing:
     def test_demotion_heavy_seq_cohort_shares_leader_plans(self):
         """DESIGN.md §15: a wide endurance spread demotes members whose
         weak blocks retire mid-run.  Their replays must ride the
-        leader's fused windows (demoted plan-cache hits), truncate at
-        their own crossing, and still be bit-identical to their scalar
-        runs — as must every lockstep member."""
+        leader's fused windows (demoted plan-cache hits) up to their own
+        crossing window, retire the block inside its fresh plan, and
+        still be bit-identical to their scalar runs — as must every
+        lockstep member."""
         spec = CohortSpec(device="emmc-8gb", population=4, scale=512,
                           pattern="seq", request_bytes=4 * KIB,
                           until_level=5, endurance_sigma=0.5)

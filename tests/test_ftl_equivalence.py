@@ -377,6 +377,57 @@ class TestWriteBurstEquivalence:
         assert seg_durations == scalar_durations
         assert ftl_fingerprint(fused.ftl) == ftl_fingerprint(scalar.ftl)
 
+    @pytest.mark.parametrize("rows", ["combining", "stacked"])
+    def test_stacked_bucket_write_combining_screen(self, rows):
+        """A bucket of page-fit calls is screened for write-combining
+        rows by each row's first gap and last offset.  A bucket holding
+        a row that combines (sequential 4 KiB requests) is built call by
+        call; rows that wrap around their file, and a row whose first
+        gap and last offset fit a sequential run but whose middle gaps
+        do not, stay stacked.  Either way every segment, duration and
+        the device state equal per-call ``write_many``."""
+        from repro.devices import build_device
+        from repro.devices.interface import _burst_segment, _write_combine
+        from tests.test_state_snapshot import device_fingerprint
+
+        page = 4 * KIB
+        wrapped = np.array([40, 44, 0, 4, 8], dtype=np.int64) * KIB
+        middle = np.array([0, 4, 12, 8, 16], dtype=np.int64) * KIB
+        scattered = np.array([100, 12, 52, 200, 8], dtype=np.int64) * KIB
+        sequential = 64 * KIB + np.arange(5, dtype=np.int64) * page
+        calls = [wrapped, middle, scattered]
+        if rows == "combining":
+            calls.insert(1, sequential)
+
+        fused = build_device("emmc-8gb", scale=1024, seed=5)
+        scalar = build_device("emmc-8gb", scale=1024, seed=5)
+        assert fused.ftl.unit_pages == 2  # combining changes the unit stream
+        built = []
+        batch = fused.ftl.write_requests_batch
+
+        def recording(segments, num_groups, stop_erases=None):
+            built.extend(segments)
+            return batch(segments, num_groups, stop_erases)
+
+        fused.ftl.write_requests_batch = recording
+        out = fused.write_burst([[(offsets, page)] for offsets in calls], None)
+        assert out is not None and out[0] == len(calls)
+
+        for group, (offsets, segment) in enumerate(zip(calls, built)):
+            want = _burst_segment(
+                scalar.ftl, group, *_write_combine(offsets, page),
+                int(offsets.size) * page, page, page,
+            )
+            assert np.array_equal(segment.unit_lpns, want.unit_lpns)
+            assert (segment.host_pages, segment.rmw_pages, segment.group) == (
+                want.host_pages, want.rmw_pages, want.group
+            )
+            assert (segment.total_bytes, segment.request_bytes) == (
+                want.total_bytes, want.request_bytes
+            )
+        assert out[1] == [scalar.write_many(offsets, page) for offsets in calls]
+        assert device_fingerprint(fused) == device_fingerprint(scalar)
+
     def test_foreign_budget_counters_refuse_burst(self):
         """A budget naming another device's counters cannot be honoured;
         the burst must refuse rather than guess."""

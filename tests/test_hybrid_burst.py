@@ -8,7 +8,7 @@ relocates live data inside the walk.  The contract is the same
 bit-identity as everywhere else — a batched run must equal the
 ``step_batching=False`` loop in result JSON, device fingerprint, and
 the hybrid's own ``host_pages_requested`` — whichever pool stops a
-window, when a weak block retires inside one pool, through Table 1's
+window, when a weak block retires inside one pool's fused plan, through Table 1's
 merged phases, and when a window is refused (a request straddling the
 hot window, fresh pool-B mappings that could merge the pools).
 """
@@ -22,7 +22,7 @@ from repro.devices.interface import BlockDevice
 from repro.devices.perf import PerformanceModel
 from repro.flash import CELL_SPECS, CellType, FlashGeometry, FlashPackage
 from repro.fs import Ext4Model
-from repro.ftl import HybridFTL
+from repro.ftl import HybridFTL, burst
 from repro.units import KIB, MIB
 from repro.workloads import FileRewriteWorkload
 from repro.workloads.wearout import fill_static_space
@@ -120,15 +120,25 @@ class TestPoolStops:
         assert [r.memory_type for r in exp.result.increments] == ["A", "A"]
         assert any(w and w[2] == "A" and w[0] < w[1] for w in log)
 
-    def test_retirement_crossing_in_one_pool(self):
-        """A weak pool-B block retires mid-window: the window truncates
-        at the crossing group, the scalar step retires the block, and
-        later windows fuse around it."""
+    def test_retirement_crossing_in_one_pool(self, monkeypatch):
+        """A weak pool-B block retires mid-window: the fused pool-B plan
+        retires it inside the walk, no window is refused, and later
+        windows fuse around it."""
+        retiring = []
+        commit = burst.commit_planned_burst
+
+        def recording(pool, plan):
+            if plan.retired.size:
+                retiring.append(pool)
+            return commit(pool, plan)
+
+        monkeypatch.setattr(burst, "commit_planned_burst", recording)
         exp, log = _differential(endurance_sigma=0.8, seed=9)
         ftl = exp.device.ftl
         assert ftl.pool_b.package.bad_blocks_view.any()
         assert not ftl.pool_a.package.bad_blocks_view.any()
-        assert any(w and w[0] < w[1] and not w[2] for w in log)
+        assert retiring and all(pool is ftl.pool_b for pool in retiring)
+        assert None not in log
 
 
 class TestRefusedWindows:

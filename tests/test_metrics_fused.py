@@ -38,8 +38,8 @@ SCALE = 2048
 
 #: name -> (device, fs model, pattern, level, seed, endurance sigma).
 #: "retiring" is a sequential run whose weakest block retires before
-#: level 5, so a fused window truncates at the crossing and later
-#: windows plan around the bad block.
+#: level 5, inside a fused window's plan, and later windows plan around
+#: the bad block.
 CASES = {
     "ext4-rand": ("emmc-8gb", Ext4Model, "rand", 3, 7, None),
     "ext4-seq": ("emmc-8gb", Ext4Model, "seq", 3, 7, None),
@@ -96,18 +96,17 @@ def _comparable(snapshot):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_fused_scalar_and_replayed_snapshots_match(case, monkeypatch):
-    truncated = []
-    plan_write_burst = burst.plan_write_burst
+    retiring = []
+    commit = burst.commit_planned_burst
 
-    def watched(ftl, segments, num_groups, stop_erases):
-        plan = plan_write_burst(ftl, segments, num_groups, stop_erases)
-        if plan is not None and plan.num_groups < num_groups:
-            truncated.append(plan.num_groups)
-        return plan
+    def watched(ftl, plan):
+        retiring.append(int(plan.retired.size))
+        return commit(ftl, plan)
 
-    monkeypatch.setattr(burst, "plan_write_burst", watched)
+    monkeypatch.setattr(burst, "commit_planned_burst", watched)
 
     fused, fused_snap, fused_steps = _metered_run(case)
+    fused_retired = sum(retiring)
     scalar, scalar_snap, scalar_steps = _metered_run(case, step_batching=False)
     with plancache.sharing():
         _, capture_snap, _ = _metered_run(case)
@@ -122,7 +121,7 @@ def test_fused_scalar_and_replayed_snapshots_match(case, monkeypatch):
         assert hits > 0  # hybrid windows are never cached (DESIGN.md §16)
     if case == "retiring":
         assert fused.device.ftl.package.num_bad_blocks > 0
-        assert truncated, "no fused window truncated at the retirement crossing"
+        assert fused_retired > 0, "no committed plan retired a block"
         assert fused_snap["ftl.bad_blocks_retired"]["value"] > 0
 
     assert _outcome(fused) == _outcome(scalar) == _outcome(replayed)

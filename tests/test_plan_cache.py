@@ -25,7 +25,7 @@ from repro.core.experiment import WearOutExperiment
 from repro.devices import build_device
 from repro.fleet import CohortSpec, resolve_cohort_seed, run_cohort
 from repro.fs import Ext4Model, F2fsModel
-from repro.ftl import plancache
+from repro.ftl import burst, plancache
 from repro.units import KIB
 from repro.workloads import FileRewriteWorkload
 from tests.test_burst_batching import SCALE, _experiment, _outcome
@@ -423,7 +423,8 @@ class TestMemberLimitRevalidation:
     re-proves the retirement check structurally via `_limits_admit`
     (DESIGN.md §15), so plans captured on one device replay on a twin
     with looser limits and miss on a twin whose limit a planned erase
-    would cross."""
+    would cross — whose fresh plan then retires the block inside the
+    walk and is never captured."""
 
     def test_limits_admit_is_structural(self):
         exp = _experiment(pattern="seq")
@@ -439,7 +440,7 @@ class TestMemberLimitRevalidation:
         assert plancache._limits_admit(plan, limits)
         assert plancache._limits_admit(plan, limits + 1000.0)
         # A limit at the plan's final wear on any victim refuses: the
-        # fresh walk would bail at that erase and retire the block.
+        # fresh walk would retire the block at that erase.
         tight = limits.copy()
         pos = int(np.argmax(plan.vic_eff))
         tight[int(plan.vic_u[pos])] = plan.vic_eff[pos]
@@ -469,16 +470,16 @@ class TestMemberLimitRevalidation:
             reference.run(until_level=3)
         assert _outcome(member) == _outcome(reference)
 
-    def test_tighter_member_misses_and_retires_exactly(self):
+    def test_tighter_member_misses_and_retires_exactly(self, monkeypatch):
         leader = _experiment(pattern="seq")
         leader.run(until_level=3)
         entries = [e for b in plancache.cache()._entries.values() for e in b]
         erasing = [e.plan for e in entries if e.plan.vic_u.size]
         assert erasing
         # Clamp one victim's limit to the final wear the hottest cached
-        # plan records for it: `find` must refuse that plan, the fresh
-        # walk truncates at the crossing, and the scalar step retires
-        # the block — identically to never having cached anything.
+        # plan records for it: `find` must refuse that plan, and the
+        # fresh walk retires the block inside the window — identically
+        # to never having cached anything.
         plan = max(erasing, key=lambda p: float(p.vic_eff.max()))
         pos = int(np.argmax(plan.vic_eff))
         victim = int(plan.vic_u[pos])
@@ -491,9 +492,28 @@ class TestMemberLimitRevalidation:
             pkg._cycle_limit[victim] = ceiling
             return exp
 
+        # The member's windows in order: a hit, or a miss and the plan
+        # its fresh walk committed, with the capture armed for it.
+        windows = []
+        lookup = plancache.lookup
+        commit = burst.commit_planned_burst
+
+        def looked_up(workload, n, budget):
+            out = lookup(workload, n, budget)
+            windows.append(["hit" if out is not None else "miss", None, None])
+            return out
+
+        def committed(ftl, fresh):
+            if windows and windows[-1][0] == "miss":
+                windows[-1][1:] = [fresh, plancache.active_capture()]
+            return commit(ftl, fresh)
+
+        monkeypatch.setattr(plancache, "lookup", looked_up)
+        monkeypatch.setattr(burst, "commit_planned_burst", committed)
         plancache.cache().reset_stats()
         member = tightened()
         member.run(until_level=3)
+        monkeypatch.undo()
         with plancache.disabled():
             reference = tightened()
             reference.run(until_level=3)
@@ -502,3 +522,14 @@ class TestMemberLimitRevalidation:
         # re-planned fresh, not replayed): the member's trajectory
         # diverges from the leader's at the retirement crossing.
         assert _outcome(member) != _outcome(leader)
+
+        # The member replays the leader's windows up to its crossing
+        # window, whose fresh plan retires the block under an armed
+        # capture and is never cached.
+        crossing = next(i for i, w in enumerate(windows) if w[0] == "miss")
+        assert crossing > 0
+        _, retiring, capture = windows[crossing]
+        assert retiring is not None and victim in retiring.retired.tolist()
+        assert capture is not None
+        cached = [e.plan for b in plancache.cache()._entries.values() for e in b]
+        assert all(not p.retired.size for p in cached)

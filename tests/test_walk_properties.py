@@ -1,0 +1,125 @@
+"""Property search of the fused walk against the scalar write path
+(DESIGN.md §11), on the path where blocks retire.
+
+Hypothesis draws tiny page-mapped FTLs on derated media — endurance,
+manufacturing spread, fill, batch shape, seed, window length, erase
+stop and static wear leveling on or off — and drives one random write
+stream two ways, window by window: through the fused
+``write_requests_batch`` and through per-call ``write_requests`` over
+the groups the fused window executed.  Along the way blocks retire
+inside windows, GC victims relocate, static wear leveling migrates and
+runs reach end of life.  After every window both FTLs must agree on
+their fingerprint and snapshot bytes, or the fused path must have
+refused the window (``None``) without touching its FTL.  A window that
+stops short of its groups must have spent its erase stop, or end of
+life must follow: the next scalar group raises ``DeviceWornOut``.
+"""
+
+from __future__ import annotations
+
+import pickle
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.errors import DeviceWornOut
+from repro.flash import CELL_SPECS, CellType, FlashGeometry, FlashPackage
+from repro.ftl import PageMappedFTL
+from repro.ftl.burst import BurstSegment
+from repro.ftl.wear_leveling import WearLevelingConfig
+from repro.state.snapshot import capture_ftl
+from repro.units import KIB
+from repro.workloads import BRICK_ERRORS
+from tests.test_ftl_equivalence import ftl_fingerprint
+
+PAGE = 4 * KIB
+
+#: Windows driven per example (fewer when the device dies first).
+WINDOWS = 40
+
+
+def _ftl(case):
+    geom = FlashGeometry(page_size=PAGE, pages_per_block=case["pages_per_block"],
+                         num_blocks=case["num_blocks"])
+    package = FlashPackage(
+        geom, cell_spec=CELL_SPECS[CellType.MLC].derated(case["endurance"]),
+        endurance_sigma=case["sigma"], seed=case["seed"],
+    )
+    if case["static"]:
+        # Tight enough to migrate on media this short-lived.
+        wl = WearLevelingConfig(static_check_interval=8, static_delta_threshold=2)
+    else:
+        wl = WearLevelingConfig(static_enabled=False)
+    return PageMappedFTL(package, logical_capacity_bytes=int(geom.capacity_bytes * case["fill"]),
+                         wear_leveling=wl, seed=case["seed"])
+
+
+def _state(ftl):
+    """Fingerprint and snapshot bytes: every observable of the FTL."""
+    return ftl_fingerprint(ftl), pickle.dumps(capture_ftl(ftl))
+
+
+def _write(ftl, lpns):
+    """One scalar call; returns the brick error it raised, or None."""
+    try:
+        ftl.write_requests(lpns * PAGE, PAGE)
+    except BRICK_ERRORS as exc:
+        return type(exc)
+    return None
+
+
+@st.composite
+def _cases(draw):
+    num_blocks = draw(st.sampled_from([24, 48]))
+    return {
+        "pages_per_block": draw(st.sampled_from([4, 8, 16])),
+        "num_blocks": num_blocks,
+        "endurance": draw(st.integers(min_value=3, max_value=40)),
+        "sigma": draw(st.sampled_from([0.0, 0.05, 0.3, 0.6])),
+        # Room for the logical space, reserve and GC watermarks.
+        "fill": draw(st.floats(min_value=0.2, max_value=(num_blocks - 6) / num_blocks - 0.01)),
+        "static": draw(st.booleans()),
+        "seed": draw(st.integers(min_value=0, max_value=2**16)),
+        "batch": draw(st.integers(min_value=1, max_value=96)),
+        "hot": draw(st.sampled_from([0.125, 0.5, 1.0])),
+        "groups": draw(st.integers(min_value=1, max_value=8)),
+        "stop": draw(st.one_of(st.none(), st.integers(min_value=1, max_value=30))),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_cases())
+def test_fused_windows_match_scalar_calls(case):
+    fused, scalar = _ftl(case), _ftl(case)
+    rng = np.random.default_rng(case["seed"])
+    hot = max(1, int(fused.num_logical_units * case["hot"]))
+    n = case["groups"]
+    for _ in range(WINDOWS):
+        draws = [rng.integers(0, hot, size=case["batch"], dtype=np.int64) for _ in range(n)]
+        segments = [
+            BurstSegment(unit_lpns=lpns, host_pages=lpns.size, rmw_pages=0, group=g,
+                         total_bytes=lpns.size * PAGE, request_bytes=PAGE)
+            for g, lpns in enumerate(draws)
+        ]
+        before = _state(fused)
+        plan = fused.write_requests_batch(segments, n, case["stop"])
+        if plan is None:
+            assert _state(fused) == before
+            m = 0
+        else:
+            m = plan.executed_groups
+            for lpns in draws[:m]:
+                assert _write(scalar, lpns) is None
+            assert _state(fused) == _state(scalar)
+            if m < n and (case["stop"] is None or plan.n_erased < case["stop"]):
+                # Only end of life truncates a window the stop allows.
+                assert _write(fused, draws[m]) is _write(scalar, draws[m]) is DeviceWornOut
+                assert _state(fused) == _state(scalar)
+                return
+        for lpns in draws[m:]:
+            error = _write(fused, lpns)
+            assert _write(scalar, lpns) is error
+            assert _state(fused) == _state(scalar)
+            if error is not None:
+                return
