@@ -21,8 +21,10 @@ equivalent loop of scalar ``WearOutExperiment`` runs by at least
 * ``fleet_megaburst_1k`` — a *demotion-heavy* 1000-device cohort
   (sequential rewrite, a wide endurance spread, run to wear level 5)
   through the cohort engine with the megaburst plan cache on
-  (DESIGN.md §15: demoted replays ride the leader's fused windows and
-  truncate at their own retirement crossing).  The same cohort is run
+  (DESIGN.md §15: demoted replays follow the leader's crossing-aligned
+  window schedule and ride its fused windows up to their own retirement
+  crossing; the window holding it retires the block inside a fresh
+  plan, and the tail plans its own windows).  The same cohort is run
   once per session under ``plancache.disabled()`` — the pre-sharing
   cohort engine, where every demoted member replans every window from
   scratch — and ``--check`` gates the cache-on run at
@@ -88,7 +90,7 @@ COHORT_FINGERPRINT = "2cd6fe1fb5562ced66461654c36a0e2fc78e4e30f5677d8f6150843f11
 SAMPLE_FINGERPRINT = "3f671810ff2eba29424d2b932c96a0c7e23c7cfb02f63fa69cef44895293ad9d"
 
 #: Digest of the demotion-heavy cohort's full result record.
-MEGABURST_FINGERPRINT = "59f4e21bdbf15017194768831a53f79e531762c592e357d59dbe295caf5fc790"
+MEGABURST_FINGERPRINT = "8f445ef6db85586413c33273fff7983f65b2ddd2d51f1487ce192bca8bdf1038"
 
 #: Best elapsed seconds per case, for the speedup check after main().
 _BEST = {}

@@ -335,20 +335,23 @@ class FlashPackage:
         self._pe_recoverable = self.healing.heal(self._pe_recoverable, elapsed_seconds, temp_c)
         self._pe_cache_valid = False
 
-    def anneal(self, temp_c: float, duration_seconds: float) -> None:
+    def anneal(self, temp_c: float, duration_seconds: float) -> np.ndarray:
         """Heat-accelerated healing of worn-out cells (§2.2).
 
         Clears recoverable wear quickly and may resurrect retired blocks
-        whose effective wear drops back under the cycle limit.
+        whose effective wear drops back under the cycle limit.  Returns
+        the resurrected block ids in id order; the FTL owning the
+        package must take them back (:meth:`PageMappedFTL.anneal`).
         """
         if self.healing.disabled:
-            return
+            return np.zeros(0, dtype=np.int64)
         self._pe_recoverable = self.healing.heal(self._pe_recoverable, duration_seconds, temp_c)
         self._pe_cache_valid = False
         effective = self._pe_permanent + self._pe_recoverable
-        healed = self._bad & (effective < self._cycle_limit)
+        healed = np.flatnonzero(self._bad & (effective < self._cycle_limit))
         self._bad[healed] = False
         self._num_bad = int(self._bad.sum())
+        return healed
 
     # ------------------------------------------------------------------
     # Reliability queries

@@ -29,11 +29,22 @@ equality, so the fused windows the leader compiled replay for members
 whose endurance draws differ — a member that drifted only in its stop
 point pays one bisect per window instead of a fresh plan.  The first
 window where a member's weak block actually retires misses the cache
-(its wear passes the member's limit), falls back to a fresh plan that
-bails at the erase, and the scalar step loop takes over — exactly the
-behavior a cold cache would produce, which is why sharing never
-changes results.  ``run_cohort`` reports the cache traffic it
-generated as a non-canonical ``plan_stats`` attribute on the result.
+(its wear passes the member's limit) and is planned fresh: the walk
+retires the block inside the window, and the member's tail plans its
+own windows — exactly the behavior a cold cache would produce, which is
+why sharing never changes results.  ``run_cohort`` reports the cache
+traffic it generated as a non-canonical ``plan_stats`` attribute on the
+result.
+
+Crossing-aligned windows (DESIGN.md §12, §15): in exact-wear cohorts
+the leader ends its fused windows just before the weakest lockstep
+follower can cross its retirement frontier, and plans cold-size windows
+around the crossing.  Each demoted member follows the leader's window
+schedule until its own package first retires a block, so up to that
+point its windows carry the leader's probes and keys and replay the
+leader's plans; only the window holding its crossing and its tail are
+walked fresh.  Window size never changes a result, only where plans
+start.
 """
 
 from __future__ import annotations
@@ -57,28 +68,33 @@ _PROTO_KEY_DROP = ("population", "warm_until")
 
 
 class _CohortStepper:
-    """Workload shim that runs the cohort certificates after every
-    leader advance.
+    """Workload shim around a cohort experiment's workload.
 
     The experiment loop resolves ``step_batch`` on the workload's
     *class* (DESIGN.md §11), so this shim defines it as a real method
-    delegating to the inner workload's fused path — the leader
-    trajectory is bit-identical with or without the shim, the hook
-    merely observes device state after each advance.
+    delegating to the inner workload's fused path.  ``window`` bounds
+    each fused window before it reaches the inner workload, and
+    ``on_advance`` (if any) runs after every advance, fused or scalar.
+    Results are window-size invariant, so the trajectory is
+    bit-identical with or without the shim; it only moves window edges
+    and observes device state.
     """
 
-    def __init__(self, inner, on_advance):
+    def __init__(self, inner, window, on_advance=None):
         self._inner = inner
+        self._window = window
         self._on_advance = on_advance
 
     def step(self):
         out = self._inner.step()
-        self._on_advance()
+        if self._on_advance is not None:
+            self._on_advance()
         return out
 
     def step_batch(self, max_steps, budget):
-        out = self._inner.step_batch(max_steps, budget)
-        self._on_advance()
+        out = self._inner.step_batch(self._window(max_steps), budget)
+        if self._on_advance is not None:
+            self._on_advance()
         return out
 
     @property
@@ -88,6 +104,63 @@ class _CohortStepper:
     @property
     def space_utilization(self) -> float:
         return self._inner.space_utilization
+
+
+class _LeaderWindows:
+    """The leader's crossing-aligned window bound (DESIGN.md §12).
+
+    Converts the cohort's :meth:`CohortState.follower_slack` (erases of
+    one block left before the weakest lockstep follower's crossing) to
+    steps with the leader's per-block erase rate, measured since the
+    previous window: block erases per step over the number of blocks.
+    Far from a crossing a window ends one cold window
+    (:data:`~repro.ftl.plancache.COLD_WINDOW_STEPS`) before the
+    predicted step; within two cold windows of it every window is
+    cold-size.  The prediction is a heuristic — a wrong one costs time,
+    never a bit.  ``schedule`` records every length passed down, keyed
+    by ``steps_completed`` at the window start, for demoted members to
+    follow.
+    """
+
+    def __init__(self, experiment, state: CohortState):
+        self._experiment = experiment
+        self._state = state
+        self._package = experiment.device.ftl.package
+        self._mark = (experiment.steps_completed, self._package.counters.block_erases)
+        self._rate = 0.0
+        self.schedule: Dict[int, int] = {}
+
+    def __call__(self, max_steps: int) -> int:
+        package = self._package
+        steps = self._experiment.steps_completed
+        erases = package.counters.block_erases
+        last_steps, last_erases = self._mark
+        if steps > last_steps:
+            self._rate = (erases - last_erases) / ((steps - last_steps) * package.num_blocks)
+        self._mark = (steps, erases)
+        n = max_steps
+        slack = self._state.follower_slack(package.pe_counts)
+        if slack is not None and self._rate > 0.0:
+            ahead = slack / self._rate
+            cold = plancache.COLD_WINDOW_STEPS
+            n = min(n, cold if ahead <= 2 * cold else int(ahead) - cold)
+        self.schedule[steps] = n
+        return n
+
+
+def _scheduled_windows(experiment, schedule: Dict[int, int]):
+    """A demoted member's window bound: the leader's window at the same
+    step, until the member's package first retires a block — up to
+    there its state is the leader's, so equal windows replay the
+    leader's plans; past it the member's windows are its own."""
+    package = experiment.device.ftl.package
+
+    def window(max_steps: int) -> int:
+        if package.num_bad_blocks:
+            return max_steps
+        return min(max_steps, schedule.get(experiment.steps_completed, max_steps))
+
+    return window
 
 
 @dataclass
@@ -230,6 +303,7 @@ def run_cohort(
     ineligible = lockstep_ineligibility(spec, leader)
     canary_reasons: List[str] = []
     advances = [0]
+    schedule: Optional[Dict[int, int]] = None
     if ineligible is None:
         state = CohortState.from_leader(spec, cohort_seed, leader)
 
@@ -239,7 +313,8 @@ def run_cohort(
             if reason is not None:
                 canary_reasons.append(reason)
 
-        leader.workload = _CohortStepper(leader.workload, on_advance)
+        windows = _LeaderWindows(leader, state)
+        leader.workload = _CohortStepper(leader.workload, windows, on_advance)
         leader.run(until_level=spec.until_level)
         leader.workload = leader.workload._inner
         # Final pass: the last advance may have ended mid-burst on a
@@ -248,6 +323,10 @@ def run_cohort(
         reason = state.post_advance(leader)
         if reason is not None:
             canary_reasons.append(reason)
+        if state.exact_pe:
+            # Only exact-wear members can replay the leader at all: a
+            # random member's pattern RNG is in the probe.
+            schedule = windows.schedule
     else:
         state = CohortState.all_ineligible(spec, cohort_seed)
         leader.run(until_level=spec.until_level)
@@ -256,6 +335,10 @@ def run_cohort(
     demoted: Dict[int, WearOutResult] = {}
     for index in state.demoted_indices():
         member = branch_experiment(spec, seeds[int(index)], snapshot)
+        if schedule is not None:
+            member.workload = _CohortStepper(
+                member.workload, _scheduled_windows(member, schedule)
+            )
         demoted[int(index)] = member.run(until_level=spec.until_level)
     stats_end = plancache.stats()
 

@@ -218,6 +218,23 @@ class CohortState:
         )
         return self.min_limit <= bound
 
+    def follower_slack(self, pe: np.ndarray) -> Optional[float]:
+        """Fewest further erases of any block before a lockstep follower
+        reaches the exact-mode retirement frontier, given the leader
+        wear array ``pe``: the minimum of ``limit - 1 - pe`` over every
+        block of every lockstep follower (row 0, the leader, excluded).
+
+        None outside exact mode, after the canary fired, or with no
+        lockstep follower left: there is then no follower crossing the
+        leader's windows could align to.
+        """
+        if not self.exact_pe or self.canary_fired:
+            return None
+        rows = self.limits[1:][self.lockstep[1:]]
+        if not len(rows):
+            return None
+        return float((rows - pe[None, :]).min()) - 1.0
+
     def post_advance(self, experiment) -> Optional[str]:
         """Re-certify the whole cohort against the leader's current
         state; called after every leader advance and once after the run.

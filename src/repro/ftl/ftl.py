@@ -315,6 +315,15 @@ class PageMappedFTL:
         self._invalidate_stale(self._l2p[unit_lpns])
         self._l2p[unit_lpns] = -1
 
+    def anneal(self, temp_c: float, duration_seconds: float) -> np.ndarray:
+        """Anneal the package (§2.2) and put the blocks it resurrects
+        back on the free list, in id order; returns their ids.  A
+        retired block was erased on its way out (its units unmapped),
+        so it rejoins empty."""
+        healed = self.package.anneal(temp_c, duration_seconds)
+        self._free_blocks.extend(healed.tolist())
+        return healed
+
     # ------------------------------------------------------------------
     # Health / introspection
     # ------------------------------------------------------------------

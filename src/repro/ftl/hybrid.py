@@ -219,6 +219,12 @@ class HybridFTL:
             lo = max(start_page, window_pages)
             self.pool_b.trim_pages(lo - window_pages, end_page - lo)
 
+    def anneal(self, temp_c: float, duration_seconds: float) -> None:
+        """Anneal both pools' packages; each pool takes its resurrected
+        blocks back (:meth:`PageMappedFTL.anneal`)."""
+        self.pool_a.anneal(temp_c, duration_seconds)
+        self.pool_b.anneal(temp_c, duration_seconds)
+
     # ------------------------------------------------------------------
     # Health
     # ------------------------------------------------------------------

@@ -51,10 +51,9 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-#: Entries kept per static key (same config + window length, different
-#: state phases).  Trajectory phases repeat quickly; 32 covers every
-#: observed steady state with room for level-boundary variants.
-_MAX_ENTRIES_PER_KEY = 32
+#: Fused-window cap outside every :class:`sharing` scope, where no plan
+#: is replayed (DESIGN.md §14): the cold window.
+COLD_WINDOW_STEPS = 8
 
 
 @dataclass
@@ -120,9 +119,10 @@ class BurstPlan:
         return total
 
 
-@dataclass
+@dataclass(eq=False)
 class _Entry:
-    """One cached ``step_batch`` window: probe + every replay product."""
+    """One cached ``step_batch`` window: probe + every replay product.
+    Compared and hashed by identity (the LRU keys on the entry)."""
 
     probe: tuple
     plan: BurstPlan
@@ -161,11 +161,18 @@ class _Capture:
 
 @dataclass
 class PlanCache:
-    """Exact-probe memo of fused burst windows, byte-capped LRU."""
+    """Exact-probe memo of fused burst windows, byte-capped LRU.
+
+    ``_entries`` buckets the entries by static key for lookup; ``_lru``
+    orders every entry by last use, so eviction drops single windows —
+    a trajectory's early windows of one length stay while the byte cap
+    allows, however many windows of that length follow them.
+    """
 
     max_bytes: int = 256 * 1024 * 1024
     enabled: bool = True
-    _entries: "OrderedDict[tuple, List[_Entry]]" = field(default_factory=OrderedDict)
+    _entries: Dict[tuple, List[_Entry]] = field(default_factory=dict)
+    _lru: "OrderedDict[_Entry, tuple]" = field(default_factory=OrderedDict)
     _bytes: int = 0
     hits: int = 0
     misses: int = 0
@@ -174,6 +181,7 @@ class PlanCache:
 
     def clear(self) -> None:
         self._entries.clear()
+        self._lru.clear()
         self._bytes = 0
 
     def reset_stats(self) -> None:
@@ -185,7 +193,7 @@ class PlanCache:
             "misses": self.misses,
             "captures": self.captures,
             "evictions": self.evictions,
-            "entries": sum(len(v) for v in self._entries.values()),
+            "entries": len(self._lru),
             "bytes": self._bytes,
         }
 
@@ -208,27 +216,27 @@ class PlanCache:
                 l2p[plan.probe_lpns], plan.probe_old
             ):
                 continue
-            self._entries.move_to_end(key)
+            self._lru.move_to_end(entry)
             self.hits += 1
             return entry
         self.misses += 1
         return None
 
     def insert(self, key: tuple, entry: _Entry) -> None:
-        bucket = self._entries.setdefault(key, [])
-        bucket.append(entry)
+        """Store ``entry``, then evict least recently used entries until
+        the cache fits ``max_bytes`` (the new entry always stays)."""
+        self._entries.setdefault(key, []).append(entry)
+        self._lru[entry] = key
         self._bytes += entry.nbytes
         self.captures += 1
-        if len(bucket) > _MAX_ENTRIES_PER_KEY:
-            dropped = bucket.pop(0)
+        while self._bytes > self.max_bytes and len(self._lru) > 1:
+            dropped, old_key = self._lru.popitem(last=False)
+            bucket = self._entries[old_key]
+            bucket.remove(dropped)
+            if not bucket:
+                del self._entries[old_key]
             self._bytes -= dropped.nbytes
             self.evictions += 1
-        self._entries.move_to_end(key)
-        while self._bytes > self.max_bytes and len(self._entries) > 1:
-            _, old_bucket = self._entries.popitem(last=False)
-            for dropped in old_bucket:
-                self._bytes -= dropped.nbytes
-                self.evictions += 1
 
 
 def _limits_admit(plan: BurstPlan, cycle_limit) -> bool:
@@ -438,8 +446,9 @@ class sharing(ContextDecorator):
 
 def window_steps() -> int:
     """Default fused-window cap (DESIGN.md §14): 1024 inside
-    :class:`sharing`, where one probe replays a whole window, else 8."""
-    return 1024 if sharing.depth else 8
+    :class:`sharing`, where one probe replays a whole window, else
+    :data:`COLD_WINDOW_STEPS`."""
+    return 1024 if sharing.depth else COLD_WINDOW_STEPS
 
 
 def active_capture() -> Optional[_Capture]:

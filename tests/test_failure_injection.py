@@ -143,6 +143,47 @@ class TestHealingRecovery:
         pkg.anneal(temp_c=250.0, duration_seconds=30 * 86400.0)
         assert pkg.num_bad_blocks < bad_before
 
+    def test_healed_blocks_rejoin_the_free_list(self):
+        """Blocks the anneal resurrects go back to the FTL's free list:
+        every block stays in exactly one state, and later writes
+        allocate the healed blocks instead of running out of space."""
+        from tests.test_ftl_core import check_mapping_invariants
+
+        geom = FlashGeometry(page_size=4 * KIB, pages_per_block=16, num_blocks=32)
+        pkg = FlashPackage(
+            geom,
+            cell_spec=CELL_SPECS[CellType.MLC].derated(25),
+            healing=HealingModel(recoverable_fraction=0.5, time_constant_days=10),
+            endurance_sigma=0.3,
+            seed=3,
+        )
+        ftl = PageMappedFTL(pkg, logical_capacity_bytes=int(geom.capacity_bytes * 0.6), seed=3)
+        rng = np.random.default_rng(1)
+        page = ftl.geometry.page_size
+
+        def write_batch():
+            lpns = rng.integers(0, ftl.num_logical_units, size=64)
+            ftl.write_requests(lpns * page, page)
+
+        while pkg.num_bad_blocks < 3:
+            write_batch()
+        retired = np.flatnonzero(pkg.bad_blocks)
+        assert not ftl.read_only
+
+        healed = ftl.anneal(temp_c=250.0, duration_seconds=30 * 86400.0)
+        assert healed.tolist() == retired.tolist()
+        assert pkg.num_bad_blocks == 0
+        check_mapping_invariants(ftl)
+
+        opened = set()
+        for _ in range(100):
+            write_batch()
+            opened.add(ftl._active_block)
+            if opened >= set(healed.tolist()):
+                break
+        assert opened >= set(healed.tolist())
+        check_mapping_invariants(ftl)
+
 
 class TestPhoneBrick:
     def test_worn_phone_fails_boot(self):

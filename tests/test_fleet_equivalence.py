@@ -3,20 +3,35 @@ member's reported result must be JSON-identical to the scalar
 ``WearOutExperiment`` run the member abbreviates (DESIGN.md §12)."""
 
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.fleet import (
     CohortResult,
     CohortSpec,
+    engine,
     resolve_cohort_seed,
     run_cohort,
     scalar_member_result,
 )
+from repro.fleet.soa import CohortState
 from repro.ftl import plancache
 from repro.units import KIB
+from repro.workloads import FileRewriteWorkload
 
 BASE_SEED = 7
+
+#: A sequential cohort with a clean leader (weakest cycle limit ~1275)
+#: and two weak followers (~782 and ~879).  Both followers retire a
+#: block inside the same leader window when the leader's windows are
+#: not crossing-aligned: its last window then runs from step 1407 to the
+#: end at 1875, and the crossings fall near steps 1495 and 1680.
+CROSSING_SPEC = CohortSpec(device="emmc-8gb", population=3, scale=512,
+                           pattern="seq", request_bytes=4 * KIB,
+                           until_level=5, endurance_sigma=0.45)
+CROSSING_BASE_SEED = 24
 
 
 def result_json(result) -> str:
@@ -134,3 +149,161 @@ class TestCohortResultRecord:
             cohort.member_result(2)
         with pytest.raises(IndexError):
             cohort.member_result(-1)
+
+
+def _record_windows(monkeypatch):
+    """Log every window of a cohort run's shimmed experiments: one list
+    per experiment, in run order (the leader first), of ``(start step,
+    the loop's bound, length passed down, steps executed, replayed,
+    bad blocks after)``."""
+    runs = {}
+    steps = {}
+    passed = []
+    shim_step = engine._CohortStepper.step
+    shim_batch = engine._CohortStepper.step_batch
+    inner_batch = FileRewriteWorkload.step_batch
+
+    def step(self):
+        steps[self] = steps.get(self, 0) + 1
+        return shim_step(self)
+
+    def step_batch(self, max_steps, budget):
+        hits = plancache.stats()["hits"]
+        out = shim_batch(self, max_steps, budget)
+        executed = len(out[0]) if out is not None else 0
+        start = steps.get(self, 0)
+        steps[self] = start + executed
+        bad = self._inner.fs.device.ftl.package.num_bad_blocks
+        runs.setdefault(self, []).append(
+            (start, max_steps, passed.pop(), executed, plancache.stats()["hits"] > hits, bad)
+        )
+        return out
+
+    def inner(self, n, budget=None):
+        passed.append(n)
+        return inner_batch(self, n, budget)
+
+    monkeypatch.setattr(engine._CohortStepper, "step", step)
+    monkeypatch.setattr(engine._CohortStepper, "step_batch", step_batch)
+    monkeypatch.setattr(FileRewriteWorkload, "step_batch", inner)
+    return runs
+
+
+class TestCrossingAlignedWindows:
+    """DESIGN.md §12, §15: an exact-wear leader ends its windows just
+    before a follower can cross, and each demoted member follows the
+    leader's window schedule up to its own first retirement — replaying
+    the leader's plans there and walking only the crossing window and
+    its tail fresh."""
+
+    @pytest.fixture
+    def cache_on(self):
+        prev_enabled = plancache.cache().enabled
+        plancache.configure(enabled=True)
+        plancache.clear()
+        yield
+        plancache.clear()
+        plancache.configure(enabled=prev_enabled)
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["cache-on", "cache-off"])
+    def test_demoted_members_equal_their_scalar_runs(self, enabled):
+        prev_enabled = plancache.cache().enabled
+        plancache.configure(enabled=enabled)
+        plancache.clear()
+        try:
+            seed = resolve_cohort_seed(CROSSING_SPEC, CROSSING_BASE_SEED)
+            cohort = run_cohort(CROSSING_SPEC, seed)
+            assert sorted(cohort.demoted) == [1, 2]
+            for index in range(CROSSING_SPEC.population):
+                scalar = scalar_member_result(CROSSING_SPEC, seed, index)
+                assert result_json(cohort.member_result(index)) == result_json(scalar), (
+                    f"member {index} diverged from its scalar run"
+                )
+        finally:
+            plancache.clear()
+            plancache.configure(enabled=prev_enabled)
+
+    @pytest.mark.usefixtures("cache_on")
+    def test_members_replay_the_leader_up_to_their_crossing(self, monkeypatch):
+        runs = _record_windows(monkeypatch)
+        seed = resolve_cohort_seed(CROSSING_SPEC, CROSSING_BASE_SEED)
+        cohort = run_cohort(CROSSING_SPEC, seed)
+        assert sorted(cohort.demoted) == [1, 2]
+        leader, *members = runs.values()
+        assert len(members) == 2
+        assert not leader[-1][5], "the leader retired a block"
+        schedule = {start: n for start, _, n, *_ in leader}
+        cold = plancache.COLD_WINDOW_STEPS
+        assert cold in schedule.values(), "no cold-size leader window"
+        for log in members:
+            k = next(i for i, window in enumerate(log) if window[5])
+            before, crossing, after = log[:k], log[k], log[k + 1:]
+            # Up to its crossing a member runs the leader's windows and
+            # replays every one of them.
+            assert before
+            assert all(n == schedule[start] and hit for start, _, n, _, hit, _ in before)
+            # The window holding its first retirement is the leader's
+            # too, walked fresh, and at most two cold windows long: no
+            # more than that is walked fresh before the crossing.
+            start, _, n, executed, hit, _ = crossing
+            assert n == schedule[start] and not hit
+            assert executed <= 2 * cold
+            # Past its first retirement the member's windows are its
+            # own: the loop's bound passes through, and they leave the
+            # leader's schedule.
+            assert after
+            assert all(n == bound for _, bound, n, *_ in after)
+            assert any(schedule.get(start) != n for start, _, n, *_ in after)
+
+    def test_random_cohort_windows_are_not_capped(self, monkeypatch):
+        """A random member's pattern RNG is in the probe, so it can
+        never replay the leader: a random cohort's leader passes its
+        loop's bound through and its members follow no schedule."""
+        runs = _record_windows(monkeypatch)
+        spec = replace(CROSSING_SPEC, pattern="rand", until_level=4)
+        cohort = run_cohort(spec, resolve_cohort_seed(spec, CROSSING_BASE_SEED))
+        assert cohort.demoted
+        # Advances as counted before crossing-aligned windows existed.
+        assert cohort.advances == 6
+        (leader,) = runs.values()
+        assert all(n == bound for _, bound, n, *_ in leader)
+
+
+class TestFollowerSlack:
+    """``CohortState.follower_slack``: erases of one block left before
+    the weakest lockstep follower reaches the exact-mode frontier."""
+
+    @staticmethod
+    def _state(**overrides):
+        limits = np.array([[2.0, 2.0], [5.0, 7.0], [6.0, 4.0]])
+        fields = dict(
+            seeds=[0, 1, 2],
+            limits=limits,
+            min_limit=limits.min(axis=1),
+            lockstep=np.ones(3, dtype=bool),
+            demote_reason=np.zeros(3, dtype=np.int8),
+            wl_threshold=0.0,
+            wl_interval=0.0,
+            exact_pe=True,
+        )
+        fields.update(overrides)
+        return CohortState(**fields)
+
+    def test_minimum_over_lockstep_followers(self):
+        state = self._state()
+        pe = np.array([1.0, 2.0])
+        # Row 0 is the leader and never counts (its slack here is 0).
+        assert state.follower_slack(pe) == 1.0  # member 2, block 1
+        state.lockstep[2] = False
+        assert state.follower_slack(pe) == 3.0  # member 1, block 0
+
+    def test_none_outside_exact_mode(self):
+        assert self._state(exact_pe=False).follower_slack(np.zeros(2)) is None
+
+    def test_none_after_the_canary(self):
+        assert self._state(canary_fired=True).follower_slack(np.zeros(2)) is None
+
+    def test_none_without_a_lockstep_follower(self):
+        state = self._state()
+        state.lockstep[1:] = False
+        assert state.follower_slack(np.zeros(2)) is None

@@ -186,6 +186,28 @@ class TestCachePolicy:
         assert _outcome(first) == _outcome(second)
 
     @pytest.mark.usefixtures("shared_plans")
+    def test_many_windows_of_one_length_all_replay(self):
+        """Eviction is by bytes and by entry, never by a count per
+        static key: a trajectory with more than 32 windows of one length
+        keeps its early windows, and an identical rerun replays every
+        window."""
+        first = _experiment(pattern="seq")
+        first.max_batch_steps = plancache.COLD_WINDOW_STEPS
+        first.run(until_level=3)
+        buckets = plancache.cache()._entries.values()
+        assert max(len(bucket) for bucket in buckets) > 32
+
+        plancache.cache().reset_stats()
+        second = _experiment(pattern="seq")
+        second.max_batch_steps = plancache.COLD_WINDOW_STEPS
+        second.run(until_level=3)
+        stats = plancache.stats()
+        assert stats["misses"] == 0
+        assert stats["hits"] > 32
+        assert stats["evictions"] == 0
+        assert _outcome(first) == _outcome(second)
+
+    @pytest.mark.usefixtures("shared_plans")
     def test_disabled_context_manager(self):
         with plancache.disabled():
             exp = _experiment()
