@@ -141,20 +141,26 @@ class BlockDevice:
         fusable = type(self.ftl) in (PageMappedFTL, HybridFTL)
         return fusable and not self.read_only and self.timing is None
 
-    def write_burst(self, groups, budget):
+    def write_burst(self, data, request_bytes, meta, budget):
         """Fused write path covering many workload steps (DESIGN.md §11).
 
         Args:
-            groups: One entry per workload step; each entry is a list of
-                ``(offsets, request_bytes)`` pairs, each equivalent to one
-                :meth:`write_many` call, in call order.
+            data: ``(steps, requests)`` int64 matrix of device byte
+                offsets; row ``i`` is one ``write_many(data[i],
+                request_bytes)`` call, step ``i``'s data.  It is handed
+                over: the device turns it into mapping units in place.
+            meta: The filesystem metadata calls, or None for none:
+                ``(offsets, counts, request_bytes)``, where step ``i``'s
+                data call is followed by a ``write_many`` call of
+                ``counts[i]`` requests (none when 0), taken in order
+                from the flat ``offsets``.
             budget: The experiment's poll budget — ``(counters, threshold)``
                 pairs — or None for an unbounded burst.
 
         Returns:
             ``(m, seg_durations)`` where ``m`` is the number of whole steps
-            executed (``m <= len(groups)``; the burst stops at the step
-            whose erases exhaust the budget) and ``seg_durations`` lists the
+            executed (``m <= steps``; the burst stops at the step whose
+            erases exhaust the budget) and ``seg_durations`` lists the
             simulated duration of every executed call, in call order.
             Returns None when the fused path cannot run — the caller must
             fall back to per-step :meth:`write_many` calls, which reproduce
@@ -167,88 +173,22 @@ class BlockDevice:
         # the fallback is the exact scalar path).
         if not self.burst_eligible():
             return None
-        ftl = self.ftl
-        if type(ftl) is HybridFTL:
-            return self._hybrid_burst(groups, budget)
+        steps, count = data.shape
+        if not steps or not count or request_bytes <= 0:
+            return None
+        if type(self.ftl) is HybridFTL:
+            return self._hybrid_burst(data, request_bytes, meta, budget)
         stops = self.erase_stops(budget)
         if stops is None:
             return None
-        unit_bytes = ftl.unit_bytes
-        unit_pages = ftl.unit_pages
-        page = self.page_size
-        limit = ftl.num_logical_units * unit_bytes
-        calls = []
-        buckets = {}
-        for group, group_calls in enumerate(groups):
-            for offsets, request_bytes in group_calls:
-                offsets = np.asarray(offsets, dtype=np.int64)
-                if offsets.size == 0 or request_bytes <= 0:
-                    return None
-                index = len(calls)
-                calls.append((group, offsets, request_bytes))
-                buckets.setdefault((int(offsets.size), request_bytes), []).append(index)
-        if not calls:
+        compiled = _compile_window((self.ftl,), None, data, request_bytes, meta)
+        if compiled is None:
             return None
-        # unit/page sizes are powers of two in every catalog device;
-        # shifts beat int64 division on the big offset matrices.
-        pow2 = unit_bytes & (unit_bytes - 1) == 0 and page & (page - 1) == 0
-        unit_shift = unit_bytes.bit_length() - 1
-        segments = [None] * len(calls)
-        for (count, request_bytes), indices in buckets.items():
-            if len(indices) > 1 and pow2 and request_bytes <= page:
-                stacked = np.stack([calls[i][1] for i in indices])
-                fits = int(stacked.min()) >= 0 and int(stacked.max()) + request_bytes <= limit
-                if fits and count > 1:
-                    # A row that write-combines is one wider request.
-                    # Cheap O(rows) screen — its first gap and its last
-                    # offset must both fit the sequential run — so rows
-                    # that wrap around their file never pay the full
-                    # write-combining check.
-                    first = stacked[:, 0]
-                    maybe = (stacked[:, 1] - first) == request_bytes
-                    maybe &= stacked[:, -1] == first + (count - 1) * request_bytes
-                    if maybe.any():
-                        sub = stacked[maybe]
-                        fits = not ((sub[:, 1:] - sub[:, :-1]) == request_bytes).all(axis=1).any()
-                # Checked last, so sequential windows, which combine,
-                # never pay for this pass over the whole matrix.
-                if fits and int((stacked & (page - 1)).max()) + request_bytes <= page:
-                    # Stacked page-fit shape — every request fits inside
-                    # one page (hence one mapping unit: unit boundaries
-                    # are page boundaries).  No span math needed; host
-                    # pages is one per request.
-                    first_unit = stacked >> unit_shift
-                    rmw_pages = count * unit_pages - count
-                    for row, i in enumerate(indices):
-                        segments[i] = BurstSegment(
-                            unit_lpns=first_unit[row],
-                            host_pages=count,
-                            rmw_pages=rmw_pages,
-                            group=calls[i][0],
-                            total_bytes=count * request_bytes,
-                            request_bytes=request_bytes,
-                        )
-                    continue
-            for i in indices:
-                # Per-call segment: exact write_many math for one call.
-                group, offsets, request_bytes = calls[i]
-                segment = _burst_segment(
-                    ftl, group, *_write_combine(offsets, request_bytes),
-                    int(offsets.size) * request_bytes, request_bytes, page,
-                )
-                if segment is None:
-                    return None
-                segments[i] = segment
-        plan = ftl.write_requests_batch(segments, len(groups), stops[0])
+        (segments,), calls = compiled
+        plan = self.ftl.write_requests_batch(segments, steps, stops[0])
         if plan is None:
             return None
-        copies = plan.seg_copies or ()
-        return self._burst_durations(
-            ((s.group, s.total_bytes, s.request_bytes,
-              int(s.unit_lpns.size) * unit_pages + (copies[i] if i < len(copies) else 0))
-             for i, s in enumerate(segments)),
-            plan.executed_groups,
-        )
+        return self._burst_durations(calls, (plan.seg_copies,), plan.executed_groups)
 
     def erase_stops(self, budget):
         """Fold a poll ``budget`` into one erase stop per flash pool.
@@ -274,22 +214,23 @@ class BlockDevice:
                 stops[i] = remaining
         return stops
 
-    def _hybrid_burst(self, groups, budget):
+    def _hybrid_burst(self, data, request_bytes, meta, budget):
         """:meth:`write_burst` on :class:`HybridFTL` pools (DESIGN.md §16).
 
-        Each call is write-combined as :meth:`write_many` does and routed
-        by :meth:`HybridFTL.route`; in merged mode its pool-B requests
-        also stage through pool A's ring (:meth:`HybridFTL.staging_units`,
-        a migration segment after the call's pool-A segment).  Each
-        pool's share is planned under that pool's own erase stop, the
-        pool with more executed groups is re-walked at the other's count,
-        and both commit.  A request straddling the hot window, or an
-        unmerged window whose new pool-B mappings could merge the pools,
-        stays on the scalar path.
+        The window's calls are write-combined as :meth:`write_many`
+        does and split by the hot window as :meth:`HybridFTL.route`
+        splits one call, all rows at once (:func:`_compile_window`); in
+        merged mode each call's pool-B requests also stage through pool
+        A's ring (:meth:`HybridFTL.staging_units`, a migration segment
+        after the call's pool-A segment).  Each pool's share is planned
+        under that pool's own erase stop, the pool with more executed
+        groups is re-walked at the other's count, and both commit.  A
+        request straddling the hot window, or an unmerged window whose
+        new pool-B mappings could merge the pools, stays on the scalar
+        path.
         """
         ftl = self.ftl
-        page = self.page_size
-        if ftl.hot_window_bytes % page:
+        if ftl.hot_window_bytes % self.page_size:
             return None  # host pages would not split exactly by pool
         pools = (ftl.pool_a, ftl.pool_b)
         stops = self.erase_stops(budget)
@@ -298,44 +239,11 @@ class BlockDevice:
         # Utilization only grows inside a window, so a window that
         # starts merged stays merged for every call.
         merged = ftl.merged_mode
-        cursor = ftl._staging_cursor
-        ring_pages = pools[0].unit_pages
-        segments = ([], [])
-        calls = []
-        for group, group_calls in enumerate(groups):
-            for offsets, request_bytes in group_calls:
-                offsets = np.asarray(offsets, dtype=np.int64)
-                if offsets.size == 0 or request_bytes <= 0:
-                    return None
-                total_bytes = int(offsets.size) * request_bytes
-                eff_offsets, eff_bytes = _write_combine(offsets, request_bytes)
-                plain, straddling, cold = ftl.route(eff_offsets, eff_bytes)
-                if straddling.size:
-                    return None
-                programs = 0
-                owned = []  # (pool, segment index) of each segment of the call
-                for i, pool_offsets in ((0, plain), (1, cold)):
-                    if not pool_offsets.size:
-                        continue
-                    if i == 1 and merged:
-                        ring, cursor = ftl.staging_units(cold.size, eff_bytes, cursor)
-                        owned.append((0, len(segments[0])))
-                        segments[0].append(BurstSegment(
-                            unit_lpns=ring, host_pages=0, rmw_pages=0, group=group,
-                            total_bytes=total_bytes, request_bytes=request_bytes,
-                            migration=True,
-                        ))
-                        programs += int(ring.size) * ring_pages
-                    seg = _burst_segment(
-                        pools[i], group, pool_offsets, eff_bytes, total_bytes,
-                        request_bytes, page,
-                    )
-                    if seg is None:
-                        return None
-                    owned.append((i, len(segments[i])))
-                    segments[i].append(seg)
-                    programs += seg.host_pages + seg.rmw_pages
-                calls.append((group, total_bytes, request_bytes, programs, owned, cursor))
+        compiled = _compile_window(pools, ftl if merged else None, data, request_bytes, meta,
+                                   window=ftl.hot_window_bytes)
+        if compiled is None:
+            return None
+        segments, calls = compiled
         if not merged and segments[1] and ftl.could_merge(
             np.concatenate([s.unit_lpns for s in segments[1]])
         ):
@@ -345,7 +253,7 @@ class BlockDevice:
         # short, re-walk the other at the smaller count.  The walk is
         # deterministic group by group, so a re-walk at fewer groups
         # replays a prefix and never bails.
-        m = len(groups)
+        m = len(data)
         plans = [None, None]
         todo = [0, 1]
         while todo:
@@ -364,41 +272,40 @@ class BlockDevice:
                 # The page-aligned window splits each call's host pages
                 # exactly between the pools' executed segments.
                 ftl.host_pages_requested += plan.host_pages
-        # Each call's media pages: its programs plus the GC and WL
-        # copies its segments' reclaims made.
+        if merged:
+            for call in reversed(calls):
+                if call[0] < m:
+                    ftl._staging_cursor = call[5]
+                    break
         copies = [plan.seg_copies if plan is not None else None for plan in plans]
-        timed = []
-        for group, total_bytes, request_bytes, programs, owned, cursor_after in calls:
-            if group >= m:
-                break
-            for i, j in owned:
-                if copies[i] is not None:
-                    programs += copies[i][j]
-            timed.append((group, total_bytes, request_bytes, programs))
-            if merged:
-                ftl._staging_cursor = cursor_after
-        return self._burst_durations(timed, m)
+        return self._burst_durations(calls, copies, m)
 
-    def _burst_durations(self, calls, m):
+    def _burst_durations(self, calls, copies, m):
         """Account the executed prefix of a committed burst.
 
-        ``calls`` yields ``(group, total_bytes, request_bytes,
-        media_pages)`` per write call in call order; each call in the
-        first ``m`` groups gets :meth:`write_many`'s duration, and the
-        device counters advance exactly as per-call writes would.
-        Returns :meth:`write_burst`'s ``(m, seg_durations)``.
+        ``calls`` lists :func:`_compile_window`'s ``(group, total_bytes,
+        request_bytes, programs, owned, cursor)`` per write call in
+        call order, and ``copies`` each pool's plan ``seg_copies`` (or
+        None); a call's media pages are its programs plus the GC and WL
+        copies its segments' reclaims made.  Each call in the first
+        ``m`` groups gets :meth:`write_many`'s duration, and the device
+        counters advance exactly as per-call writes would.  Returns
+        :meth:`write_burst`'s ``(m, seg_durations)``.
         """
         page = self.page_size
         write_duration = self.perf.write_duration
         seg_durations = []
         host_bytes = 0
         busy = self.busy_seconds
-        for group, total_bytes, request_bytes, media_pages in calls:
+        for group, total_bytes, request_bytes, programs, owned, _ in calls:
             if group >= m:
                 break
+            for pool, j in owned:
+                if copies[pool] is not None:
+                    programs += copies[pool][j]
             host_pages = max(1, -(-total_bytes // page))
             duration = write_duration(
-                total_bytes, request_bytes, media_ratio=media_pages / host_pages
+                total_bytes, request_bytes, media_ratio=programs / host_pages
             )
             host_bytes += total_bytes
             busy += duration
@@ -514,23 +421,247 @@ def _write_combine(offsets: np.ndarray, request_bytes: int):
     return offsets, request_bytes
 
 
-def _burst_segment(ftl, group, offsets, request_bytes, total_bytes, call_bytes, page):
-    """The :class:`BurstSegment` of one ``ftl.write_requests(offsets,
-    request_bytes)`` call on a page-mapped FTL — its exact scalar unit
-    stream and page accounting — or None when a request is out of range.
-    ``total_bytes``/``call_bytes`` describe the device call it belongs
-    to."""
-    unit_bytes = ftl.unit_bytes
-    if int(offsets.min()) < 0 or int(offsets.max()) + request_bytes > ftl.num_logical_units * unit_bytes:
-        return None
-    last = offsets + (request_bytes - 1)
-    unit_lpns = _ragged_ranges(offsets // unit_bytes, last // unit_bytes)
-    host_pages = int((last // page - offsets // page + 1).sum())
-    return BurstSegment(
-        unit_lpns=unit_lpns,
-        host_pages=host_pages,
-        rmw_pages=int(unit_lpns.size) * ftl.unit_pages - host_pages,
-        group=group,
-        total_bytes=total_bytes,
-        request_bytes=call_bytes,
+def _combining(flat: np.ndarray, counts: np.ndarray, request_bytes: int) -> np.ndarray:
+    """Which of the calls laid out in ``flat`` (``counts`` requests
+    each, call after call) :func:`_write_combine` merges.
+
+    A call can combine only if its first gap is one request and its
+    last offset is ``first + (count - 1) * request_bytes``: an O(calls)
+    screen, so calls that wrap around their file never pay the full gap
+    check."""
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    combines = counts > 1
+    calls = np.flatnonzero(combines)
+    first = flat[starts[calls]]
+    combines[calls] = (flat[starts[calls] + 1] - first == request_bytes) & (
+        flat[ends[calls] - 1] == first + (counts[calls] - 1) * request_bytes
     )
+    calls = np.flatnonzero(combines)
+    if calls.size:
+        sub = flat if calls.size == counts.size else flat[np.repeat(combines, counts)]
+        sub_counts = counts[calls]
+        sub_ends = np.cumsum(sub_counts)
+        gaps = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(np.diff(sub) == request_bytes)])
+        combines[calls] = gaps[sub_ends - 1] - gaps[sub_ends - sub_counts] == sub_counts - 1
+    return combines
+
+
+def _call_sets(ids, flat, counts, request_bytes):
+    """Calls of one request size as call sets ``(ids, offsets, size,
+    counts)`` that segment together, write-combined as
+    :meth:`BlockDevice.write_many` does: a combining call becomes one
+    request spanning it (``size`` then holds one value per request)."""
+    combines = _combining(flat, counts, request_bytes)
+    if not combines.any():
+        return [(ids, flat, request_bytes, counts)]
+    calls = np.flatnonzero(combines)
+    starts = np.cumsum(counts) - counts
+    sets = [(ids[calls], flat[starts[calls]], counts[calls] * request_bytes,
+             np.ones(calls.size, dtype=np.int64))]
+    plain = ~combines
+    if plain.any():
+        sets.append((ids[plain], flat[np.repeat(plain, counts)], request_bytes, counts[plain]))
+    return sets
+
+
+def _window_calls(data, request_bytes, meta):
+    """A window's write calls as call sets (:func:`_call_sets`) with
+    call ids ``2 * step`` for data rows and ``2 * step + 1`` for
+    metadata calls, so id order is call order.  Also returns each
+    call's ``total_bytes`` and ``request_bytes`` by id; None for a
+    metadata size the device cannot take."""
+    steps, count = data.shape
+    total_bytes = [count * request_bytes] * (2 * steps)
+    call_bytes = [request_bytes] * (2 * steps)
+    sets = _call_sets(2 * np.arange(steps), data.reshape(-1),
+                      np.full(steps, count, dtype=np.int64), request_bytes)
+    if meta is not None:
+        offsets, counts, size = meta
+        counts = np.asarray(counts, dtype=np.int64)
+        calls = np.flatnonzero(counts)
+        if calls.size:
+            if size <= 0:
+                return None
+            counts = counts[calls]
+            ids = 2 * calls + 1
+            for call, n in zip(ids.tolist(), counts.tolist()):
+                total_bytes[call] = n * size
+                call_bytes[call] = size
+            sets += _call_sets(ids, np.asarray(offsets, dtype=np.int64), counts, size)
+    return sets, total_bytes, call_bytes
+
+
+def _call_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per-call sums of ``values``, laid out call after call with
+    ``counts`` entries each."""
+    ends = np.cumsum(counts)
+    totals = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(values, dtype=np.int64)])
+    return totals[ends] - totals[ends - counts]
+
+
+def _pool_units(pool, offsets, size, counts, page):
+    """Many ``pool.write_requests`` calls' unit streams in one pass.
+
+    ``offsets`` holds every call's request offsets (pool-relative, call
+    after call, ``counts`` per call; consumed — page-fit requests are
+    shifted to units in place), ``size`` the request bytes, one value
+    or one per request.  Returns ``(units, unit_counts, host_pages)`` —
+    each call's unit stream as its own array, and per call its unit
+    count and host pages, with the scalar ``write_requests`` arithmetic
+    — or None when a request is out of range.
+    """
+    unit_bytes = pool.unit_bytes
+    scalar = np.ndim(size) == 0
+    high = int(offsets.max()) + size if scalar else int((offsets + size).max())
+    if int(offsets.min()) < 0 or high > pool.num_logical_units * unit_bytes:
+        return None
+    # unit/page sizes are powers of two in every catalog device; shifts
+    # beat int64 division on the big offset matrices.
+    pow2 = unit_bytes & (unit_bytes - 1) == 0 and page & (page - 1) == 0
+    if pow2 and scalar and size <= page and _fit_in_pages(offsets, size, page):
+        # Every request fits inside one page, hence one mapping unit
+        # (unit boundaries are page boundaries): one unit and one host
+        # page per request.
+        units = np.right_shift(offsets, unit_bytes.bit_length() - 1, out=offsets)
+        unit_counts = host_pages = counts
+    else:
+        last = offsets + (size - 1)
+        first_unit = offsets // unit_bytes
+        last_unit = last // unit_bytes
+        units = _ragged_ranges(first_unit, last_unit)
+        unit_counts = _call_sums(last_unit - first_unit + 1, counts)
+        host_pages = _call_sums(last // page - offsets // page + 1, counts)
+    if int(unit_counts.min()) == int(unit_counts.max()):
+        units = units.reshape(unit_counts.size, -1)
+    else:
+        units = np.split(units, np.cumsum(unit_counts)[:-1])
+    return units, unit_counts.tolist(), host_pages.tolist()
+
+
+def _fit_in_pages(offsets, size, page):
+    """Whether every request of ``size`` bytes at ``offsets`` lies
+    inside one page.  The OR of all offsets bounds each one's in-page
+    offset from above, so aligned windows decide in one reduction
+    without a temporary."""
+    mask = page - 1
+    if (int(np.bitwise_or.reduce(offsets)) & mask) + size <= page:
+        return True
+    return int((offsets & mask).max()) + size <= page
+
+
+def _split_by_window(offsets, size, counts, window):
+    """Route a call set by the hybrid's hot window, as
+    :meth:`HybridFTL.route` routes one call: ``(pool A share, pool B
+    share)``, each ``(offsets, size, counts)`` (pool B rebased past the
+    window) or None when empty — or None when a request straddles the
+    window."""
+    hot = offsets < window
+    n_hot = int(np.count_nonzero(hot))
+    if not n_hot:
+        offsets -= window
+        return None, (offsets, size, counts)
+    hot_size = size if np.ndim(size) == 0 else size[hot]
+    if int((offsets[hot] + hot_size).max()) > window:
+        return None
+    if n_hot == offsets.size:
+        return (offsets, size, counts), None
+    cold = ~hot
+    hot_counts = _call_sums(hot, counts)
+    return (
+        (offsets[hot], hot_size, hot_counts),
+        (offsets[cold] - window, size if np.ndim(size) == 0 else size[cold], counts - hot_counts),
+    )
+
+
+def _compile_window(pools, staging, data, request_bytes, meta, window=None):
+    """Segment a window's write calls for the fused FTL walk in one
+    pass per call set and pool (DESIGN.md §11, §16).
+
+    ``pools`` is the page-mapped FTL alone, or a hybrid's two pools,
+    split by ``window`` (the hot window's size); ``staging`` is the
+    hybrid in merged mode, whose pool-B requests also stage through
+    pool A's ring, else None.  Returns ``(segments, calls)``: per pool
+    its :class:`BurstSegment` list in call order, each exactly the
+    scalar ``write_requests`` call it stands for, and per write call
+    ``(group, total_bytes, request_bytes, programs, owned, cursor)``
+    — its program pages, the ``(pool, segment index)`` of its
+    segments, and the staging cursor after it.  None when the metadata
+    request size is not positive, a request is out of range, or one
+    straddles the window.
+    """
+    window_calls = _window_calls(data, request_bytes, meta)
+    if window_calls is None:
+        return None
+    sets, total_bytes, call_bytes = window_calls
+    num_calls = len(total_bytes)
+    page = pools[0].geometry.page_size
+    shares = [[None] * num_calls for _ in pools]  # (units, unit count, host pages)
+    ring = [0] * num_calls  # staging-ring units of each call
+    for ids, offsets, size, counts in sets:
+        if window is None:
+            split = ((offsets, size, counts),)
+        else:
+            split = _split_by_window(offsets, size, counts, window)
+            if split is None:
+                return None
+        for i, share in enumerate(split):
+            if share is None:
+                continue
+            share_offsets, share_size, share_counts = share
+            if staging is not None and i == 1:
+                per_request = np.maximum(1, -(-np.asarray(share_size) // pools[0].unit_bytes))
+                if per_request.ndim:
+                    units = _call_sums(per_request, share_counts)
+                else:
+                    units = share_counts * per_request
+                for call, n_units in zip(ids.tolist(), units.tolist()):
+                    ring[call] = n_units
+            out = _pool_units(pools[i], share_offsets, share_size, share_counts, page)
+            if out is None:
+                return None
+            pool_shares = shares[i]
+            for call, units, n_units, host in zip(ids.tolist(), *out):
+                if n_units:
+                    pool_shares[call] = (units, n_units, host)
+    cursor = staging._staging_cursor if staging is not None else None
+    total = sum(ring)
+    if total:
+        # The ring is a FIFO: the window's staging writes, call after
+        # call, are one run of ring slots from the current cursor, and
+        # the cursor after a call is the slot the next write takes.
+        ring_units, end = staging.staging_units(total, pools[0].unit_bytes, cursor)
+        base = int(ring_units[0]) - cursor
+        taken = 0
+    unit_pages = [pool.unit_pages for pool in pools]
+    segments = tuple([] for _ in pools)
+    calls = []
+    for call in range(num_calls):
+        group = call >> 1
+        programs = 0
+        owned = []
+        for i, pool_segments in enumerate(segments):
+            share = shares[i][call]
+            if share is not None:
+                units, n_units, host = share
+                owned.append((i, len(pool_segments)))
+                pool_segments.append(BurstSegment(
+                    unit_lpns=units, host_pages=host, rmw_pages=n_units * unit_pages[i] - host,
+                    group=group, total_bytes=total_bytes[call], request_bytes=call_bytes[call],
+                ))
+                programs += n_units * unit_pages[i]
+            if i == 0 and ring[call]:
+                n_units = ring[call]
+                lpns = ring_units[taken : taken + n_units]
+                taken += n_units
+                cursor = end if taken == total else int(ring_units[taken]) - base
+                owned.append((0, len(pool_segments)))
+                pool_segments.append(BurstSegment(
+                    unit_lpns=lpns, host_pages=0, rmw_pages=0, group=group,
+                    total_bytes=total_bytes[call], request_bytes=call_bytes[call],
+                    migration=True,
+                ))
+                programs += n_units * unit_pages[0]
+        if owned:
+            calls.append((group, total_bytes[call], call_bytes[call], programs, owned, cursor))
+    return segments, calls

@@ -78,26 +78,27 @@ class Ext4Model(FileSystem):
         return self.device.write_many(slots * self.page_size, self.page_size)
 
     def _burst_metadata_plan(self, data_pages_per_step):
+        # The journal cursor runs on from step to step, so the window's
+        # commits fill one run of journal slots.
         journal_pages = self.journal_bytes // self.page_size
         pages_since_commit = self._pages_since_commit
         cursor = self._journal_cursor
         bytes_written = 0
-        meta_calls = []
+        counts = []
         states = []
         for data_pages in data_pages_per_step:
             pages_since_commit += data_pages
             commits = pages_since_commit // self.commit_interval_pages
+            count = 0
             if commits:
                 pages_since_commit %= self.commit_interval_pages
                 count = commits * self.commit_pages
-                slots = (cursor + np.arange(count, dtype=np.int64)) % journal_pages
                 cursor = int((cursor + count) % journal_pages)
                 bytes_written += count * self.page_size
-                meta_calls.append((slots * self.page_size, self.page_size))
-            else:
-                meta_calls.append(None)
+            counts.append(count)
             states.append((pages_since_commit, cursor, bytes_written))
-        return meta_calls, states
+        slots = (self._journal_cursor + np.arange(sum(counts), dtype=np.int64)) % journal_pages
+        return slots * self.page_size, counts, states
 
     def _burst_commit(self, states, steps_executed: int) -> None:
         if steps_executed == 0:

@@ -82,25 +82,25 @@ class F2fsModel(FileSystem):
         return duration / self.checkpoint_slowdown
 
     def _burst_metadata_plan(self, data_pages_per_step):
+        # The node cursor runs on from step to step, so the window's
+        # node pages fill one run of node-area slots.
         area_pages = self.node_area_bytes // self.page_size
         debt = self._node_debt
         cursor = self._node_cursor
         bytes_written = 0
-        meta_calls = []
+        counts = []
         states = []
         for data_pages in data_pages_per_step:
             debt += data_pages * self.node_pages_per_data_page
             node_pages = int(debt)
             if node_pages:
                 debt -= node_pages
-                slots = (cursor + np.arange(node_pages, dtype=np.int64)) % area_pages
                 cursor = int((cursor + node_pages) % area_pages)
                 bytes_written += node_pages * self.page_size
-                meta_calls.append((slots * self.page_size, self.page_size))
-            else:
-                meta_calls.append(None)
+            counts.append(node_pages)
             states.append((debt, cursor, bytes_written))
-        return meta_calls, states
+        slots = (self._node_cursor + np.arange(sum(counts), dtype=np.int64)) % area_pages
+        return slots * self.page_size, counts, states
 
     def _burst_commit(self, states, steps_executed: int) -> None:
         if steps_executed == 0:

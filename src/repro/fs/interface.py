@@ -187,12 +187,16 @@ class FileSystem:
         pages = np.asarray(file_page_indices, dtype=np.int64)
         return self.write_requests(file, pages * self.page_size, self.page_size, sync=sync)
 
-    def write_requests_burst(self, plans, request_bytes, budget):
+    def write_requests_burst(self, files, offsets, request_bytes, budget):
         """Fused synchronous write path over many workload steps.
 
         Args:
-            plans: One ``(file, file_offsets)`` pair per step, each
-                equivalent to one ``write_requests(..., sync=True)`` call.
+            files: The file each step writes, one per row of ``offsets``.
+            offsets: ``(steps, requests)`` int64 matrix of file offsets;
+                row ``i`` is one ``write_requests(files[i], offsets[i],
+                request_bytes, sync=True)`` call.  It is handed over:
+                the filesystem turns it into device offsets in place
+                and the device into mapping units.
             budget: Poll budget forwarded to the device burst path.
 
         Returns:
@@ -202,36 +206,27 @@ class FileSystem:
             :meth:`write_requests` (which raises the proper errors for
             any invalid request this path refused).
         """
-        if request_bytes <= 0 or not plans:
+        steps, count = offsets.shape
+        if request_bytes <= 0 or not steps or not count:
+            return None
+        sizes = np.array([file.size for file in files], dtype=np.int64)
+        if (offsets.min(axis=1) < 0).any() or (
+            offsets.max(axis=1) > sizes - request_bytes
+        ).any():
             return None
         pages_per_request = -(-request_bytes // self.page_size)
-        rows = []
-        for file, file_offsets in plans:
-            offsets = np.asarray(file_offsets, dtype=np.int64)
-            if offsets.size == 0:
-                return None
-            if offsets.min() < 0 or int(offsets.max()) + request_bytes > file.size:
-                return None
-            rows.append((file, offsets))
-        meta = self._burst_metadata_plan(
-            [int(offsets.size) * pages_per_request for _, offsets in rows]
-        )
+        meta = self._burst_metadata_plan([count * pages_per_request] * steps)
         if meta is None:
             return None
-        meta_calls, states = meta
-        groups = []
-        for (file, offsets), meta_call in zip(rows, meta_calls):
-            calls = [(file.extent_start + offsets, request_bytes)]
-            if meta_call is not None:
-                calls.append(meta_call)
-            groups.append(calls)
-        out = self.device.write_burst(groups, budget)
+        meta_offsets, meta_counts, states = meta
+        offsets += np.array([file.extent_start for file in files], dtype=np.int64)[:, None]
+        out = self.device.write_burst(
+            offsets, request_bytes, (meta_offsets, meta_counts, self.page_size), budget
+        )
         if out is None:
             return None
         m, seg_durations = out
-        app_delta = 0
-        for _, offsets in rows[:m]:
-            app_delta += int(offsets.size) * request_bytes
+        app_delta = m * count * request_bytes
         self.app_bytes_written += app_delta
         self._burst_commit(states, m)
         cap = plancache.active_capture()
@@ -244,7 +239,7 @@ class FileSystem:
         durations = []
         cursor = 0
         for step in range(m):
-            width = len(groups[step])
+            width = 2 if meta_counts[step] else 1
             durations.append(
                 self._burst_compose_duration(seg_durations[cursor : cursor + width])
             )
@@ -295,11 +290,12 @@ class FileSystem:
     def _burst_metadata_plan(self, data_pages_per_step):
         """Precompute metadata writes for a burst of sync steps.
 
-        Given the data pages flushed by each step, return
-        ``(meta_calls, states)`` where ``meta_calls[i]`` is the step's
-        metadata ``(offsets, request_bytes)`` device call (or None when
-        the step commits no metadata) and ``states[i]`` is the opaque
-        cursor state reached after step ``i`` — consumed by
+        Given the data pages flushed by each step, return ``(offsets,
+        counts, states)``: the page-sized metadata writes of the whole
+        window as one array of device offsets, step after step;
+        ``counts[i]``, the writes of step ``i``'s metadata device call
+        (0 when the step commits no metadata); and ``states[i]``, the
+        opaque cursor state reached after step ``i`` — consumed by
         :meth:`_burst_commit` for the executed prefix.  The default
         returns None: filesystems without a burst plan fall back to the
         scalar path.

@@ -319,9 +319,17 @@ class PageMappedFTL:
         """Anneal the package (§2.2) and put the blocks it resurrects
         back on the free list, in id order; returns their ids.  A
         retired block was erased on its way out (its units unmapped),
-        so it rejoins empty."""
+        so it rejoins empty.  An FTL that went read-only at end of life
+        is writable again once the anneal leaves it the good blocks the
+        end-of-life check demands and a free block to write into."""
         healed = self.package.anneal(temp_c, duration_seconds)
         self._free_blocks.extend(healed.tolist())
+        if (
+            self.read_only
+            and self._free_blocks
+            and self._num_blocks - self.package.num_bad_blocks >= self._eol_min_usable
+        ):
+            self.read_only = False
         return healed
 
     # ------------------------------------------------------------------

@@ -155,8 +155,9 @@ class HybridFTL:
         Returns ``(plain, straddling, cold)``: pool-A offsets of requests
         inside the hot window, offsets of requests straddling its
         boundary, and pool-B offsets (rebased past the window) of the
-        rest.  The scalar write path and the device's fused burst path
-        (DESIGN.md §16) both route through here.
+        rest.  The device's fused burst path (DESIGN.md §16) applies the
+        same split to a whole window's calls at once and refuses any
+        window with a straddler.
         """
         window = self.hot_window_bytes
         in_window = offsets < window

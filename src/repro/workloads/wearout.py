@@ -115,6 +115,9 @@ class FileRewriteWorkload:
             else:
                 self._generators.append(SequentialPattern(usable, request_bytes))
         self._next_file = 0
+        # Random rows of every file come from the one shared Generator:
+        # with one bound, a window is a single draw in step order.
+        self._one_draw = pattern == "rand" and len({g._slots for g in self._generators}) == 1
 
     @property
     def description(self) -> str:
@@ -146,10 +149,12 @@ class FileRewriteWorkload:
         returns ``(durations, byte_counts, bricked)`` for the executed
         prefix, or None — with all generator state rewound — when the
         fused path cannot run and the caller must replay via
-        :meth:`step`.  A burst truncated at ``m < n`` steps rewinds the
-        pattern generators and replays exactly ``m`` draws, so their
-        state (and any snapshot taken afterwards) is bit-identical to a
-        scalar run of ``m`` steps.
+        :meth:`step`.  The window is drawn as one steps × requests
+        offset matrix (:meth:`_draw_window`), which the filesystem and
+        device transform in place.  A burst truncated at ``m < n`` steps
+        rewinds the pattern generators and redraws exactly ``m`` rows,
+        so their state (and any snapshot taken afterwards) is
+        bit-identical to a scalar run of ``m`` steps.
 
         Whole windows are memoized by the megaburst plan cache
         (DESIGN.md §14): an exact-probe hit advances every layer through
@@ -173,12 +178,9 @@ class FileRewriteWorkload:
         num_files = len(self.files)
         start_file = self._next_file
         saved = self._pattern_state()
-        plans = []
-        for i in range(n):
-            index = (start_file + i) % num_files
-            offsets = self._generators[index].next_batch(self.batch_requests)
-            plans.append((self.files[index], offsets))
-        out = fs_burst(plans, self.request_bytes, budget)
+        offsets = self._draw_window(start_file, n)
+        files = [self.files[(start_file + i) % num_files] for i in range(n)]
+        out = fs_burst(files, offsets, self.request_bytes, budget)
         if out is None:
             self._set_pattern_state(saved)
             plancache.abort_capture()
@@ -186,14 +188,38 @@ class FileRewriteWorkload:
         m, durations = out
         if m < n:
             self._set_pattern_state(saved)
-            for i in range(m):
-                index = (start_file + i) % num_files
-                self._generators[index].next_batch(self.batch_requests)
+            self._draw_window(start_file, m)
         self._next_file = (start_file + m) % num_files
         app_bytes = self.batch_requests * self.request_bytes
         if cap is not None:
             plancache.finish_capture(cap, durations, self)
         return durations, [app_bytes] * m, False
+
+    def _draw_window(self, start_file: int, n: int) -> np.ndarray:
+        """The next ``n`` steps' offsets as one ``(n, batch_requests)``
+        matrix: row ``i`` is the :meth:`step` draw on file
+        ``(start_file + i) % len(files)``, and every generator ends
+        where those ``n`` draws leave it.
+
+        Random patterns share this workload's Generator, so their rows
+        are drawn in step order: one ``next_window`` call when every
+        file has the same bound, else one ``next_batch`` per row.  The
+        deterministic patterns each draw their own rows in one call.
+        """
+        count = self.batch_requests
+        generators = self._generators
+        num_files = len(generators)
+        if num_files == 1 or self._one_draw:
+            return generators[start_file].next_window(n, count)
+        out = np.empty((n, count), dtype=np.int64)
+        if self.pattern == "rand":
+            for i in range(n):
+                out[i] = generators[(start_file + i) % num_files].next_batch(count)
+            return out
+        for j in range(min(n, num_files)):
+            rows = len(range(j, n, num_files))
+            out[j::num_files] = generators[(start_file + j) % num_files].next_window(rows, count)
+        return out
 
     def _pattern_state(self):
         """Positional snapshot of every generator's phase: one

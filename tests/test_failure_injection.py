@@ -128,7 +128,11 @@ class TestHealingRecovery:
     def test_annealing_restores_writability(self):
         """§2.2's heat-accelerated self-healing: a worn-out package can
         be annealed back into service (not deployed in practice, but the
-        model supports the physics)."""
+        model supports the physics).  The FTL the end of life made
+        read-only takes writes again once an anneal has healed enough
+        blocks; one too cool to heal any leaves it read-only."""
+        from tests.test_ftl_core import check_mapping_invariants
+
         geom = FlashGeometry(page_size=4 * KIB, pages_per_block=16, num_blocks=32)
         pkg = FlashPackage(
             geom,
@@ -139,9 +143,20 @@ class TestHealingRecovery:
         )
         ftl = PageMappedFTL(pkg, logical_capacity_bytes=int(geom.capacity_bytes * 0.8), seed=3)
         wear_to_death(ftl)
+        assert ftl.read_only
         bad_before = pkg.num_bad_blocks
-        pkg.anneal(temp_c=250.0, duration_seconds=30 * 86400.0)
+        assert ftl.anneal(temp_c=25.0, duration_seconds=1.0).size == 0
+        assert ftl.read_only
+        with pytest.raises(ReadOnlyError):
+            ftl.write_requests(np.array([0]), 4 * KIB)
+
+        ftl.anneal(temp_c=250.0, duration_seconds=30 * 86400.0)
         assert pkg.num_bad_blocks < bad_before
+        assert not ftl.read_only
+        page = ftl.geometry.page_size
+        lpns = np.random.default_rng(1).integers(0, ftl.num_logical_units, size=64)
+        ftl.write_requests(lpns * page, page)
+        check_mapping_invariants(ftl)
 
     def test_healed_blocks_rejoin_the_free_list(self):
         """Blocks the anneal resurrects go back to the FTL's free list:

@@ -306,8 +306,7 @@ def run_burst_scenario(fused: bool, steps: int = 120, chunk: int = 8, seed: int 
     if fused:
         for start in range(0, steps, chunk):
             window = batches[start : start + chunk]
-            groups = [[(offsets, page)] for offsets in window]
-            out = device.write_burst(groups, budget=None)
+            out = device.write_burst(np.stack(window), page, None, budget=None)
             executed = 0
             if out is not None:
                 executed, seg_durations = out
@@ -366,11 +365,11 @@ class TestWriteBurstEquivalence:
         assert counters.block_erases > 0
         budget = [(counters, counters.block_erases + 30)]
 
-        groups = [[(offsets, unit)] for offsets in batches[6:]]
-        out = fused.write_burst(groups, budget)
+        window = batches[6:]
+        out = fused.write_burst(np.stack(window), unit, None, budget)
         assert out is not None
         m, seg_durations = out
-        assert 1 <= m < len(groups)
+        assert 1 <= m < len(window)
         assert counters.block_erases >= budget[0][1]
 
         scalar_durations = [scalar.write_many(offsets, unit) for offsets in batches[6 : 6 + m]]
@@ -379,16 +378,25 @@ class TestWriteBurstEquivalence:
 
     @pytest.mark.parametrize("rows", ["combining", "stacked"])
     def test_stacked_bucket_write_combining_screen(self, rows):
-        """A bucket of page-fit calls is screened for write-combining
-        rows by each row's first gap and last offset.  A bucket holding
-        a row that combines (sequential 4 KiB requests) is built call by
-        call; rows that wrap around their file, and a row whose first
+        """A window's rows are screened for write combining by each
+        row's first gap and last offset.  A row that combines
+        (sequential 4 KiB requests) becomes one request spanning the
+        row; rows that wrap around their file, and a row whose first
         gap and last offset fit a sequential run but whose middle gaps
-        do not, stay stacked.  Either way every segment, duration and
-        the device state equal per-call ``write_many``."""
+        do not, stay page-fit rows of the window matrix.  Either way
+        every segment, duration and the device state equal per-call
+        ``write_many``."""
         from repro.devices import build_device
-        from repro.devices.interface import _burst_segment, _write_combine
+        from repro.devices.interface import _write_combine
+        from repro.ftl.ftl import _ragged_ranges
         from tests.test_state_snapshot import device_fingerprint
+
+        def scalar_segment(ftl, offsets, request_bytes):
+            # PageMappedFTL.write_requests' unit stream and page counts.
+            last = offsets + request_bytes - 1
+            units = _ragged_ranges(offsets // ftl.unit_bytes, last // ftl.unit_bytes)
+            host = int((last // page - offsets // page + 1).sum())
+            return units, host, int(units.size) * ftl.unit_pages - host
 
         page = 4 * KIB
         wrapped = np.array([40, 44, 0, 4, 8], dtype=np.int64) * KIB
@@ -410,20 +418,17 @@ class TestWriteBurstEquivalence:
             return batch(segments, num_groups, stop_erases)
 
         fused.ftl.write_requests_batch = recording
-        out = fused.write_burst([[(offsets, page)] for offsets in calls], None)
+        out = fused.write_burst(np.stack(calls), page, None, None)
         assert out is not None and out[0] == len(calls)
 
         for group, (offsets, segment) in enumerate(zip(calls, built)):
-            want = _burst_segment(
-                scalar.ftl, group, *_write_combine(offsets, page),
-                int(offsets.size) * page, page, page,
-            )
-            assert np.array_equal(segment.unit_lpns, want.unit_lpns)
+            units, host, rmw = scalar_segment(scalar.ftl, *_write_combine(offsets, page))
+            assert np.array_equal(segment.unit_lpns, units)
             assert (segment.host_pages, segment.rmw_pages, segment.group) == (
-                want.host_pages, want.rmw_pages, want.group
+                host, rmw, group
             )
             assert (segment.total_bytes, segment.request_bytes) == (
-                want.total_bytes, want.request_bytes
+                int(offsets.size) * page, page
             )
         assert out[1] == [scalar.write_many(offsets, page) for offsets in calls]
         assert device_fingerprint(fused) == device_fingerprint(scalar)
@@ -436,9 +441,9 @@ class TestWriteBurstEquivalence:
         device = build_device("emmc-8gb", scale=1024, seed=5)
         other = build_device("emmc-8gb", scale=1024, seed=5)
         page = 4 * KIB
-        groups = [[(np.array([0, page], dtype=np.int64), page)]]
+        data = np.array([[0, page]], dtype=np.int64)
         budget = [(other.ftl.package.counters, 10)]
-        assert device.write_burst(groups, budget) is None
+        assert device.write_burst(data, page, None, budget) is None
 
 
 class TestEmptyBatches:

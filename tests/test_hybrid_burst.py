@@ -79,8 +79,8 @@ def _windows(exp):
     pools = (("A", device.ftl.pool_a), ("B", device.ftl.pool_b))
     log = []
 
-    def traced(groups, budget):
-        out = inner(groups, budget)
+    def traced(data, request_bytes, meta, budget):
+        out = inner(data, request_bytes, meta, budget)
         if out is None:
             log.append(None)
         else:
@@ -88,7 +88,7 @@ def _windows(exp):
                 name for name, pool in pools
                 if any(c is pool.package.counters and c.block_erases >= t for c, t in budget or ())
             )
-            log.append((out[0], len(groups), spent))
+            log.append((out[0], len(data), spent))
         return out
 
     device._hybrid_burst = traced
@@ -146,8 +146,8 @@ class TestRefusedWindows:
         device = _device()
         before = device_fingerprint(device)
         window = device.ftl.hot_window_bytes
-        groups = [[(np.array([window - 4 * KIB]), 8 * KIB)]]
-        assert device.write_burst(groups, None) is None
+        data = np.array([[window - 4 * KIB]], dtype=np.int64)
+        assert device.write_burst(data, 8 * KIB, None, None) is None
         assert device_fingerprint(device) == before
 
     def test_straddling_requests_match_scalar(self):

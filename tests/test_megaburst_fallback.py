@@ -58,8 +58,8 @@ def _fused_steps(exp):
     inner = device.write_burst
     fused = []
 
-    def write_burst(groups, budget):
-        out = inner(groups, budget)
+    def write_burst(data, request_bytes, meta, budget):
+        out = inner(data, request_bytes, meta, budget)
         if out is not None:
             fused.append(out[0])
         return out

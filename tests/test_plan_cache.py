@@ -320,9 +320,9 @@ class TestSharingScope:
         inner = device.write_burst
         sizes = []
 
-        def write_burst(groups, budget):
-            sizes.append(len(groups))
-            return inner(groups, budget)
+        def write_burst(data, request_bytes, meta, budget):
+            sizes.append(len(data))
+            return inner(data, request_bytes, meta, budget)
 
         device.write_burst = write_burst
         return sizes

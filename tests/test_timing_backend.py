@@ -253,11 +253,13 @@ class TestCatalogWiring:
     def test_event_device_refuses_the_burst_path(self):
         """Fused burst execution bypasses per-batch timing, so an
         event-timed device must fall back to scalar write_many."""
-        groups = [[(np.array([0], dtype=np.int64), 4 * KIB)]]
+        def window():
+            return np.zeros((1, 1), dtype=np.int64), 4 * KIB, None
+
         analytic = build_device("emmc-8gb", scale=1024, seed=5)
-        assert analytic.write_burst(groups, budget=None) is not None
+        assert analytic.write_burst(*window(), budget=None) is not None
         event = build_device("emmc-8gb", scale=1024, seed=5, timing="event")
-        assert event.write_burst(groups, budget=None) is None
+        assert event.write_burst(*window(), budget=None) is None
 
 
 class TestAcceptanceGates:
