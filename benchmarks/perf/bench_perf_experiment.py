@@ -6,13 +6,13 @@ which doubles as a bit-identity check:
 * ``experiment_loop`` — the replay of an identical run: one wear-out
   run to level 3 through the full stack inside ``plancache.sharing()``
   (DESIGN.md §14), with increment-aware polling, fused burst execution
-  (§11), and the megaburst plan cache.  The cache is cleared once at
-  case start, so the first repeat captures whole-window plans and later
-  repeats replay them: best-of-N measures the trajectory-replay cost
-  the cache was built for, not a cold run.
+  (§11), and the megaburst plan cache.  At case start the cache is
+  cleared and one untimed run captures whole-window plans, so every
+  timed repeat replays them: the case measures the trajectory-replay
+  cost the cache was built for, not a cold run, at any ``--repeats``.
 * ``experiment_cold`` — the same run with the defaults a lone run gets:
   no sharing scope, so nothing is probed or captured and windows are
-  planned 8 steps at a time.
+  sized by the cold byte budget (16 steps of 4 KiB requests).
 * ``experiment_metrics`` — ``experiment_cold`` with the metrics
   registry on.  It stays on the fused path (DESIGN.md §9), and
   ``--check`` gates it at ``METRICS_OVERHEAD``x ``experiment_cold``:
@@ -39,7 +39,8 @@ which doubles as a bit-identity check:
   canonical store fingerprint, and ``--check`` enforces the warm-start
   speedup.  Cold clears the plan cache before every repeat (a fresh
   process would have neither checkpoints nor plans); warm keeps both
-  caches, like a resumed session.
+  caches, like a resumed session, primed by one untimed checkpointing
+  pass and one untimed warm pass.
 * ``hybrid_fig2_16gb`` / ``hybrid_table1`` — the two campaign points of
   the paper's hybrid Table 1 device (Figure 2's 16 GB point, Table 1's
   phase protocol) through the campaign worker entry point, fused
@@ -148,7 +149,7 @@ _BEST = {}
 #: Primed checkpoint cache shared by the warm case's repeats.
 _WARM_CACHE = {"dir": None}
 
-#: Cases that clear the plan cache once, before their first repeat.
+#: Cases whose plan cache was primed before their first timed repeat.
 _CASE_PRIMED = set()
 
 
@@ -188,12 +189,14 @@ def _run_loop(case_name, step_batching=True, max_batch_steps=None, metrics=False
 
 
 def run_experiment_loop():
-    if "experiment_loop" not in _CASE_PRIMED:
-        # First repeat captures the trajectory's fused-window plans;
-        # later repeats replay them, so best-of-N reports steady state.
-        _CASE_PRIMED.add("experiment_loop")
-        plancache.clear()
     with plancache.sharing():
+        if "experiment_loop" not in _CASE_PRIMED:
+            # One untimed run captures the trajectory's fused-window
+            # plans, so every timed repeat replays them, the first one
+            # included: best-of-N reports steady state at any --repeats.
+            _CASE_PRIMED.add("experiment_loop")
+            plancache.clear()
+            _experiment().run(until_level=3)
         return _run_loop("experiment_loop")
 
 
@@ -267,13 +270,16 @@ def run_grid_cold():
 
 def run_grid_warm():
     if _WARM_CACHE["dir"] is None:
-        # Prime the cache once (untimed): one pass with checkpointing
-        # populates every crossing snapshot along the shared trajectory
-        # (and, like any resumed session, leaves the plan cache warm).
+        # Prime both caches once (untimed): one pass with checkpointing
+        # populates every crossing snapshot along the shared trajectory,
+        # and one warm pass captures the windows a restored point plans
+        # (their edges differ from the first pass's), so every timed
+        # repeat replays them, the first one included.
         _WARM_CACHE["dir"] = tempfile.mkdtemp(prefix="bench-warmstart-")
-        CampaignRunner(
-            _grid(), ResultStore(None), checkpoint_dir=_WARM_CACHE["dir"]
-        ).run()
+        for _ in range(2):
+            CampaignRunner(
+                _grid(), ResultStore(None), checkpoint_dir=_WARM_CACHE["dir"]
+            ).run()
     return _run_grid("warmstart_grid_warm", checkpoint_dir=_WARM_CACHE["dir"])
 
 

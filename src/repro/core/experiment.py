@@ -89,7 +89,9 @@ class WearOutExperiment:
         # value because the FTL truncates the burst at the erase budget
         # itself, not at the window edge (window-size invariance is
         # pinned by tests/test_ftl_equivalence.py).  None takes
-        # plancache.window_steps(), the current sharing scope's default.
+        # plancache.window_steps(): 1024 steps inside a sharing scope,
+        # else as many steps as the cold byte budget holds at the
+        # workload's step_bytes.
         self.max_batch_steps: Optional[int] = None
         # First fused window after a poll, before any erase-rate
         # estimate exists.  Small on purpose: it learns the rate so the
@@ -109,6 +111,7 @@ class WearOutExperiment:
         # run.
         self._stepper: Any = None
         self._stepper_for: Any = None
+        self._step_bytes: Optional[int] = None
         self._resolve_stepper()
         # Completed workload steps; checkpoint identity (DESIGN.md §10)
         # and the periodic-save cadence both key off it.
@@ -269,7 +272,9 @@ class WearOutExperiment:
                 return
 
     def _resolve_stepper(self):
-        """The batch stepper for the current workload, bound once.
+        """The batch stepper for the current workload, bound once, and
+        the workload's step size (``step_bytes``, batch protocol), which
+        sizes windows outside a plan-sharing scope.
 
         Resolved on the CLASS, not the instance: delegation wrappers
         (``__getattr__`` forwarding to an inner workload) would
@@ -285,9 +290,11 @@ class WearOutExperiment:
             else:
                 self._stepper = functools.partial(generic_step_batch, workload)
             self._stepper_for = workload
-            # The old workload's erase rate says nothing about this one
-            # (Table 1 swaps 4 KiB rand for 128 KiB seq): pilot afresh.
+            # The old workload's erase rate and step size say nothing
+            # about this one (Table 1 swaps 4 KiB rand for 128 KiB seq):
+            # pilot afresh.
             self._erase_rate = {}
+            self._step_bytes = getattr(workload, "step_bytes", None)
         return self._stepper
 
     def _fusion_bound(self, stop, remaining: int) -> int:
@@ -306,7 +313,7 @@ class WearOutExperiment:
             return 1
         n = self.max_batch_steps
         if n is None:
-            n = plancache.window_steps()
+            n = plancache.window_steps(self._step_bytes)
         if remaining < n:
             n = remaining
         if self._ckpt_manager is not None and self._ckpt_interval:

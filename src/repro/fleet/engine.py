@@ -38,7 +38,7 @@ result.
 
 Crossing-aligned windows (DESIGN.md §12, §15): in exact-wear cohorts
 the leader ends its fused windows just before the weakest lockstep
-follower can cross its retirement frontier, and plans cold-size windows
+follower can cross its retirement frontier, and plans margin-size windows
 around the crossing.  Each demoted member follows the leader's window
 schedule until its own package first retires a block, so up to that
 point its windows carry the leader's probes and keys and replay the
@@ -60,6 +60,12 @@ from repro.fleet.spec import CohortSpec, device_seed
 from repro.rng import substream_seed
 from repro.state import CheckpointManager, restore_experiment, warm_start_key
 from repro.state.snapshot import CheckpointError, snapshot_experiment
+
+#: Steps a cohort leader's window ends before the weakest lockstep
+#: follower's predicted crossing, and the length of its windows within
+#: two margins of it (DESIGN.md §12).  These windows run inside a
+#: plan-sharing scope, so the cold window budget does not size them.
+CROSSING_MARGIN_STEPS = 8
 
 #: Fields of CohortSpec that do not shape the prototype's trajectory
 #: (the prototype is one device run to ``warm_until``; population size
@@ -102,6 +108,10 @@ class _CohortStepper:
         return self._inner.description
 
     @property
+    def step_bytes(self) -> int:
+        return self._inner.step_bytes
+
+    @property
     def space_utilization(self) -> float:
         return self._inner.space_utilization
 
@@ -113,13 +123,12 @@ class _LeaderWindows:
     one block left before the weakest lockstep follower's crossing) to
     steps with the leader's per-block erase rate, measured since the
     previous window: block erases per step over the number of blocks.
-    Far from a crossing a window ends one cold window
-    (:data:`~repro.ftl.plancache.COLD_WINDOW_STEPS`) before the
-    predicted step; within two cold windows of it every window is
-    cold-size.  The prediction is a heuristic — a wrong one costs time,
-    never a bit.  ``schedule`` records every length passed down, keyed
-    by ``steps_completed`` at the window start, for demoted members to
-    follow.
+    Far from a crossing a window ends :data:`CROSSING_MARGIN_STEPS`
+    before the predicted step; within two margins of it every window is
+    margin-size.  The prediction is a heuristic — a wrong one costs
+    time, never a bit.  ``schedule`` records every length passed down,
+    keyed by ``steps_completed`` at the window start, for demoted
+    members to follow.
     """
 
     def __init__(self, experiment, state: CohortState):
@@ -142,8 +151,8 @@ class _LeaderWindows:
         slack = self._state.follower_slack(package.pe_counts)
         if slack is not None and self._rate > 0.0:
             ahead = slack / self._rate
-            cold = plancache.COLD_WINDOW_STEPS
-            n = min(n, cold if ahead <= 2 * cold else int(ahead) - cold)
+            margin = CROSSING_MARGIN_STEPS
+            n = min(n, margin if ahead <= 2 * margin else int(ahead) - margin)
         self.schedule[steps] = n
         return n
 

@@ -97,8 +97,8 @@ class Ext4Model(FileSystem):
                 bytes_written += count * self.page_size
             counts.append(count)
             states.append((pages_since_commit, cursor, bytes_written))
-        slots = (self._journal_cursor + np.arange(sum(counts), dtype=np.int64)) % journal_pages
-        return slots * self.page_size, counts, states
+        offsets = self._ring_offsets(self._journal_cursor, sum(counts), journal_pages)
+        return offsets, counts, states
 
     def _burst_commit(self, states, steps_executed: int) -> None:
         if steps_executed == 0:

@@ -99,8 +99,8 @@ class F2fsModel(FileSystem):
                 bytes_written += node_pages * self.page_size
             counts.append(node_pages)
             states.append((debt, cursor, bytes_written))
-        slots = (self._node_cursor + np.arange(sum(counts), dtype=np.int64)) % area_pages
-        return slots * self.page_size, counts, states
+        offsets = self._ring_offsets(self._node_cursor, sum(counts), area_pages)
+        return offsets, counts, states
 
     def _burst_commit(self, states, steps_executed: int) -> None:
         if steps_executed == 0:

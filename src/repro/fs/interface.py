@@ -306,6 +306,21 @@ class FileSystem:
         """Apply the metadata cursor state after a truncated burst."""
         raise NotImplementedError
 
+    def _ring_offsets(self, start: int, total: int, ring_pages: int) -> np.ndarray:
+        """Device offsets of ``total`` page writes into a circular
+        metadata area of ``ring_pages`` pages at offset 0, from slot
+        ``start`` on: ``(start + arange(total)) % ring_pages`` pages,
+        as the scalar metadata writes take them.  Built from contiguous
+        runs, not a per-slot modulo: the slots from ``start`` to the
+        area's end and from slot 0 up to ``start`` make one period,
+        which a window longer than the area repeats."""
+        page = self.page_size
+        if start + total <= ring_pages:
+            return np.arange(start * page, (start + total) * page, page, dtype=np.int64)
+        ring = np.arange(0, ring_pages * page, page, dtype=np.int64)
+        period = np.concatenate((ring[start:], ring[:start]))
+        return np.tile(period, -(-total // ring_pages))[:total]
+
     def _burst_compose_duration(self, seg_durations) -> float:
         """Combine one step's device call durations exactly as the
         scalar ``_sync_out`` arithmetic would."""

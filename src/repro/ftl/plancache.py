@@ -51,9 +51,15 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-#: Fused-window cap outside every :class:`sharing` scope, where no plan
-#: is replayed (DESIGN.md §14): the cold window.
-COLD_WINDOW_STEPS = 8
+#: Bytes of host writes a fused window carries outside every
+#: :class:`sharing` scope, where no plan is replayed (DESIGN.md §14):
+#: the cold window's budget.  A window's working set and its per-unit
+#: cost follow the bytes it writes, not its step count.
+COLD_WINDOW_BYTES = 256 * 1024 * 1024
+
+#: Fused-window cap inside a :class:`sharing` scope, where one probe
+#: replays a whole window; it caps cold windows too.
+_SHARING_WINDOW_STEPS = 1024
 
 
 @dataclass
@@ -428,9 +434,10 @@ class sharing(ContextDecorator):
     probed, captured and replayed (DESIGN.md §14).
 
     Outside every scope :func:`lookup` declines at once and the
-    experiment loop plans small windows (:func:`window_steps`): a plan
-    nobody replays is pure cost.  Callers open it where a replay
-    follows.  ``depth`` counts open scopes.
+    experiment loop plans windows of a bounded byte volume
+    (:func:`window_steps`): a plan nobody replays is pure cost.
+    Callers open it where a replay follows.  ``depth`` counts open
+    scopes.
     """
 
     depth = 0
@@ -444,11 +451,20 @@ class sharing(ContextDecorator):
         return False
 
 
-def window_steps() -> int:
-    """Default fused-window cap (DESIGN.md §14): 1024 inside
-    :class:`sharing`, where one probe replays a whole window, else
-    :data:`COLD_WINDOW_STEPS`."""
-    return 1024 if sharing.depth else COLD_WINDOW_STEPS
+def window_steps(step_bytes: Optional[int]) -> int:
+    """Default fused-window cap (DESIGN.md §14) for steps that each
+    write ``step_bytes``.
+
+    Inside :class:`sharing`, 1024 steps.  Outside, as many steps as
+    :data:`COLD_WINDOW_BYTES` holds, capped at the sharing window and
+    at least 2, the smallest window the fused path takes (a bound of 1
+    is a scalar step).  A step of unknown size (a workload that reports
+    no ``step_bytes``) gets the floor.
+    """
+    if sharing.depth:
+        return _SHARING_WINDOW_STEPS
+    steps = COLD_WINDOW_BYTES // step_bytes if step_bytes else 0
+    return min(_SHARING_WINDOW_STEPS, max(2, steps))
 
 
 def active_capture() -> Optional[_Capture]:
@@ -491,8 +507,7 @@ def lookup(workload, n: int, budget):
         return None
     _replay(workload, entry)
     m = entry.plan.executed_groups
-    app_bytes = workload.batch_requests * workload.request_bytes
-    return list(entry.durations), [app_bytes] * m, False
+    return list(entry.durations), [workload.step_bytes] * m, False
 
 
 def _replay(workload, entry: _Entry) -> None:

@@ -18,6 +18,12 @@ Python call.  The contract:
   caller replays through scalar ``step()`` calls, which reproduce any
   exception the fused path refused to model.
 
+A workload also reports ``step_bytes``, the bytes one step writes.
+Outside a plan-sharing scope the experiment loop sizes its windows by
+it (``repro.ftl.plancache.window_steps``, DESIGN.md §14), reading it
+before the workload's first window; a workload that reports none gets
+the smallest window.
+
 :func:`generic_step_batch` adapts any duck-typed ``step()`` workload to
 this protocol one step at a time — no fusion speedup, but the same
 batch semantics, so the experiment loop has a single code path.

@@ -129,6 +129,11 @@ class FileRewriteWorkload:
     def space_utilization(self) -> float:
         return self.fs.utilization()
 
+    @property
+    def step_bytes(self) -> int:
+        """Application bytes one :meth:`step` writes (batch protocol)."""
+        return self.batch_requests * self.request_bytes
+
     def step(self) -> Tuple[float, int]:
         """Issue one batch against the next file (round-robin).
 
@@ -140,7 +145,7 @@ class FileRewriteWorkload:
         duration = self.fs.write_requests(
             self.files[index], offsets, self.request_bytes, sync=self.sync
         )
-        return duration, self.batch_requests * self.request_bytes
+        return duration, self.step_bytes
 
     def step_batch(self, n: int, budget=None):
         """Advance up to ``n`` steps through the fused burst path.
@@ -190,10 +195,9 @@ class FileRewriteWorkload:
             self._set_pattern_state(saved)
             self._draw_window(start_file, m)
         self._next_file = (start_file + m) % num_files
-        app_bytes = self.batch_requests * self.request_bytes
         if cap is not None:
             plancache.finish_capture(cap, durations, self)
-        return durations, [app_bytes] * m, False
+        return durations, [self.step_bytes] * m, False
 
     def _draw_window(self, start_file: int, n: int) -> np.ndarray:
         """The next ``n`` steps' offsets as one ``(n, batch_requests)``

@@ -233,8 +233,8 @@ class TestCrossingAlignedWindows:
         assert len(members) == 2
         assert not leader[-1][5], "the leader retired a block"
         schedule = {start: n for start, _, n, *_ in leader}
-        cold = plancache.COLD_WINDOW_STEPS
-        assert cold in schedule.values(), "no cold-size leader window"
+        margin = engine.CROSSING_MARGIN_STEPS
+        assert margin in schedule.values(), "no margin-size leader window"
         for log in members:
             k = next(i for i, window in enumerate(log) if window[5])
             before, crossing, after = log[:k], log[k], log[k + 1:]
@@ -243,11 +243,11 @@ class TestCrossingAlignedWindows:
             assert before
             assert all(n == schedule[start] and hit for start, _, n, _, hit, _ in before)
             # The window holding its first retirement is the leader's
-            # too, walked fresh, and at most two cold windows long: no
+            # too, walked fresh, and at most two margins long: no
             # more than that is walked fresh before the crossing.
             start, _, n, executed, hit, _ = crossing
             assert n == schedule[start] and not hit
-            assert executed <= 2 * cold
+            assert executed <= 2 * margin
             # Past its first retirement the member's windows are its
             # own: the loop's bound passes through, and they leave the
             # leader's schedule.

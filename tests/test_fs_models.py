@@ -101,6 +101,29 @@ class TestF2fs:
             fs.write_pages(f, np.arange(area_pages))
         assert 0 <= fs._node_cursor < area_pages
 
+    @pytest.mark.parametrize("ratio", [1.0, 0.5])
+    def test_burst_node_slots_are_the_scalar_slots_across_wraps(self, ratio):
+        """The fused window's node offsets, built from contiguous runs
+        of the node area, are the slots the per-step metadata writes
+        take, step after step, across several wraps of the area."""
+        dev = make_device()
+        fs = F2fsModel(dev, node_pages_per_data_page=ratio)
+        area_pages = fs.node_area_bytes // fs.page_size
+        fs._node_cursor = area_pages - 3
+        steps = [1, 2, area_pages, 0, 3 * area_pages + 5, 7]
+        offsets, counts, states = fs._burst_metadata_plan(steps)
+
+        written = []
+        dev.write_many = lambda offs, size: written.append(np.array(offs)) or 0.0
+        per_step = []
+        for data_pages in steps:
+            before = len(written)
+            fs._metadata_overhead(None, data_pages)
+            per_step.append(sum(w.size for w in written[before:]))
+        assert counts == per_step
+        assert np.array_equal(offsets, np.concatenate(written))
+        assert states[-1][:2] == (fs._node_debt, fs._node_cursor)
+
     def test_configurable_node_ratio(self):
         fs = F2fsModel(make_device(), node_pages_per_data_page=0.5)
         f = fs.create_file("a", MIB)

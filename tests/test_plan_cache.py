@@ -26,11 +26,12 @@ from repro.devices import build_device
 from repro.fleet import CohortSpec, resolve_cohort_seed, run_cohort
 from repro.fs import Ext4Model, F2fsModel
 from repro.ftl import burst, plancache
-from repro.units import KIB
+from repro.units import KIB, MIB
 from repro.workloads import FileRewriteWorkload
 from tests.test_burst_batching import SCALE, _experiment, _outcome
+from tests.test_ftl_equivalence import ftl_fingerprint
 from tests.test_megaburst_fallback import _fused_steps
-from tests.test_state_snapshot import device_fingerprint
+from tests.test_state_snapshot import device_fingerprint, result_json
 
 
 @pytest.fixture(autouse=True)
@@ -192,14 +193,14 @@ class TestCachePolicy:
         keeps its early windows, and an identical rerun replays every
         window."""
         first = _experiment(pattern="seq")
-        first.max_batch_steps = plancache.COLD_WINDOW_STEPS
+        first.max_batch_steps = 8
         first.run(until_level=3)
         buckets = plancache.cache()._entries.values()
         assert max(len(bucket) for bucket in buckets) > 32
 
         plancache.cache().reset_stats()
         second = _experiment(pattern="seq")
-        second.max_batch_steps = plancache.COLD_WINDOW_STEPS
+        second.max_batch_steps = 8
         second.run(until_level=3)
         stats = plancache.stats()
         assert stats["misses"] == 0
@@ -328,6 +329,8 @@ class TestSharingScope:
         return sizes
 
     def test_cold_run_never_probes_and_plans_small_windows(self):
+        """Outside a scope a window takes as many steps as the cold
+        byte budget holds: 16 steps of 4,096 4 KiB requests."""
         exp = _experiment()
         sizes = self._window_sizes(exp)
         exp.run(until_level=2)
@@ -335,7 +338,41 @@ class TestSharingScope:
         assert stats["captures"] == 0
         assert stats["misses"] == 0
         assert stats["hits"] == 0
-        assert max(sizes) == 8
+        assert exp.workload.step_bytes == 16 * MIB
+        assert max(sizes) == plancache.COLD_WINDOW_BYTES // exp.workload.step_bytes == 16
+
+    def test_cold_128k_phase_after_a_swap_plans_the_floor(self):
+        """Table 1's protocol: 4 KiB random rewrite, then 128 KiB
+        sequential rewrite of the same files, 512 MiB a step, over the
+        cold budget.  The loop reads the new workload's step size at
+        the swap, so the second phase plans the 2-step floor, never
+        more, and the run equals its per-step run."""
+
+        def run(step_batching):
+            device = build_device("emmc-8gb", scale=SCALE, seed=7)
+            fs = Ext4Model(device)
+            first = FileRewriteWorkload(fs, num_files=4, file_bytes=256 * MIB,
+                                        request_bytes=4 * KIB, pattern="rand", seed=7)
+            exp = WearOutExperiment(device, first, filesystem=fs)
+            exp.step_batching = step_batching
+            sizes = self._window_sizes(exp)
+            exp.run_one_increment()
+            before = list(sizes)
+            sizes.clear()
+            exp.workload = FileRewriteWorkload(fs, request_bytes=128 * KIB, pattern="seq",
+                                               target_files=first.files, seed=7)
+            exp.run_one_increment()
+            return exp, before, sizes
+
+        fused, before, after = run(step_batching=True)
+        assert max(before) == 16
+        assert fused.workload.step_bytes > plancache.COLD_WINDOW_BYTES
+        assert after and max(after) == 2
+
+        scalar, _, _ = run(step_batching=False)
+        assert len(scalar.result.increments) == 2
+        assert result_json(fused) == result_json(scalar)
+        assert ftl_fingerprint(fused.device.ftl) == ftl_fingerprint(scalar.device.ftl)
 
     def test_scope_is_reentrant_and_plans_big_windows(self):
         with plancache.sharing():
