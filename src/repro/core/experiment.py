@@ -213,8 +213,8 @@ class WearOutExperiment:
         stepper = self._resolve_stepper()
         steps_done = 0
         while steps_done < max_steps:
-            n = self._fusion_bound(stop, max_steps - steps_done) if fuse else 1
-            out = stepper(n, self._poll_budget) if n > 1 else None
+            n = self._fusion_bound(stop, max_steps - steps_done) if fuse else 0
+            out = stepper(n, self._poll_budget) if n else None
             fused = out is not None and bool(out[0] or out[2])
             if out is None or not fused:
                 # Scalar step: first-ever poll, budget spent, a window
@@ -300,17 +300,19 @@ class WearOutExperiment:
     def _fusion_bound(self, stop, remaining: int) -> int:
         """Steps provably safe to fuse before the next poll/checkpoint.
 
-        Returns 1 when the next step must be a scalar step: no budget
+        Returns 0 when the next step must be a scalar step: no budget
         yet (the step must poll), budget already spent, or the cached
         reading already satisfies ``stop`` (a repeated ``run()`` at a
         lower level executes exactly one step, as the scalar loop does).
+        Any other bound, 1 included, is a fused window: the FTL cuts it
+        exactly at the budget.
         """
         budget = self._poll_budget
         if budget is None:
-            return 1
+            return 0
         cached = self._last_indicators
         if cached is not None and stop(cached):
-            return 1
+            return 0
         n = self.max_batch_steps
         if n is None:
             n = plancache.window_steps(self._step_bytes)
@@ -329,7 +331,7 @@ class WearOutExperiment:
             for c, t in budget:
                 headroom = t - c.block_erases
                 if headroom <= 0:
-                    return 1
+                    return 0
                 rate = self._erase_rate.get(id(c), 0.0)
                 if rate > 0.0:
                     steps = int(headroom / rate) + 1
@@ -346,7 +348,7 @@ class WearOutExperiment:
                 # results (the kernel truncates exactly at the budget),
                 # only how much planning the truncation wastes.
                 n = self._pilot_batch_steps
-        return n if n > 0 else 1
+        return max(n, 0)
 
     def _maybe_checkpoint(self, crossed: bool) -> None:
         manager = self._ckpt_manager

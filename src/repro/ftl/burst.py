@@ -11,8 +11,9 @@ dynamic wear leveling, erase wear arithmetic) over cheap Python scalars.
 The walk links every unit of the window's stream to its next overwrite
 (its *data longevity*), which is when the unit dies.  A block goes
 zero-valid one position after its last unit dies, so fully-invalid
-victims — the fast case, and in most windows the only one — come off an
-event heap without looking inside any block.  Only when a reclaim finds
+victims — the fast case, and in most windows the only one — come off a
+release schedule, sorted once per window, without looking inside any
+block.  Only when a reclaim finds
 no zero-valid candidate, or static wear leveling migrates, does the
 walk materialize per-slot contents (:class:`_Contents`): live counts
 pick the greedy victim and its live units move, in slot order, into the
@@ -66,6 +67,7 @@ tests/test_metrics_fused.py).
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -80,6 +82,12 @@ _NEVER = 1 << 62
 
 #: Live count the walk gives blocks that are not GC candidates.
 _UNTRACKED = 1 << 62
+
+#: A link-pass chunk holds ``2**_LINK_CHUNK_BITS`` stream positions, so
+#: the code and position buffers every chunk of a window reuses (128 and
+#: 256 KiB at 32-bit codes) stay in L2 and under glibc's raised mmap
+#: threshold.
+_LINK_CHUNK_BITS = 15
 
 #: Relative effective-P/E gap under which two GC tie-break scores could
 #: round to the same float; the planner refuses to order such victims.
@@ -131,6 +139,10 @@ def execute_write_burst(
     if plan is None:
         return None
     commit_planned_burst(ftl, plan)
+    if plan.num_groups < num_groups:
+        # Cut at end of life: the next window would end it in its first
+        # group, so refuse that one before its link pass.
+        ftl._eol_ahead = True
     cap = plancache.active_capture()
     if cap is not None and plan.seg_copies is None and not plan.retired.size:
         cap.plan = plan
@@ -151,7 +163,7 @@ def plan_write_burst(
     """
     if not segments or num_groups <= 0:
         return None
-    if ftl.read_only or ftl._in_reclaim:
+    if ftl.read_only or ftl._in_reclaim or ftl._eol_ahead:
         return None
     pkg = ftl.package
     if type(ftl.victim_policy) is not GreedyVictimPolicy:
@@ -167,21 +179,21 @@ def plan_write_burst(
     # same values the scalar path would.
     pe0 = pkg.pe_counts
 
+    # The window's unit stream, read in place from its segments.
     parts = [s.unit_lpns for s in segments]
-    U = np.concatenate(parts) if len(parts) > 1 else parts[0]
-    L = int(U.size)
+    L = sum(int(p.size) for p in parts)
     if L == 0:
         return None
-    if int(U.min()) < 0 or int(U.max()) >= ftl.num_logical_units:
-        return None  # out of range: the scalar path raises properly
-    if ftl.num_logical_units >= 1 << 32:
-        return None  # packed sort codes need LPN < 2**32
+    if ftl.num_logical_units >= 1 << 32 or L >= 1 << 31:
+        return None  # packed sort codes need LPN < 2**32, position < 2**31
 
     # ------------------------------------------------------------------
     # Stream analysis: next-occurrence links and pre-burst mappings
     # ------------------------------------------------------------------
-    nxt, first_pos = _next_links(U, ftl.num_logical_units)
-    probe_lpns = U[first_pos]
+    links = _next_links(parts, ftl.num_logical_units)
+    if links is None:
+        return None  # out of range: the scalar path raises properly
+    nxt, first_pos, probe_lpns = links
     old_all = ftl._l2p[probe_lpns]
     hit = old_all >= 0
     old_ppu = old_all[hit]
@@ -232,34 +244,39 @@ def plan_write_burst(
             [np.zeros(1, dtype=np.int64), np.arange(r0, L, upb, dtype=np.int64)]
         )
     ext_ends = np.append(ext_starts[1:], L)
-    # Per-extent max next-occurrence: the extent's block goes zero-valid
-    # at ext_t + 1 (if that ever happens inside the burst).
-    ext_t = np.maximum.reduceat(nxt, ext_starts)
 
-    if b0_pre and vc0[active0] > 0:
-        # The initial active block only empties once its pre-existing
-        # valid units are exhausted too; fold that into its close event.
-        b0_extra = exhaust_pos.pop(active0, _NEVER)
-    else:
-        b0_extra = 0
-        if b0_pre:
+    # The release schedule: extent k's block goes zero-valid one position
+    # after the latest next overwrite of its units, and not before it is
+    # full.  The initial active block also waits for its pre-existing
+    # valid units to be exhausted.  Releases at or past L never fire.
+    rel = np.maximum.reduceat(nxt, ext_starts)
+    rel += 1
+    np.maximum(rel, ext_ends, out=rel)
+    if b0_pre:
+        if vc0[active0] > 0:
+            b0_extra = exhaust_pos.pop(active0, _NEVER)
+            if b0_extra > rel[0]:
+                rel[0] = b0_extra
+        else:
             exhaust_pos.pop(active0, None)
+    order = np.argsort(rel, kind="stable")
+    order = order[rel[order] < L]
+    schedule = (rel[order], order)
 
-    seg_lens = [int(s.unit_lpns.size) for s in segments]
-    stream = (U, nxt, old_ppu, old_pos, ext_starts, ext_ends)
+    ends = _stream_ends(segments, num_groups)
+    stream = (parts, nxt, old_ppu, old_pos, ext_starts, ext_ends)
 
     # ------------------------------------------------------------------
     # The walk: mirror _write_units/_place_span/_reclaim_space over
-    # stream positions, group by group, truncating when the caller's
-    # erase budget expires.  Produces the burst's end state plus the
-    # per-group cumulative erase prefix the plan cache needs to validate
-    # budget-matched replays.
+    # stream positions, block fill by block fill, truncating when the
+    # caller's erase budget expires.  Produces the burst's end state
+    # plus the per-group cumulative erase prefix the plan cache needs to
+    # validate budget-matched replays.
     # ------------------------------------------------------------------
     def _do_walk(ng):
         return _walk(
-            ftl, pkg, segments, seg_lens, ng, stop_erases, stream, ext_t,
-            exhaust_pos, pe0, active0, a0, b0_pre, b0_extra,
-            low, high, cfg,
+            ftl, pkg, ng, stop_erases, stream, schedule, ends,
+            exhaust_pos, pe0, active0, a0, b0_pre, low, high, cfg,
         )
 
     walked = _do_walk(num_groups)
@@ -323,20 +340,24 @@ def plan_write_burst(
         # block's whole in-burst content.
         starts = ext_starts[ks]
         lens = np.minimum(ext_ends[ks], C) - starts
-        ppus, sidx, red = _runs(a_blocks * upb + first, starts, lens)
-        su = U[sidx]
-        sv = nxt[sidx] >= C
     else:
         reloc[0].sync()
-        deaths, lpns = reloc[0].deaths, reloc[0].lpns
+        starts = first
         lens = np.full(a_blocks.size, upb, dtype=np.int64) - first
         if active is not None:
             lens[a_blocks == active] = aoff - first[a_blocks == active]
-        keep = lens > 0
-        a_blocks, first, lens = a_blocks[keep], first[keep], lens[keep]
+    # Drop blocks that took no unit in-burst (the pre-burst active block
+    # when the executed groups are empty).
+    keep = lens > 0
+    a_blocks, first, starts, lens = a_blocks[keep], first[keep], starts[keep], lens[keep]
+    if reloc is None:
+        ppus, sidx, red = _runs(a_blocks * upb + first, starts, lens)
+        su = _stream_runs(parts, ends[1], starts, lens)
+        sv = nxt[sidx] >= C
+    else:
         ppus, _, red = _runs(a_blocks * upb + first, first, lens)
-        su = lpns[ppus]
-        sv = deaths[ppus] >= C
+        su = reloc[0].lpns[ppus]
+        sv = reloc[0].deaths[ppus] >= C
     if n_blocks * upb < 1 << 32 and ftl.num_logical_units < 1 << 32:
         # Plans are cached whole; uint32 slot/LPN arrays halve the
         # resident bytes of a megaburst entry (scatter semantics are
@@ -389,6 +410,52 @@ def plan_write_burst(
     )
 
 
+def _stream_ends(segments: Sequence[BurstSegment], num_groups: int):
+    """Where the walk's boundaries fall in the unit stream.
+
+    Groups run in order from 0 and each takes the segments tagged with
+    it, as a run of per-step calls would; the first segment out of that
+    order ends the walkable stream.  Returns ``(group_ends, seg_ends,
+    segs_through)``: the stream position where group ``g``'s units end,
+    where segment ``i``'s units end, and how many segments groups
+    ``0..g`` hold.
+    """
+    group_ends: List[int] = []
+    seg_ends: List[int] = []
+    segs_through: List[int] = []
+    n_segs = len(segments)
+    pos = 0
+    i = 0
+    for g in range(num_groups):
+        while i < n_segs and segments[i].group == g:
+            pos += int(segments[i].unit_lpns.size)
+            seg_ends.append(pos)
+            i += 1
+        group_ends.append(pos)
+        segs_through.append(i)
+    return group_ends, seg_ends, segs_through
+
+
+def _stream_runs(parts, part_ends: List[int], starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The units at stream positions ``starts[i]`` to ``starts[i] +
+    lens[i]`` for every run ``i``, concatenated, read from the stream's
+    consecutive ``parts``, which end at ``part_ends``."""
+    out = np.empty(int(lens.sum()), dtype=np.int64)
+    o = 0
+    for p0, n in zip(starts.tolist(), lens.tolist()):
+        i = bisect_right(part_ends, p0)
+        while n > 0:
+            part = parts[i]
+            off = p0 - (part_ends[i] - part.size)
+            take = part.size - off if part.size - off < n else n
+            out[o : o + take] = part[off : off + take]
+            o += take
+            p0 += take
+            n -= take
+            i += 1
+    return out
+
+
 def _runs(slot0: np.ndarray, starts: np.ndarray, lens: np.ndarray):
     """Flatten runs: run ``i`` covers ``lens[i]`` consecutive slots from
     ``slot0[i]`` and as many stream positions from ``starts[i]``.
@@ -398,40 +465,63 @@ def _runs(slot0: np.ndarray, starts: np.ndarray, lens: np.ndarray):
     return np.repeat(slot0, lens) + intra, np.repeat(starts, lens) + intra, red
 
 
-def _next_links(U: np.ndarray, num_logical_units: int):
-    """Next-occurrence links and first occurrences of a unit stream.
+def _next_links(parts: Sequence[np.ndarray], num_logical_units: int):
+    """Next-occurrence links and first occurrences of a unit stream,
+    given as its consecutive ``parts`` (a window's segments).
 
-    Returns ``(nxt, first_pos)``: ``nxt[i]`` is the stream position of
-    the next write to ``U[i]``'s LPN, or ``_NEVER`` when none follows
-    (the unit's *data longevity*, in stream positions), and
-    ``first_pos`` lists each LPN's first position in ascending order.
+    Returns ``(nxt, first_pos, first_lpns)``: ``nxt[i]`` is the stream
+    position of the next write to unit ``i``'s LPN, or ``_NEVER`` when
+    none follows (the unit's *data longevity*, in stream positions);
+    ``first_pos`` lists each LPN's first position in ascending order
+    and ``first_lpns`` the LPN written there.  Returns None when an LPN
+    lies outside ``[0, num_logical_units)``.
 
-    Positions are grouped by LPN with one value sort of packed
-    ``(LPN << pos_bits) | position`` codes — within a group positions
-    ascend, so each one's successor is its next occurrence.  Codes are
+    The stream is taken ``2**_LINK_CHUNK_BITS`` positions at a time,
+    copied out of the parts.  A chunk's positions are grouped by LPN
+    with one value sort of packed ``(LPN << _LINK_CHUNK_BITS) | offset``
+    codes — within a group positions ascend, so each one's successor is
+    its next occurrence — and each chunk's first write of an LPN links
+    back to that LPN's last write in the chunks before it.  Codes are
     32-bit words while LPNs fit 16 bits (numpy's vectorized sort is
-    fastest there) and 64-bit words on wider devices.  A 32-bit code
-    holds ``2**pos_bits`` positions, so a longer stream is sorted chunk
-    by chunk and each chunk's first write of an LPN links back to that
-    LPN's last write in the chunks before it.
+    fastest there) and 64-bit words on wider devices.  Every chunk
+    reuses one code buffer and one position buffer, so the copy, the
+    sort and the scatters run in L2.
     """
-    L = int(U.size)
+    L = sum(int(p.size) for p in parts)
     lpn_bits = max(1, (num_logical_units - 1).bit_length())
     word = np.uint32 if lpn_bits <= 16 else np.uint64
-    pos_bits = 8 * np.dtype(word).itemsize - lpn_bits
-    chunk = 1 << pos_bits
-    shift = word(pos_bits)
+    chunk = 1 << _LINK_CHUNK_BITS
+    shift = word(_LINK_CHUNK_BITS)
+    offset_mask = word(chunk - 1)
+    n0 = min(L, chunk)
+    code_buf = np.empty(n0, dtype=word)
+    pos_buf = np.empty(n0, dtype=np.int64)
+    iota = np.arange(n0, dtype=word)
     nxt = np.empty(L, dtype=np.int64)
-    isfirst = np.zeros(L, dtype=bool)
+    firsts = []
     last = np.full(num_logical_units, -1, dtype=np.int64) if L > chunk else None
+    pi = po = 0  # the next unit to copy: part index, offset in the part
     for c0 in range(0, L, chunk):
-        part = U[c0 : c0 + chunk]
-        n = part.size
-        code = part.astype(word)
+        n = min(chunk, L - c0)
+        pos = pos_buf[:n]
+        got = 0
+        while got < n:
+            part = parts[pi]
+            take = min(part.size - po, n - got)
+            pos[got : got + take] = part[po : po + take]
+            got += take
+            po += take
+            if po == part.size:
+                pi += 1
+                po = 0
+        if pos.view(np.uint64).max() >= num_logical_units:
+            return None  # a negative LPN reads as 2**63 or more
+        code = code_buf[:n]
+        code[...] = pos
         code <<= shift
-        code |= np.arange(n, dtype=word)
+        code |= iota[:n]
         code.sort()
-        pos = np.bitwise_and(code, word(chunk - 1), dtype=np.int64)
+        np.bitwise_and(code, offset_mask, out=pos)
         if c0:
             pos += c0
         lpn = code
@@ -443,16 +533,25 @@ def _next_links(U: np.ndarray, num_logical_units: int):
         nxt[pos[brk]] = _NEVER
         nxt[pos[-1]] = _NEVER
         heads = np.concatenate(([0], brk + 1))
-        if last is None:
-            isfirst[pos[heads]] = True
-            continue
         head_lpn = lpn[heads].astype(np.int64)
-        prev = last[head_lpn]
-        seen = prev >= 0
-        nxt[prev[seen]] = pos[heads[seen]]
-        isfirst[pos[heads[~seen]]] = True
-        last[head_lpn] = pos[np.append(brk, n - 1)]
-    return nxt, np.flatnonzero(isfirst)
+        head_pos = pos[heads]
+        if last is not None:
+            prev = last[head_lpn]
+            seen = prev >= 0
+            nxt[prev[seen]] = head_pos[seen]
+            last[head_lpn] = pos[np.append(brk, n - 1)]
+            new = ~seen
+            head_lpn = head_lpn[new]
+            head_pos = head_pos[new]
+        # The chunk's first writes in stream order: one value sort of
+        # ``(position << 32) | LPN`` (the planner takes streams of under
+        # 2**31 positions).
+        first = head_pos << 32
+        first |= head_lpn
+        first.sort()
+        firsts.append(first)
+    first = np.concatenate(firsts)
+    return nxt, first >> 32, first & 0xFFFFFFFF
 
 
 def _pop_free(free: List[int], dynamic: bool, eff_l: List[float]) -> int:
@@ -483,10 +582,11 @@ class _Contents:
     A relocated unit keeps its death.  Slots of erased blocks keep stale
     values: only GC candidates (closed, fully written blocks) are ever
     counted or relocated, and the final placements read written slots
-    only.  ``pkey`` holds each block's pending zero-valid event until it
-    fires: an event left behind by a block relocated before it fired no
-    longer matches and is skipped (a refill can re-push the same key,
-    which then fires once).
+    only.  ``pkey`` holds each block's pending heap event (a pre-burst
+    block's exhaust event, or the close event of a block filled since)
+    until it fires: an event left behind by a block relocated before it
+    fired no longer matches and is skipped (a refill can re-push the same
+    key, which then fires once).
     """
 
     __slots__ = (
@@ -496,7 +596,8 @@ class _Contents:
     )
 
     def __init__(self, ftl, stream, a0, b0_pre, walk_state):
-        U, nxt, old_ppu, old_pos, ext_starts, ext_ends = stream
+        parts, nxt, old_ppu, old_pos, ext_starts, ext_ends = stream
+        U = np.concatenate(parts) if len(parts) > 1 else parts[0]
         (self.bits, self.dynamic, self.free, self.eff_l, self.alive,
          self.closed, self.pending, victims) = walk_state
         upb = ftl.units_per_block
@@ -640,22 +741,38 @@ class _Contents:
 
 
 def _walk(
-    ftl, pkg, segments, seg_lens, num_groups, stop_erases, stream, ext_t,
-    exhaust_pos, pe0, active0, a0, b0_pre, b0_extra,
-    low, high, cfg,
+    ftl, pkg, num_groups, stop_erases, stream, schedule, ends,
+    exhaust_pos, pe0, active0, a0, b0_pre, low, high, cfg,
 ):
     """The planning walk: Python-scalar mirrors of every structure the
-    plan mutates.  Float arithmetic on list elements is bit-identical
-    to the numpy float64 scalar ops of the real path.  The GC mirror
-    (victim selection, erase wear arithmetic), the static wear-leveling
-    mirror — both share one erase block — and the free-block pulls
-    (:func:`_pop_free`) are inlined: this loop runs once per block fill
-    and is the simulator's true hot path.
+    plan mutates, one loop pass per block fill.  Float arithmetic on
+    list elements is bit-identical to the numpy float64 scalar ops of
+    the real path.  The GC mirror (victim selection, erase wear
+    arithmetic), the static wear-leveling mirror — both share one erase
+    block — and the free-block pulls (:func:`_pop_free`) are inlined:
+    this loop is the simulator's true hot path.
 
-    Zero-valid victims come off the event path and never look inside a
-    block; per-slot contents (:class:`_Contents`) are materialized only
-    when a reclaim finds no zero-valid candidate or static wear leveling
-    migrates, and from then on host fills are recorded into them too.
+    The scalar path reclaims only when it opens a block with the free
+    list at or under the low watermark, so the walk does too; segment
+    and group boundaries place nothing.  They are stream positions
+    (``ends``, from :func:`_stream_ends`): the erase stop ends the walk
+    at the end of the group whose reclaim spent it, a relocating
+    reclaim charges its copies to the segment holding its position, and
+    a group's erase prefix is recorded by the first reclaim past its
+    end.
+
+    Until contents are materialized, zero-valid candidates come from
+    ``schedule``: every fixed-geometry extent's release position, in
+    order, and a reclaim releases the extents due by advancing a
+    pointer — a release stands only while the extent's block still
+    holds it (``alive[block] == k``), so a block relocated since skips
+    its release.  Pre-burst blocks exhausted in-window release from the
+    ``pending`` heap.  Per-slot contents (:class:`_Contents`) are
+    materialized only when a reclaim finds no zero-valid candidate or
+    static wear leveling migrates; from then on host fills are recorded
+    into them, and each block filled since closes with a heap event
+    checked against ``pkey``, since a copy shifted it off the fixed
+    geometry.
 
     The erase mirror retires a victim whose new wear reaches its cycle
     limit, as ``erase_block``'s ``went_bad`` and ``_collect_block`` do:
@@ -669,7 +786,8 @@ def _walk(
     """
     upb = ftl.units_per_block
     n_blocks = ftl._num_blocks
-    U, nxt = stream[0], stream[1]
+    nxt = stream[1]
+    group_ends, seg_ends, segs_through = ends
     perm_l = pkg._pe_permanent.tolist()
     reco_l = pkg._pe_recoverable.tolist()
     eff_l = pe0.tolist()
@@ -694,6 +812,12 @@ def _walk(
     mask = (1 << bits) - 1
     pending: List[int] = [(ev << bits) | b for b, ev in exhaust_pos.items()]
     heapq.heapify(pending)
+    # The release schedule, ending in a sentinel no position reaches.
+    rel_a, rk_a = schedule
+    rel_l = rel_a.tolist()
+    rel_l.append(_NEVER)
+    rk_l = rk_a.tolist()
+    j = 0
     # Zero-valid GC candidates bucketed by effective wear: a heap of
     # block ids per distinct value (ascending lists are heaps already)
     # plus a min-heap of the distinct values.  Pops run in (wear, block)
@@ -708,9 +832,12 @@ def _walk(
     victims: List[int] = []
     n_erased = 0
     alive = [-1] * n_blocks  # fill ordinal of each block's in-burst content
+    # The block of each fixed-geometry fill ordinal.
+    fill_blk: List[int] = []
     # Closed in-burst (and not erased since); once contents are
     # materialized, every GC candidate.
     closed = bytearray(n_blocks)
+    # Erases made before each group's end, recorded as reclaims pass it.
     erase_prefix: List[int] = []
     # The walk's structures a materialized _Contents shares.
     shared = (bits, dynamic, free, eff_l, alive, closed, pending, victims)
@@ -724,305 +851,272 @@ def _walk(
     pe_max = None  # max wear over every block, as of ``pe_seen`` victims
     pe_seen = 0
     rmax = -1  # latest death among the active block's copied units
-    act_hs = -1  # stream position of the active block's first host unit
 
     heappush = heapq.heappush
     heappop = heapq.heappop
     free_append = free.append
     free_remove = free.remove
     victims_append = victims.append
-    prefix_append = erase_prefix.append
+    fill_append = fill_blk.append
     active = active0
     aoff = a0
     if b0_pre:
         alive[active0] = 0
-        next_ext = 1
-    else:
-        next_ext = 0
-    ext_tl = ext_t.tolist()
-    n_segs = len(segments)
-    pos = 0
-    seg_i = 0
-    m = 0
-    for group in range(num_groups):
-        while seg_i < n_segs and segments[seg_i].group == group:
-            s_end = pos + seg_lens[seg_i]
-            idx = pos
-            while idx < s_end:
-                if active is None:
-                    nf = len(free)
-                    if nf <= low:
-                        # The reclaim — see module docstring for the bail
-                        # conditions (every `return None` below is an
-                        # event the scalar path must replay).
-                        due = (idx + 1) << bits
-                        while pending and pending[0] < due:
-                            key = heappop(pending)
-                            b = key & mask
-                            if pkey is not None:
-                                if pkey[b] != key:
-                                    continue  # relocated before it fired
-                                pkey[b] = -1
-                            w = eff_l[b]
-                            bucket = buckets.get(w)
-                            if bucket is None:
-                                buckets[w] = [b]
-                                heappush(wears, w)
-                            else:
-                                heappush(bucket, b)
-                        wl = False
-                        while True:
-                            if nf < high and wears:
-                                w = wears[0]
-                                bucket = buckets[w]
-                                v = heappop(bucket)
-                                # Victim order equals the scalar argmin
-                                # iff no remaining candidate's score can
-                                # round into v's.  Equal wear gives equal
-                                # scores (id order == argmin index order);
-                                # the nearest larger wear within
-                                # _SCORE_GUARD could collide after the
-                                # float divide — bail.
-                                if bucket:
-                                    nw = len(wears)
-                                    if nw > 2:
-                                        gap = wears[1] if wears[1] < wears[2] else wears[2]
-                                    else:
-                                        gap = wears[1] if nw == 2 else None
-                                else:
-                                    del buckets[w]
-                                    heappop(wears)
-                                    gap = wears[0] if wears else None
-                                if gap is not None and gap - w <= (
-                                    gap if gap > 1.0 else 1.0
-                                ) * _SCORE_GUARD:
-                                    return None
-                            else:
-                                if nf >= high:
-                                    # GC is done; _maybe_static_wear_level
-                                    # may migrate one block.
-                                    if not static_enabled or wl_ctr < wl_interval:
-                                        break
-                                    wl_ctr = 0
-                                    if num_bad:
-                                        # Mirror wear_gap_exceeds: the gap
-                                        # is taken over good blocks only.
-                                        good_eff = [
-                                            e2 for b2, e2 in enumerate(eff_l)
-                                            if not bad_l[b2]
-                                        ]
-                                        if not good_eff or (
-                                            max(good_eff) - min(good_eff) <= wl_threshold
-                                        ):
-                                            break
-                                    elif max(eff_l) - min(eff_l) <= wl_threshold:
-                                        break
-                                    wl = True
-                                # The victim holds live units: a static WL
-                                # migration, or a greedy GC victim when no
-                                # zero-valid candidate is left.
-                                if cont is None:
-                                    cont = _Contents(ftl, stream, a0, b0_pre, shared)
-                                    pkey, nxt_l, copies = cont.pkey, nxt.tolist(), [0] * n_segs
-                                counts = cont.counts_at(idx)
-                                if wl:
-                                    # pick_cold_victim: the least-worn
-                                    # candidate holding live units (lowest
-                                    # id on ties).
-                                    cold = np.flatnonzero((counts > 0) & (counts < _UNTRACKED)).tolist()
-                                    if not cold:
-                                        break
-                                    v = min(cold, key=eff_l.__getitem__)
-                                    n_mv = int(counts[v])
-                                    wl_units += n_mv
-                                else:
-                                    v = int(counts.argmin())
-                                    n_mv = int(counts[v])
-                                    if n_mv >= _UNTRACKED:
-                                        return None  # no candidate: scalar stalls
-                                    counts[v] = _UNTRACKED
-                                    if counts[counts.argmin()] == n_mv:
-                                        # Tied counts: the scalar tie-break,
-                                        # same float ops, scaled by the
-                                        # max P/E over every block.
-                                        counts[v] = n_mv
-                                        tied = (counts == n_mv).nonzero()[0].tolist()
-                                        # Wear only rises, so the max
-                                        # moves only with blocks erased
-                                        # since.
-                                        if pe_max is None:
-                                            pe_max = max(eff_l)
-                                        else:
-                                            for b in victims[pe_seen:]:
-                                                if eff_l[b] > pe_max:
-                                                    pe_max = eff_l[b]
-                                        pe_seen = len(victims)
-                                        scale = pe_max + 1.0
-                                        best = n_mv + eff_l[v] / scale * 0.5
-                                        for b in tied[1:]:
-                                            score = n_mv + eff_l[b] / scale * 0.5
-                                            if score < best:
-                                                v = b
-                                                best = score
-                                    victim_valid.append(n_mv)
-                                    gc_units += n_mv
-                                moved = cont.move(v, n_mv, active, aoff, next_ext)
-                                if moved is None:
-                                    return None
-                                active, aoff, next_ext = moved
-                                copies[seg_i] += n_mv
-                                nf = len(free)
-                            p_ = perm_l[v] + one_minus
-                            r_ = reco_l[v] + frac
-                            e_ = p_ + r_
-                            perm_l[v] = p_
-                            reco_l[v] = r_
-                            eff_l[v] = e_
-                            if e_ >= limit_l[v]:
-                                # erase_block's went_bad: the block
-                                # retires instead of rejoining the free
-                                # list.
-                                if bad_l is None:
-                                    bad_l = [False] * n_blocks
-                                bad_l[v] = True
-                                num_bad += 1
-                                if num_bad > max_bad:
-                                    return group  # end of life: truncate
-                                # More than four retiring victims in a
-                                # row: the scalar stall guard may end the
-                                # reclaim short (it counts GC victims, and
-                                # a row spans reclaims only through a
-                                # migration), so bail.
-                                at = len(victims)
-                                stall = stall + 1 if stall_at == at - 1 else 1
-                                stall_at = at
-                                if stall > 4:
-                                    return None
-                                retired.append(v)
-                            else:
-                                free_append(v)
-                                nf += 1
-                            alive[v] = -1
-                            closed[v] = 0
-                            victims_append(v)
-                            n_erased += 1
-                            wl_ctr += 1
-                            if wl:
-                                n_wl += 1
-                                break
-                        if cont is not None and cont.queued:
-                            cont.flush()
-                            if active is not None:
-                                # Opened by this reclaim's copies.
-                                rmax = int(cont.rows[active, :aoff].max())
-                        nf = len(free)
-                    if active is None:
-                        # pop_free (a relocation may have opened a block
-                        # already; the host appends to it).  _pop_free
-                        # inlined: on clean walks this runs for about
-                        # every other erase.
-                        if nf == 0:
-                            return None  # end of life on the scalar path: bail
-                        if not dynamic or nf == 1:
-                            active = free.pop(0)
+        fill_append(active0)
+    next_ext = len(fill_blk)
+    # The walk ends with group m - 1: the last group, or the first whose
+    # reclaims spend the stop (a stop of 0 or less ends group 0).
+    m = num_groups
+    stop_at = _NEVER if stop_erases is None else stop_erases
+    if stop_at <= 0:
+        m, stop_at = 1, _NEVER
+    limit = group_ends[m - 1]
+    next_end = group_ends[0]
+    score_guard = _SCORE_GUARD
+    q = 0
+    while q < limit:
+        if active is None:
+            nf = len(free)
+            if nf <= low:
+                # The reclaim — see module docstring for the bail
+                # conditions (every `return None` below is an event the
+                # scalar path must replay).  Groups ending by q are done.
+                if q >= next_end:
+                    while group_ends[len(erase_prefix)] <= q:
+                        erase_prefix.append(n_erased)
+                    next_end = group_ends[len(erase_prefix)]
+                # Every candidate due by position q joins the buckets.
+                while rel_l[j] <= q:
+                    k = rk_l[j]
+                    j += 1
+                    b = fill_blk[k]
+                    if alive[b] == k:
+                        w = eff_l[b]
+                        bucket = buckets.get(w)
+                        if bucket is None:
+                            buckets[w] = [b]
+                            heappush(wears, w)
                         else:
-                            active = free[0]
-                            best_pe = eff_l[active]
-                            for blk in free:
-                                v_ = eff_l[blk]
-                                if v_ < best_pe:
-                                    active = blk
-                                    best_pe = v_
-                            free_remove(active)
-                        aoff = 0
-                        rmax = -1
-                        alive[active] = next_ext
-                        next_ext += 1
-                safe = len(free) - low
-                if safe < 0:
-                    safe = 0
-                end = idx + (upb - aoff) + safe * upb
-                if end > s_end:
-                    end = s_end
-                p = idx
-                if cont is None:
-                    while True:
-                        room = upb - aoff
-                        take = end - p if end - p < room else room
-                        aoff += take
-                        p += take
-                        if aoff == upb:
-                            k = alive[active]
-                            ev = ext_tl[k] + 1
-                            if p > ev:
-                                ev = p
-                            if k == 0 and b0_pre and b0_extra > ev:
-                                ev = b0_extra
-                            if ev < _NEVER:
-                                heappush(pending, (ev << bits) | active)
-                            closed[active] = 1
-                            active = None
-                            aoff = 0
-                            if p < end:
-                                # pop_free (mid-span: no reclaim, the span
-                                # sizing already proved the free blocks
-                                # safe); _pop_free inlined
-                                nf = len(free)
-                                if nf == 0:
-                                    return None
-                                if not dynamic or nf == 1:
-                                    active = free.pop(0)
+                            heappush(bucket, b)
+                due = (q + 1) << bits
+                while pending and pending[0] < due:
+                    key = heappop(pending)
+                    b = key & mask
+                    if pkey is not None:
+                        if pkey[b] != key:
+                            continue  # relocated before it fired
+                        pkey[b] = -1
+                    w = eff_l[b]
+                    bucket = buckets.get(w)
+                    if bucket is None:
+                        buckets[w] = [b]
+                        heappush(wears, w)
+                    else:
+                        heappush(bucket, b)
+                wl = False
+                while True:
+                    if nf < high and wears:
+                        w = wears[0]
+                        bucket = buckets[w]
+                        v = heappop(bucket)
+                        # Victim order equals the scalar argmin iff no
+                        # remaining candidate's score can round into
+                        # v's.  Equal wear gives equal scores (id order
+                        # == argmin index order); the nearest larger
+                        # wear within _SCORE_GUARD could collide after
+                        # the float divide — bail.
+                        if bucket:
+                            nw = len(wears)
+                            if nw > 2:
+                                gap = wears[1] if wears[1] < wears[2] else wears[2]
+                            else:
+                                gap = wears[1] if nw == 2 else None
+                        else:
+                            del buckets[w]
+                            heappop(wears)
+                            gap = wears[0] if wears else None
+                        if gap is not None and gap - w <= (
+                            gap if gap > 1.0 else 1.0
+                        ) * score_guard:
+                            return None
+                    else:
+                        if nf >= high:
+                            # GC is done; _maybe_static_wear_level may
+                            # migrate one block.
+                            if not static_enabled or wl_ctr < wl_interval:
+                                break
+                            wl_ctr = 0
+                            if num_bad:
+                                # Mirror wear_gap_exceeds: the gap is
+                                # taken over good blocks only.
+                                good_eff = [
+                                    e2 for b2, e2 in enumerate(eff_l)
+                                    if not bad_l[b2]
+                                ]
+                                if not good_eff or (
+                                    max(good_eff) - min(good_eff) <= wl_threshold
+                                ):
+                                    break
+                            elif max(eff_l) - min(eff_l) <= wl_threshold:
+                                break
+                            wl = True
+                        # The victim holds live units: a static WL
+                        # migration, or a greedy GC victim when no
+                        # zero-valid candidate is left.
+                        if cont is None:
+                            cont = _Contents(ftl, stream, a0, b0_pre, shared)
+                            pkey, nxt_l, copies = cont.pkey, nxt.tolist(), [0] * len(seg_ends)
+                            # Blocks opened from here on leave the fixed
+                            # geometry: only the releases of extents
+                            # filled so far still stand.
+                            keep = rk_a[j:] < next_ext
+                            rel_l = rel_a[j:][keep].tolist()
+                            rel_l.append(_NEVER)
+                            rk_l = rk_a[j:][keep].tolist()
+                            j = 0
+                        counts = cont.counts_at(q)
+                        if wl:
+                            # pick_cold_victim: the least-worn candidate
+                            # holding live units (lowest id on ties).
+                            cold = np.flatnonzero((counts > 0) & (counts < _UNTRACKED)).tolist()
+                            if not cold:
+                                break
+                            v = min(cold, key=eff_l.__getitem__)
+                            n_mv = int(counts[v])
+                            wl_units += n_mv
+                        else:
+                            v = int(counts.argmin())
+                            n_mv = int(counts[v])
+                            if n_mv >= _UNTRACKED:
+                                return None  # no candidate: scalar stalls
+                            counts[v] = _UNTRACKED
+                            if counts[counts.argmin()] == n_mv:
+                                # Tied counts: the scalar tie-break,
+                                # same float ops, scaled by the max P/E
+                                # over every block.
+                                counts[v] = n_mv
+                                tied = (counts == n_mv).nonzero()[0].tolist()
+                                # Wear only rises, so the max moves only
+                                # with blocks erased since.
+                                if pe_max is None:
+                                    pe_max = max(eff_l)
                                 else:
-                                    active = free[0]
-                                    best_pe = eff_l[active]
-                                    for blk in free:
-                                        v_ = eff_l[blk]
-                                        if v_ < best_pe:
-                                            active = blk
-                                            best_pe = v_
-                                    free_remove(active)
-                                alive[active] = next_ext
-                                next_ext += 1
-                                continue
+                                    for b in victims[pe_seen:]:
+                                        if eff_l[b] > pe_max:
+                                            pe_max = eff_l[b]
+                                pe_seen = len(victims)
+                                scale = pe_max + 1.0
+                                best = n_mv + eff_l[v] / scale * 0.5
+                                for b in tied[1:]:
+                                    score = n_mv + eff_l[b] / scale * 0.5
+                                    if score < best:
+                                        v = b
+                                        best = score
+                            victim_valid.append(n_mv)
+                            gc_units += n_mv
+                        moved = cont.move(v, n_mv, active, aoff, next_ext)
+                        if moved is None:
+                            return None
+                        active, aoff, next_ext = moved
+                        copies[bisect_right(seg_ends, q)] += n_mv
+                        nf = len(free)
+                    p_ = perm_l[v] + one_minus
+                    r_ = reco_l[v] + frac
+                    e_ = p_ + r_
+                    perm_l[v] = p_
+                    reco_l[v] = r_
+                    eff_l[v] = e_
+                    if e_ >= limit_l[v]:
+                        # erase_block's went_bad: the block retires
+                        # instead of rejoining the free list.
+                        if bad_l is None:
+                            bad_l = [False] * n_blocks
+                        bad_l[v] = True
+                        num_bad += 1
+                        if num_bad > max_bad:
+                            # End of life: truncate at q's group.
+                            return bisect_right(group_ends, q)
+                        # More than four retiring victims in a row: the
+                        # scalar stall guard may end the reclaim short
+                        # (it counts GC victims, and a row spans
+                        # reclaims only through a migration), so bail.
+                        at = len(victims)
+                        stall = stall + 1 if stall_at == at - 1 else 1
+                        stall_at = at
+                        if stall > 4:
+                            return None
+                        retired.append(v)
+                    else:
+                        free_append(v)
+                        nf += 1
+                    alive[v] = -1
+                    closed[v] = 0
+                    victims_append(v)
+                    n_erased += 1
+                    wl_ctr += 1
+                    if wl:
+                        n_wl += 1
                         break
+                if cont is not None and cont.queued:
+                    cont.flush()
+                    if active is not None:
+                        # Opened by this reclaim's copies.
+                        rmax = int(cont.rows[active, :aoff].max())
+                if n_erased >= stop_at:
+                    # The stop is spent: the walk ends with q's group.
+                    m = bisect_right(group_ends, q) + 1
+                    limit = group_ends[m - 1]
+                    stop_at = _NEVER
+                nf = len(free)
+            if active is None:
+                # pop_free (a relocation may have opened a block
+                # already; the host appends to it).  _pop_free inlined:
+                # this runs once per block fill.
+                if nf == 0:
+                    return None  # end of life on the scalar path: bail
+                if not dynamic or nf == 1:
+                    active = free.pop(0)
                 else:
-                    # A copy shifted the log off the fixed extent
-                    # geometry: fill one block per pass, writing its
-                    # slots.  The next pass opens the next block without
-                    # a reclaim exactly where the span would have (the
-                    # span's end stays the same), so this is the same
-                    # placement.
-                    room = upb - aoff
-                    take = end - p if end - p < room else room
-                    if act_hs < 0:
-                        act_hs = p
-                    cont.host.append((active * upb + aoff, p, take))
-                    aoff += take
-                    p += take
-                    if aoff == upb:
-                        # The block's latest death: host units and copies.
-                        ev = max(nxt_l[act_hs:p]) + 1
-                        if rmax >= ev:
-                            ev = rmax + 1
-                        if p > ev:
-                            ev = p
-                        if ev < _NEVER:
-                            key = (ev << bits) | active
-                            heappush(pending, key)
-                            pkey[active] = key
-                        act_hs = -1
-                        closed[active] = 1
-                        active = None
-                        aoff = 0
-                    end = p
-                idx = end
-            pos = s_end
-            seg_i += 1
-        m = group + 1
-        prefix_append(n_erased)
-        if stop_erases is not None and n_erased >= stop_erases:
+                    active = free[0]
+                    best_pe = eff_l[active]
+                    for blk in free:
+                        v_ = eff_l[blk]
+                        if v_ < best_pe:
+                            active = blk
+                            best_pe = v_
+                    free_remove(active)
+                alive[active] = next_ext
+                if cont is None:
+                    fill_append(active)
+                else:
+                    rmax = -1
+                next_ext += 1
+        room = upb - aoff
+        if limit - q < room:
+            # The last fill leaves the block open.
+            if cont is not None:
+                cont.host.append((active * upb + aoff, q, limit - q))
+            aoff += limit - q
             break
-    C = pos
+        if cont is not None:
+            # Off the fixed geometry, the block's event is the latest
+            # death of its host units and copies, written as it closes.
+            cont.host.append((active * upb + aoff, q, room))
+            ev = max(nxt_l[q : q + room]) + 1
+            if rmax >= ev:
+                ev = rmax + 1
+            if q + room > ev:
+                ev = q + room
+            if ev < _NEVER:
+                key = (ev << bits) | active
+                heappush(pending, key)
+                pkey[active] = key
+        q += room
+        closed[active] = 1
+        active = None
+        aoff = 0
+    C = limit
+    erase_prefix.extend([n_erased] * (m - len(erase_prefix)))
 
     if victims:
         vic_u = np.unique(np.array(victims, dtype=np.int64))
@@ -1041,7 +1135,7 @@ def _walk(
     return (
         vic_u, vic_perm, vic_reco, vic_eff, n_erased, retired,
         alive, closed, tuple(free), active, aoff, wl_ctr,
-        m, C, erase_prefix, seg_i, reloc,
+        m, C, erase_prefix, segs_through[m - 1], reloc,
     )
 
 
@@ -1059,6 +1153,7 @@ def commit_planned_burst(ftl, plan: BurstPlan) -> None:
     upb = ftl.units_per_block
     n_blocks = ftl._num_blocks
     n_erased = plan.n_erased
+    ftl._eol_ahead = False
     n_gc = n_erased - plan.wl_runs
     n_retired = int(plan.retired.size)
 

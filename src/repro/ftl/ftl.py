@@ -157,6 +157,11 @@ class PageMappedFTL:
         self._active_offset = 0
         self._erases_since_wl_check = 0
         self._in_reclaim = False
+        # Set when a fused window was cut at end of life: the next one
+        # would end it in its first group, so the planner refuses it
+        # before its link pass and the scalar step bricks the device.
+        # Any other write, an anneal or a restore forgets it.
+        self._eol_ahead = False
 
         # The position-scratch used for O(span) duplicate resolution, and
         # reusable index buffers for the placement hot path.
@@ -324,6 +329,7 @@ class PageMappedFTL:
         end-of-life check demands and a free block to write into."""
         healed = self.package.anneal(temp_c, duration_seconds)
         self._free_blocks.extend(healed.tolist())
+        self._eol_ahead = False
         if (
             self.read_only
             and self._free_blocks
@@ -404,6 +410,7 @@ class PageMappedFTL:
 
     def _write_units(self, unit_lpns: np.ndarray, source: _Source) -> None:
         """Append mapping units to the log; the batch may repeat LPNs."""
+        self._eol_ahead = False
         pages = int(unit_lpns.size) * self.unit_pages
         if source is _Source.GC:
             self.stats.gc_pages_copied += pages

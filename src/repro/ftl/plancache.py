@@ -457,9 +457,10 @@ def window_steps(step_bytes: Optional[int]) -> int:
 
     Inside :class:`sharing`, 1024 steps.  Outside, as many steps as
     :data:`COLD_WINDOW_BYTES` holds, capped at the sharing window and
-    at least 2, the smallest window the fused path takes (a bound of 1
-    is a scalar step).  A step of unknown size (a workload that reports
-    no ``step_bytes``) gets the floor.
+    at least 2.  The cap only sizes the attempt: the experiment loop
+    fuses any smaller bound too, a one-step window included, and the
+    FTL cuts every window at the erase budget.  A step of unknown size
+    (a workload that reports no ``step_bytes``) gets the floor.
     """
     if sharing.depth:
         return _SHARING_WINDOW_STEPS

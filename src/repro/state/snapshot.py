@@ -161,6 +161,7 @@ def restore_ftl(ftl: PageMappedFTL, state: Dict[str, Any]) -> None:
     ftl._active_offset = int(state["active_offset"])
     ftl._erases_since_wl_check = int(state["erases_since_wl_check"])
     ftl.read_only = bool(state["read_only"])
+    ftl._eol_ahead = False
     for name, value in state["stats"].items():
         setattr(ftl.stats, name, int(value))
     ftl._read_rng.bit_generator.state = state["read_rng"]

@@ -26,7 +26,8 @@ from repro.ftl import PageMappedFTL, burst
 from repro.ftl.burst import _NEVER, BurstSegment, _next_links, plan_write_burst
 from repro.ftl.wear_leveling import WearLevelingConfig
 from repro.state.checkpoint import CheckpointManager
-from repro.state.snapshot import capture_ftl, save_state, snapshot_experiment
+from repro.errors import DeviceWornOut
+from repro.state.snapshot import capture_ftl, restore_ftl, save_state, snapshot_experiment
 from repro.units import KIB, MIB
 from repro.workloads import FileRewriteWorkload, generic_step_batch
 from repro.workloads.wearout import fill_static_space
@@ -37,11 +38,11 @@ from tests.test_state_snapshot import device_fingerprint, make_experiment, resul
 SCALE = 2048  # small scaled device: a few hundred steps to level 3
 
 
-def _experiment(fs_cls=Ext4Model, pattern="rand", seed=7, **exp_kwargs):
+def _experiment(fs_cls=Ext4Model, pattern="rand", seed=7, request_bytes=4 * KIB, **exp_kwargs):
     device = build_device("emmc-8gb", scale=SCALE, seed=seed)
     fs = fs_cls(device)
     workload = FileRewriteWorkload(
-        fs, num_files=4, request_bytes=4 * KIB, pattern=pattern, seed=seed
+        fs, num_files=4, request_bytes=request_bytes, pattern=pattern, seed=seed
     )
     return WearOutExperiment(device, workload, filesystem=fs, **exp_kwargs)
 
@@ -297,6 +298,31 @@ class TestStepBatchProtocol:
         ):
             assert np.array_equal(g_burst.next_batch(16), g_scalar.next_batch(16))
 
+    def test_one_step_estimate_plans_a_fused_window(self, monkeypatch):
+        """An erase-rate estimate that fits one step before the budget
+        bounds the window at one step; that step still goes through
+        ``step_batch`` fused (the FTL cuts it at the budget), and the
+        run equals the per-step loop."""
+        windows = []
+        step_batch = FileRewriteWorkload.step_batch
+
+        def watched(workload, n, budget=None):
+            out = step_batch(workload, n, budget)
+            windows.append((n, None if out is None else len(out[0])))
+            return out
+
+        monkeypatch.setattr(FileRewriteWorkload, "step_batch", watched)
+        # 64 KiB requests: 256 MiB per step, so cold windows are two
+        # steps and the budget's last stretch is often under one step.
+        fused = _experiment(pattern="seq", request_bytes=64 * KIB)
+        fused.run(until_level=2)
+        scalar = _experiment(pattern="seq", request_bytes=64 * KIB)
+        scalar.step_batching = False
+        scalar.run(until_level=2)
+        assert (1, 1) in windows
+        assert result_json(fused) == result_json(scalar)
+        assert ftl_fingerprint(fused.device.ftl) == ftl_fingerprint(scalar.device.ftl)
+
     def test_unbudgeted_batch_executes_all_steps(self):
         burst = _experiment()
         scalar = _experiment()
@@ -400,6 +426,15 @@ class TestVictimScoreGuard:
         assert ftl_fingerprint(fused) == ftl_fingerprint(scalar)
 
 
+def _unit_segments(draws):
+    """One 4 KiB-unit segment per group, group ``g`` writing ``draws[g]``."""
+    return [
+        BurstSegment(unit_lpns=lpns, host_pages=lpns.size, rmw_pages=0, group=g,
+                     total_bytes=lpns.size * PAGE, request_bytes=PAGE)
+        for g, lpns in enumerate(draws)
+    ]
+
+
 def _retiring_ftl(k):
     """An FTL whose next allocation reclaims, with wear preloaded so
     that the first ``k`` zero-valid candidates in the scalar's pick
@@ -456,6 +491,68 @@ class TestRetiringWalk:
         # The first reclaim stops at the high watermark unless the stall
         # guard breaks it with candidates left.
         assert free_after[0] == (scalar.gc_high_water if k == 4 else scalar.gc_low_water)
+
+    @staticmethod
+    def _window_cut_at_end_of_life(monkeypatch):
+        """A 32-block package derated to 25 cycles with a wide endurance
+        spread, written in 8-group windows of random 4 KiB units until
+        one is cut at end of life.  Returns the FTL, the cut window's
+        group draws and executed groups, and the link passes run so far
+        (a list the link pass appends to)."""
+        links = []
+        next_links = burst._next_links
+
+        def counted(*args):
+            links.append(args)
+            return next_links(*args)
+
+        monkeypatch.setattr(burst, "_next_links", counted)
+        geom = FlashGeometry(page_size=PAGE, pages_per_block=8, num_blocks=32)
+        package = FlashPackage(
+            geom, cell_spec=CELL_SPECS[CellType.MLC].derated(25), endurance_sigma=0.3, seed=0
+        )
+        ftl = PageMappedFTL(
+            package, logical_capacity_bytes=int(geom.capacity_bytes * 0.6),
+            wear_leveling=WearLevelingConfig(static_enabled=False), seed=0,
+        )
+        rng = np.random.default_rng(0)
+        for _ in range(40):
+            draws = [rng.integers(0, ftl.num_logical_units, size=32) for _ in range(8)]
+            plan = ftl.write_requests_batch(_unit_segments(draws), 8)
+            if plan is None:
+                for lpns in draws:
+                    ftl.write_requests(lpns * PAGE, PAGE)
+            elif plan.executed_groups < 8:
+                return ftl, draws, plan.executed_groups, links
+        pytest.fail("no window reached end of life")
+
+    def test_end_of_life_refuses_the_next_window_before_linking(self, monkeypatch):
+        """After a window cut at end of life the next window would end
+        life in its first group: it is refused before its link pass, and
+        the scalar step bricks the device."""
+        ftl, draws, m, links = self._window_cut_at_end_of_life(monkeypatch)
+        assert m >= 1
+        linked = len(links)
+        assert ftl.write_requests_batch(_unit_segments(draws[m:]), 8 - m) is None
+        with pytest.raises(DeviceWornOut):
+            ftl.write_requests(draws[m] * PAGE, PAGE)
+        assert len(links) == linked and ftl.read_only
+
+    @pytest.mark.parametrize("forget", ["anneal", "restore"])
+    def test_anneal_or_restore_forgets_the_refusal(self, monkeypatch, forget):
+        """An anneal (one that heals nothing) or a snapshot restore
+        forgets the refusal: the next window links again, and still
+        finds end of life in its first group."""
+        ftl, draws, m, links = self._window_cut_at_end_of_life(monkeypatch)
+        if forget == "anneal":
+            assert not ftl.anneal(25.0, 1.0).size
+        else:
+            restore_ftl(ftl, capture_ftl(ftl))
+        linked = len(links)
+        assert ftl.write_requests_batch(_unit_segments(draws[m:]), 8 - m) is None
+        assert len(links) == linked + 1
+        with pytest.raises(DeviceWornOut):
+            ftl.write_requests(draws[m] * PAGE, PAGE)
 
     @pytest.mark.slow
     def test_end_of_life_inside_a_window(self, tmp_path, committed, monkeypatch):
@@ -741,19 +838,23 @@ def _last_seen_links(stream):
     return nxt, sorted(seen.values())
 
 
-def _check_links(stream, num_logical_units):
-    nxt, first_pos = _next_links(np.asarray(stream, dtype=np.int64), num_logical_units)
+def _check_links(stream, num_logical_units, cuts=()):
+    """Link ``stream``, handed over as the parts its ``cuts`` make (empty
+    parts included), and compare with the last-seen scan."""
+    parts = np.split(np.asarray(stream, dtype=np.int64), sorted(cuts))
+    nxt, first_pos, first_lpns = _next_links(parts, num_logical_units)
     want_nxt, want_first = _last_seen_links(list(stream))
     assert nxt.dtype == np.int64
     assert nxt.tolist() == want_nxt
     assert first_pos.tolist() == want_first
+    assert first_lpns.tolist() == [stream[p] for p in want_first]
 
 
 @st.composite
 def _streams(draw):
-    """(stream, num_logical_units) across both code widths: LPNs drawn
-    over the whole range, streams all-distinct or with repeats from one
-    LPN (all-same) up."""
+    """(stream, num_logical_units, cuts) across both code widths: LPNs
+    drawn over the whole range, streams all-distinct or with repeats
+    from one LPN (all-same) up, split into parts anywhere."""
     num_logical_units = draw(st.sampled_from(
         [1, 2, 112, 7630, 1 << 16, (1 << 16) + 1, 122_071, (1 << 32) - 1]
     ))
@@ -765,7 +866,8 @@ def _streams(draw):
         stream = draw(st.permutations(lpns))
     else:
         stream = draw(st.lists(st.sampled_from(lpns), min_size=1, max_size=300))
-    return stream, num_logical_units
+    cuts = draw(st.lists(st.integers(min_value=0, max_value=len(stream)), max_size=4))
+    return stream, num_logical_units, cuts
 
 
 class TestNextLinks:
@@ -788,8 +890,42 @@ class TestNextLinks:
         alphabet=st.sampled_from([1, 3, 500, 1 << 16]),
     )
     def test_streams_longer_than_one_32_bit_chunk(self, seed, length, alphabet):
-        """With 16-bit LPNs a 32-bit code holds 2**16 positions, so these
-        streams sort in chunks linked through each LPN's last write."""
+        """Streams of three to five link-pass chunks, with 16-bit LPNs:
+        each chunk sorts alone and links through each LPN's last write."""
         rng = np.random.default_rng(seed)
         stream = rng.integers(0, alphabet, size=length).tolist()
         _check_links(stream, 1 << 16)
+
+    @settings(max_examples=6, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        chunks=st.integers(min_value=2, max_value=4),
+        tail=st.integers(min_value=0, max_value=(1 << burst._LINK_CHUNK_BITS) - 1),
+        num_logical_units=st.sampled_from([7630, 122_071]),
+        alphabet=st.sampled_from([1, 3, 500, None]),
+    )
+    def test_lpns_recurring_across_chunk_edges(
+        self, seed, chunks, tail, num_logical_units, alphabet
+    ):
+        """Several chunks at either code width (7,630 LPNs take 32-bit
+        codes, 122,071 64-bit ones), the stream cut into parts that
+        straddle chunk edges, and the units just before every chunk edge
+        written again, in reverse, just after it."""
+        chunk = 1 << burst._LINK_CHUNK_BITS
+        rng = np.random.default_rng(seed)
+        length = chunks * chunk + tail
+        stream = rng.integers(0, alphabet or num_logical_units, size=length)
+        for edge in range(chunk, length, chunk):
+            span = min(3, length - edge)
+            stream[edge : edge + span] = stream[edge - span : edge][::-1]
+        cuts = rng.integers(0, length + 1, size=8).tolist()
+        _check_links(stream.tolist(), num_logical_units, cuts)
+
+    @pytest.mark.parametrize("bad", [-1, 7630])
+    def test_out_of_range_lpn_refuses(self, bad):
+        """An LPN outside the logical space, in any chunk, refuses the
+        stream: the scalar path raises the proper error."""
+        chunk = 1 << burst._LINK_CHUNK_BITS
+        stream = np.zeros(2 * chunk + 5, dtype=np.int64)
+        stream[chunk + 1] = bad
+        assert _next_links([stream[:7], stream[7:]], 7630) is None

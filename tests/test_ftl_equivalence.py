@@ -480,11 +480,12 @@ class TestEmptyBatches:
 # Cross-increment megaburst path (DESIGN.md §14)
 # ----------------------------------------------------------------------
 
-def run_trajectory(max_batch_steps=None):
+def run_trajectory(max_batch_steps=None, step_batching=True):
     """One full wear-out trajectory to level 3 through the megaburst
     loop — increments, polls, checkpoint boundaries and all — with a
-    selectable window cap.  The plan cache is cleared first so every
-    variant plans from scratch."""
+    selectable window cap (``step_batching=False``: the per-step
+    reference loop).  The plan cache is cleared first so every variant
+    plans from scratch."""
     from repro.core.experiment import WearOutExperiment
     from repro.devices import build_device
     from repro.fs import Ext4Model
@@ -501,6 +502,7 @@ def run_trajectory(max_batch_steps=None):
         experiment = WearOutExperiment(device, workload, filesystem=fs)
         if max_batch_steps is not None:
             experiment.max_batch_steps = max_batch_steps
+        experiment.step_batching = step_batching
         experiment.run(until_level=3)
     finally:
         plancache.clear()
@@ -526,14 +528,14 @@ class TestMegaburstEquivalence:
         assert len(experiment.result.increments) == 2
         assert ftl_fingerprint(experiment.device.ftl) == TRAJECTORY_FINGERPRINT
 
-    @pytest.mark.parametrize("window", [7, 8, 64, 1024])
+    @pytest.mark.parametrize("window", [1, 7, 8, 64, 1024])
     def test_window_size_invariance(self, window):
         experiment = run_trajectory(max_batch_steps=window)
         assert ftl_fingerprint(experiment.device.ftl) == TRAJECTORY_FINGERPRINT
 
     def test_scalar_reference_matches_golden_digest(self):
         experiment = run_trajectory()
-        experiment_scalar = run_trajectory(max_batch_steps=1)
+        experiment_scalar = run_trajectory(step_batching=False)
         assert (
             ftl_fingerprint(experiment_scalar.device.ftl)
             == ftl_fingerprint(experiment.device.ftl)
