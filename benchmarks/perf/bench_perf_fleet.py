@@ -20,17 +20,15 @@ equivalent loop of scalar ``WearOutExperiment`` runs by at least
   scalar-loop cost the speedup gate compares against.
 * ``fleet_megaburst_1k`` — a *demotion-heavy* 1000-device cohort
   (sequential rewrite, a wide endurance spread, run to wear level 5)
-  through the cohort engine with the megaburst plan cache on
-  (DESIGN.md §15: demoted replays follow the leader's crossing-aligned
-  window schedule and ride its fused windows up to their own retirement
-  crossing; the window holding it retires the block inside a fresh
-  plan, and the tail plans its own windows).  The same cohort is run
-  once per session under ``plancache.disabled()`` — the pre-sharing
-  cohort engine, where every demoted member replans every window from
-  scratch — and ``--check`` gates the cache-on run at
-  ``MEGABURST_SPEEDUP``x over that same-session baseline.  Three
-  members (at least one demoted) are re-run as scalar experiments and
-  asserted JSON-identical to the cohort's records for them.
+  through the cohort engine (DESIGN.md §12: each demoted member
+  branches from the leader's snapshot at the start of the advance that
+  demoted it and walks only that advance and its tail).  Once per
+  session every demoted member and one lockstep member are re-run in
+  full through :func:`repro.fleet.scalar_member_result` — the cost of a
+  cohort engine without shared prefixes, where the leader and each
+  demoted member run the whole trajectory — and each must be
+  JSON-identical to the cohort's record for it; ``--check`` gates the
+  cohort run at ``MEGABURST_SPEEDUP``x over that same-session baseline.
 
 Run directly:
 ``PYTHONPATH=src python benchmarks/perf/bench_perf_fleet.py``
@@ -48,7 +46,6 @@ import time
 import numpy as np
 
 from repro.fleet import CohortSpec, resolve_cohort_seed, run_cohort, scalar_member_result
-from repro.ftl import plancache
 from repro.rng import DEFAULT_SEED, substream_seed
 from repro.units import KIB
 
@@ -65,10 +62,9 @@ SAMPLE_SIZE = 3
 #: scalar experiments (ISSUE 7 gate).
 FLEET_SPEEDUP = 10.0
 
-#: Required speedup of the plan-sharing cohort engine over the same
-#: cohort with the plan cache disabled (ISSUE 10 gate): on a
-#: demotion-heavy cohort, demoted replays must collapse to cache probes
-#: plus the post-divergence tail instead of replanning every window.
+#: Required speedup of the cohort engine over full runs of the leader
+#: and every demoted member: on a demotion-heavy cohort, a demoted
+#: member must cost its post-divergence tail, not a whole trajectory.
 MEGABURST_SPEEDUP = 3.0
 
 #: Base seed of the demotion-heavy cohort (chosen for a clean leader
@@ -178,57 +174,30 @@ def run_fleet_scalar_sample():
 def run_fleet_megaburst_1k():
     spec = _megaburst_spec()
     seed = resolve_cohort_seed(spec, MEGABURST_SEED)
-    if _CACHE.get("megaburst_baseline") is None:
-        # The same-session baseline: the cohort engine without plan
-        # sharing — every demoted member replans every window from
-        # scratch.  Run once per session (it is the slow side by
-        # design) and reuse across best-of-N repeats.
-        plancache.clear()
-        start = time.perf_counter()
-        with plancache.disabled():
-            baseline_cohort = run_cohort(spec, seed)
-        _CACHE["megaburst_baseline"] = time.perf_counter() - start
-        _CACHE["megaburst_baseline_json"] = _result_json(baseline_cohort)
-    # Each timed repeat pays the leader's window compilation itself:
-    # clear the cache so the measured run is one self-contained
-    # leader-compiles/members-replay session.
-    plancache.clear()
     start = time.perf_counter()
     cohort = run_cohort(spec, seed)
     elapsed = time.perf_counter() - start
     _BEST["fleet_megaburst_1k"] = min(
         elapsed, _BEST.get("fleet_megaburst_1k", float("inf"))
     )
-    cohort_json = _result_json(cohort)
-    assert cohort_json == _CACHE["megaburst_baseline_json"], (
-        "plan sharing changed the cohort result"
-    )
     assert cohort.demoted, "demotion-heavy scenario produced no demoted members"
-    stats = cohort.plan_stats or {}
-    assert stats.get("demoted", {}).get("hits", 0) > 0, (
-        "demoted replays never hit the leader's plans"
-    )
-    # Spot check (once per session): three members — the first demoted
-    # one plus the first two lockstep members — must be JSON-identical
-    # to their own scalar runs (which themselves ride whatever cache
-    # state this session left behind; sharing never changes results).
-    if not _CACHE.get("megaburst_checked"):
-        demoted_index = min(cohort.demoted)
-        lockstep = [i for i in range(POPULATION) if i not in cohort.demoted][:2]
-        for index in [demoted_index] + lockstep:
-            scalar = scalar_member_result(spec, seed, index)
-            member_json = json.dumps(
-                cohort.member_result(index).to_dict(),
-                sort_keys=True, separators=(",", ":"),
-            )
-            scalar_json = json.dumps(
-                scalar.to_dict(), sort_keys=True, separators=(",", ":")
-            )
-            assert member_json == scalar_json, (
+    if _CACHE.get("megaburst_baseline") is None:
+        # The same-session baseline, once per session (it is the slow
+        # side by design): every demoted member plus one lockstep
+        # member — the leader's stand-in — run in full, each of which
+        # must match the cohort's record for it.
+        lockstep = next(i for i in range(POPULATION) if i not in cohort.demoted)
+        start = time.perf_counter()
+        scalars = {
+            index: scalar_member_result(spec, seed, index)
+            for index in sorted(cohort.demoted) + [lockstep]
+        }
+        _CACHE["megaburst_baseline"] = time.perf_counter() - start
+        for index, scalar in scalars.items():
+            assert _result_json(cohort.member_result(index)) == _result_json(scalar), (
                 f"member {index}: cohort result diverged from its scalar run"
             )
-        _CACHE["megaburst_checked"] = True
-    digest = hashlib.sha256(cohort_json.encode()).hexdigest()
+    digest = hashlib.sha256(_result_json(cohort).encode()).hexdigest()
     return elapsed, digest
 
 
@@ -263,8 +232,8 @@ def _megaburst_check(check: bool) -> int:
         return 0
     speedup = baseline / shared
     print(
-        f"megaburst cohort speedup: {speedup:.1f}x (plan-shared {shared:.2f}s, "
-        f"cache-off same-session baseline {baseline:.2f}s)"
+        f"megaburst cohort speedup: {speedup:.1f}x (cohort {shared:.2f}s, "
+        f"same-session full member runs {baseline:.2f}s)"
     )
     if check and speedup < MEGABURST_SPEEDUP:
         print(f"FAIL: megaburst cohort speedup {speedup:.1f}x < {MEGABURST_SPEEDUP}x")

@@ -11,8 +11,8 @@ A third times the fused planner on the largest window a benchmark
 workload plans:
 
 * ``fleet_window`` — one window shaped like a ``fleet_demotion``
-  leader's, planned and committed through ``write_requests_batch``
-  outside any plan-cache scope: a sequential 4 KiB rewrite of 400
+  leader's, planned and committed through ``write_requests_batch``:
+  a sequential 4 KiB rewrite of 400
   mapping units (the leader's files) on emmc-8gb at scale 512, 400
   steps of 4,096 requests (1.64M units), every GC victim zero-valid.
   Its end state must equal the per-call ``write_requests`` path's.

@@ -16,7 +16,6 @@ from __future__ import annotations
 import contextlib
 import multiprocessing
 import os
-from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Union
 
@@ -27,7 +26,6 @@ from repro.core.experiment import WearOutExperiment
 from repro.devices import DEVICE_SPECS, build_device
 from repro.errors import ConfigurationError
 from repro.fs import make_filesystem
-from repro.ftl import plancache
 from repro.obs import MetricsRegistry, SpanRecorder, is_enabled, metrics_enabled, worker_utilization
 from repro.state import CheckpointError, CheckpointManager, restore_experiment, warm_start_key
 from repro.units import KIB
@@ -172,20 +170,6 @@ _EXECUTORS: Dict[str, Callable[..., Dict[str, Any]]] = {
 }
 
 
-def _worker_init() -> None:
-    """Pool-worker initializer: drop the megaburst plan cache.
-
-    Under the fork start method every worker inherits the parent's
-    cache pages; clearing keeps per-worker memory flat and makes fork
-    and spawn workers start from the same (empty) cache.  The serial
-    path deliberately keeps the module-global cache so a grid's points
-    sharing a warm key replay each other's fused windows (DESIGN.md
-    §14) — replays are bit-identical, so worker count never changes
-    results either way.
-    """
-    plancache.clear()
-
-
 def run_point(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Execute one campaign point; the worker-side entry point.
 
@@ -200,9 +184,6 @@ def run_point(payload: Dict[str, Any]) -> Dict[str, Any]:
     snapshot lands in ``telemetry`` — visible to ``repro report`` but
     stripped from the canonical view, so store fingerprints stay
     identical whether metrics are on or off (DESIGN.md §9).
-
-    ``share_plans: True`` runs it inside ``plancache.sharing()``, since
-    another point of the run replays its fused windows (DESIGN.md §14).
     """
     spec = PointSpec.from_dict(payload["spec"])
     seed = payload["seed"]
@@ -211,8 +192,6 @@ def run_point(payload: Dict[str, Any]) -> Dict[str, Any]:
     telemetry: Dict[str, Any] = {}
     registry = None
     with contextlib.ExitStack() as scopes:
-        if payload.get("share_plans"):
-            scopes.enter_context(plancache.sharing())
         if payload.get("metrics"):
             registry = scopes.enter_context(metrics_enabled(MetricsRegistry()))
         with recorder.span(f"point:{payload['key']}"):
@@ -298,12 +277,9 @@ class CampaignRunner:
 
         The submitting process's metrics-enabled state rides along as a
         plain flag — worker processes rebuild their own registries from
-        it (:func:`run_point`) — and so does ``share_plans``: whether
-        another pending point has the same warm-start key, i.e. walks
-        the same trajectory and can replay this point's fused windows.
+        it (:func:`run_point`).
         """
         payloads = []
-        warm_keys = []
         metrics = is_enabled()
         for key, point in self.spec.keyed_points():
             if key in self.store:
@@ -323,10 +299,6 @@ class CampaignRunner:
                     "interval": self.checkpoint_interval,
                 }
             payloads.append(payload)
-            warm_keys.append(warm_start_key(fields, seed))
-        walkers = Counter(warm_keys)
-        for payload, warm_key in zip(payloads, warm_keys):
-            payload["share_plans"] = walkers[warm_key] > 1
         return payloads
 
     def run(
@@ -368,7 +340,7 @@ class CampaignRunner:
                     self._record(record, progress)
             else:
                 ctx = multiprocessing.get_context(self.mp_context)
-                with ctx.Pool(processes=effective, initializer=_worker_init) as pool:
+                with ctx.Pool(processes=effective) as pool:
                     for record in pool.imap_unordered(run_point, pending, chunksize=1):
                         self._record(record, progress)
         wall = recorder.elapsed("campaign")

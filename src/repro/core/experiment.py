@@ -19,11 +19,32 @@ from typing import Any, Callable, Dict, Optional
 from repro.core.clock import SimClock
 from repro.core.results import IncrementRecord, WearOutResult
 from repro.devices.interface import BlockDevice
-from repro.ftl import plancache
 from repro.ftl.wear_indicator import WearIndicator
 from repro.obs import ExperimentInstruments, JsonlEmitter
 from repro.units import GIB
 from repro.workloads.batch import generic_step_batch
+
+#: Bytes of host writes a default fused window carries (DESIGN.md §14):
+#: a window's working set and its per-unit cost follow the bytes it
+#: writes, not its step count.
+COLD_WINDOW_BYTES = 256 * 1024 * 1024
+
+#: Most steps a default fused window plans; cohort experiments take it
+#: as their ``max_batch_steps`` (DESIGN.md §12).
+MAX_WINDOW_STEPS = 1024
+
+
+def window_steps(step_bytes: Optional[int]) -> int:
+    """Default fused-window cap (DESIGN.md §14) for steps that each
+    write ``step_bytes``: as many steps as :data:`COLD_WINDOW_BYTES`
+    holds, capped at :data:`MAX_WINDOW_STEPS` and at least 2.  The cap
+    only sizes the attempt: the experiment loop fuses any smaller bound
+    too, a one-step window included, and the FTL cuts every window at
+    the erase budget.  A step of unknown size (a workload that reports
+    no ``step_bytes``) gets the floor.
+    """
+    steps = COLD_WINDOW_BYTES // step_bytes if step_bytes else 0
+    return min(MAX_WINDOW_STEPS, max(2, steps))
 
 
 class WearOutExperiment:
@@ -89,9 +110,8 @@ class WearOutExperiment:
         # value because the FTL truncates the burst at the erase budget
         # itself, not at the window edge (window-size invariance is
         # pinned by tests/test_ftl_equivalence.py).  None takes
-        # plancache.window_steps(): 1024 steps inside a sharing scope,
-        # else as many steps as the cold byte budget holds at the
-        # workload's step_bytes.
+        # window_steps(): as many steps as the cold byte budget holds at
+        # the workload's step_bytes.
         self.max_batch_steps: Optional[int] = None
         # First fused window after a poll, before any erase-rate
         # estimate exists.  Small on purpose: it learns the rate so the
@@ -205,9 +225,7 @@ class WearOutExperiment:
         skip-or-poll, record, checkpoint), so results are bit-identical
         to ``step_batching=False`` and ``fast_poll=False`` runs, which
         step scalar every time.  Metrics-on runs fuse too: instruments
-        are counted from the plan (DESIGN.md §9).  Inside
-        ``plancache.sharing()``, steady-state windows additionally hit
-        the megaburst plan cache and skip planning entirely.
+        are counted from the plan (DESIGN.md §9).
         """
         fuse = self.fast_poll and self.step_batching
         stepper = self._resolve_stepper()
@@ -274,7 +292,7 @@ class WearOutExperiment:
     def _resolve_stepper(self):
         """The batch stepper for the current workload, bound once, and
         the workload's step size (``step_bytes``, batch protocol), which
-        sizes windows outside a plan-sharing scope.
+        sizes the default windows.
 
         Resolved on the CLASS, not the instance: delegation wrappers
         (``__getattr__`` forwarding to an inner workload) would
@@ -315,7 +333,7 @@ class WearOutExperiment:
             return 0
         n = self.max_batch_steps
         if n is None:
-            n = plancache.window_steps(self._step_bytes)
+            n = window_steps(self._step_bytes)
         if remaining < n:
             n = remaining
         if self._ckpt_manager is not None and self._ckpt_interval:

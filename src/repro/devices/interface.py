@@ -15,7 +15,7 @@ import numpy as np
 from repro.devices.health import HealthReport
 from repro.devices.perf import PerformanceModel
 from repro.errors import DeviceWornOut, ReadOnlyError
-from repro.ftl import burst, plancache
+from repro.ftl import burst
 from repro.ftl.burst import BurstSegment
 from repro.ftl.ftl import PageMappedFTL, _ragged_ranges
 from repro.ftl.hybrid import HybridFTL
@@ -199,7 +199,7 @@ class BlockDevice:
         naming that pool's counters allows (the minimum when a pool is
         named twice), or None when no pair names it.  Returns None
         outright when a pair names a counter of no pool; the fused path
-        then refuses, and so does the plan cache.
+        then refuses.
         """
         counters = [package.counters for package in self._packages()]
         stops = [None] * len(counters)
@@ -312,12 +312,6 @@ class BlockDevice:
             seg_durations.append(duration)
         self.host_bytes_written += host_bytes
         self.busy_seconds = busy
-        cap = plancache.active_capture()
-        if cap is not None:
-            # Replays add host_delta and re-accumulate seg_durations in
-            # this exact order from the then-current busy_seconds.
-            cap.seg_durations = seg_durations
-            cap.host_delta = host_bytes
         return m, seg_durations
 
     def read(self, offset: int, size: int) -> float:

@@ -15,9 +15,10 @@ The branch semantics are: a member inherits the prototype's *position*
 (wear state, mapping tables, file extents, workload cursor) but keeps
 its *identity* (its endurance draw — the twin's own ``_cycle_limit`` is
 never overwritten by restore — and its RNG streams).  The cohort engine
-(:mod:`repro.fleet.engine`) steps member 0 of this exact construction,
-so "cohort result for member i" and "scalar run of member i" agree by
-definition, not by convention.
+(:mod:`repro.fleet.engine`) steps its leader of this exact
+construction, and branches demoted members from snapshots of that
+leader, so "cohort result for member i" and "scalar run of member i"
+agree by definition, not by convention.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.core.experiment import WearOutExperiment
+from repro.core.experiment import MAX_WINDOW_STEPS, WearOutExperiment
 from repro.devices import DEVICE_SPECS, build_device
 from repro.fleet.spec import CohortSpec
 from repro.fs import make_filesystem
@@ -47,7 +48,13 @@ def _pools(ftl) -> Tuple[Any, ...]:
 def build_cohort_experiment(spec: CohortSpec, seed: int) -> WearOutExperiment:
     """A fresh member experiment: the campaign wear-out build sequence
     (device → filesystem → rewrite workload → experiment) driven by a
-    cohort spec and one member's device seed."""
+    cohort spec and one member's device seed.
+
+    Its fused windows plan :data:`~repro.core.experiment.MAX_WINDOW_STEPS`
+    steps: a cohort leader's windows are cut near each follower's
+    crossing anyway (DESIGN.md §12), and between crossings it gains from
+    big ones.  Window size never changes a result.
+    """
     device = build_device(
         spec.device, scale=spec.scale, seed=seed,
         endurance_sigma=spec.endurance_sigma,
@@ -61,7 +68,9 @@ def build_cohort_experiment(spec: CohortSpec, seed: int) -> WearOutExperiment:
         pattern=spec.pattern,
         seed=seed,
     )
-    return WearOutExperiment(device, workload, filesystem=fs)
+    experiment = WearOutExperiment(device, workload, filesystem=fs)
+    experiment.max_batch_steps = MAX_WINDOW_STEPS
+    return experiment
 
 
 def _capture_member_entropy(experiment: WearOutExperiment) -> Dict[str, Any]:
@@ -147,10 +156,12 @@ def branch_experiment(
     """A member experiment positioned at the cohort's branch point.
 
     Without a snapshot this is just :func:`build_cohort_experiment`.
-    With one, the prototype's trajectory prefix is restored into the
-    member twin and the member's own entropy is re-stamped on top.
+    With one — the cohort prototype's, or the cohort leader's at the
+    start of an advance — the snapshotted trajectory prefix is restored
+    into the member twin and the member's own entropy is re-stamped on
+    top.
 
-    The branch is only well-defined while the prototype's wear history
+    The branch is only well-defined while the snapshot's wear history
     is *compatible* with the member's endurance draw: no block may
     already exceed the member's limit (the member would have retired it
     earlier, diverging the prefix), and no bad blocks may exist yet.

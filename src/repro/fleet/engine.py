@@ -2,49 +2,45 @@
 (DESIGN.md §12).
 
 ``run_cohort`` advances a whole cohort by running ONE real
-:class:`~repro.core.experiment.WearOutExperiment` — member 0, the
-*leader*, built by the same :mod:`repro.fleet.branch` helper that
-defines every member's scalar counterpart — while the follower
-population rides along as structure-of-arrays state
+:class:`~repro.core.experiment.WearOutExperiment` — the *leader*,
+built by the same :mod:`repro.fleet.branch` helper that defines every
+member's scalar counterpart — while the follower population rides
+along as structure-of-arrays state
 (:class:`~repro.fleet.soa.CohortState`).  A stepper shim wrapped around
 the leader's workload re-evaluates the lockstep certificates after
 every fused burst (and every scalar fallback step) the experiment
-executes; the leader itself still runs the PR-5 plan-then-apply burst
+executes; the leader itself still runs the plan-then-apply burst
 kernel unchanged, so the per-advance overhead is a handful of numpy
 reductions over a 64-element wear array and an ``S``-element limit
 vector.
 
 Members that lose their certificate are *demoted*: masked out of the
 lockstep population and, after the leader finishes, re-simulated
-exactly from the branch point by their own scalar experiment.  A
-member's reported result is therefore always the result its scalar run
-produces — either literally (demoted members run it) or provably (the
-certificates establish that the member's run is observable-for-
-observable the leader's run).
+exactly by their own experiment.  A member's reported result is
+therefore always the result its scalar run produces — either literally
+(demoted members run it) or provably (the certificates establish that
+the member's run is observable-for-observable the leader's run).
 
-Demoted replays ride the leader's megaburst plans (DESIGN.md §15): the
-§14 plan cache validates per-block cycle limits structurally
-(:func:`repro.ftl.plancache._limits_admit`) instead of probing them by
-equality, so the fused windows the leader compiled replay for members
-whose endurance draws differ — a member that drifted only in its stop
-point pays one bisect per window instead of a fresh plan.  The first
-window where a member's weak block actually retires misses the cache
-(its wear passes the member's limit) and is planned fresh: the walk
-retires the block inside the window, and the member's tail plans its
-own windows — exactly the behavior a cold cache would produce, which is
-why sharing never changes results.  ``run_cohort`` reports the cache
-traffic it generated as a non-canonical ``plan_stats`` attribute on the
-result.
+Sharing by state: in an exact-wear (sequential) cohort a follower's
+every per-block count equals the leader's until its own first
+retirement, so a member demoted by some advance was, at that advance's
+start, the leader's state with the member's own identity.  The leader
+is snapshotted at the start of every advance, and a demoted member
+branches from the snapshot of the advance that demoted it
+(:func:`~repro.fleet.branch.branch_experiment` keeps the member's
+cycle limits and re-stamps its fresh RNG streams), so it walks only
+that advance and its tail.  Re-stamping fresh streams there is exact
+only while none of them has been drawn, so once one of the leader's
+member-specific streams has moved, later members branch from the
+cohort's branch point instead, as random-pattern and ineligible
+cohorts' members always do.
 
-Crossing-aligned windows (DESIGN.md §12, §15): in exact-wear cohorts
-the leader ends its fused windows just before the weakest lockstep
-follower can cross its retirement frontier, and plans margin-size windows
-around the crossing.  Each demoted member follows the leader's window
-schedule until its own package first retires a block, so up to that
-point its windows carry the leader's probes and keys and replay the
-leader's plans; only the window holding its crossing and its tail are
-walked fresh.  Window size never changes a result, only where plans
-start.
+Crossing-aligned windows (DESIGN.md §12): in exact-wear cohorts the
+leader ends its fused windows just before the weakest lockstep follower
+can cross its retirement frontier, and plans margin-size windows around
+the crossing, so the advance that demotes a member — which the member
+walks again — starts close to its crossing.  Window size never changes
+a result, only where advances start.
 """
 
 from __future__ import annotations
@@ -52,9 +48,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+import numpy as np
+
 from repro.core.results import WearOutResult
-from repro.fleet.branch import branch_experiment, build_cohort_experiment
-from repro.ftl import plancache
+from repro.fleet.branch import (
+    _capture_member_entropy,
+    branch_experiment,
+    build_cohort_experiment,
+)
 from repro.fleet.soa import CohortState, lockstep_ineligibility
 from repro.fleet.spec import CohortSpec, device_seed
 from repro.rng import substream_seed
@@ -63,8 +64,7 @@ from repro.state.snapshot import CheckpointError, snapshot_experiment
 
 #: Steps a cohort leader's window ends before the weakest lockstep
 #: follower's predicted crossing, and the length of its windows within
-#: two margins of it (DESIGN.md §12).  These windows run inside a
-#: plan-sharing scope, so the cold window budget does not size them.
+#: two margins of it (DESIGN.md §12).
 CROSSING_MARGIN_STEPS = 8
 
 #: Fields of CohortSpec that do not shape the prototype's trajectory
@@ -74,33 +74,34 @@ _PROTO_KEY_DROP = ("population", "warm_until")
 
 
 class _CohortStepper:
-    """Workload shim around a cohort experiment's workload.
+    """Workload shim around the leader's workload.
 
     The experiment loop resolves ``step_batch`` on the workload's
     *class* (DESIGN.md §11), so this shim defines it as a real method
-    delegating to the inner workload's fused path.  ``window`` bounds
-    each fused window before it reaches the inner workload, and
-    ``on_advance`` (if any) runs after every advance, fused or scalar.
-    Results are window-size invariant, so the trajectory is
+    delegating to the inner workload's fused path.  Every advance,
+    fused or scalar, runs ``on_start`` before and ``on_advance`` after
+    it; ``window`` bounds each fused window before it reaches the inner
+    workload.  Results are window-size invariant, so the trajectory is
     bit-identical with or without the shim; it only moves window edges
-    and observes device state.
+    and observes the leader's state.
     """
 
-    def __init__(self, inner, window, on_advance=None):
+    def __init__(self, inner, window, on_start, on_advance):
         self._inner = inner
         self._window = window
+        self._on_start = on_start
         self._on_advance = on_advance
 
     def step(self):
+        self._on_start()
         out = self._inner.step()
-        if self._on_advance is not None:
-            self._on_advance()
+        self._on_advance()
         return out
 
     def step_batch(self, max_steps, budget):
+        self._on_start()
         out = self._inner.step_batch(self._window(max_steps), budget)
-        if self._on_advance is not None:
-            self._on_advance()
+        self._on_advance()
         return out
 
     @property
@@ -126,9 +127,7 @@ class _LeaderWindows:
     Far from a crossing a window ends :data:`CROSSING_MARGIN_STEPS`
     before the predicted step; within two margins of it every window is
     margin-size.  The prediction is a heuristic — a wrong one costs
-    time, never a bit.  ``schedule`` records every length passed down,
-    keyed by ``steps_completed`` at the window start, for demoted
-    members to follow.
+    time, never a bit.
     """
 
     def __init__(self, experiment, state: CohortState):
@@ -137,7 +136,6 @@ class _LeaderWindows:
         self._package = experiment.device.ftl.package
         self._mark = (experiment.steps_completed, self._package.counters.block_erases)
         self._rate = 0.0
-        self.schedule: Dict[int, int] = {}
 
     def __call__(self, max_steps: int) -> int:
         package = self._package
@@ -153,23 +151,43 @@ class _LeaderWindows:
             ahead = slack / self._rate
             margin = CROSSING_MARGIN_STEPS
             n = min(n, margin if ahead <= 2 * margin else int(ahead) - margin)
-        self.schedule[steps] = n
         return n
 
 
-def _scheduled_windows(experiment, schedule: Dict[int, int]):
-    """A demoted member's window bound: the leader's window at the same
-    step, until the member's package first retires a block — up to
-    there its state is the leader's, so equal windows replay the
-    leader's plans; past it the member's windows are its own."""
-    package = experiment.device.ftl.package
+class _AdvanceSnapshots:
+    """The exact-wear leader's state at the start of its current
+    advance, for the members that advance demotes to branch from.
 
-    def window(max_steps: int) -> int:
-        if package.num_bad_blocks:
-            return max_steps
-        return min(max_steps, schedule.get(experiment.steps_completed, max_steps))
+    ``latest`` stays None outside exact-wear cohorts, and becomes None
+    for good once one of the leader's member-specific RNG streams
+    (workload, pattern, FTL read) has moved from its state at the
+    leader's branch point: a member branched past that point would get
+    its fresh streams re-stamped where its own run had drawn from them.
+    Snapshots stop once no follower is left in lockstep.
+    """
 
-    return window
+    def __init__(self, experiment, state: CohortState):
+        self._experiment = experiment
+        self._workload = experiment.workload
+        self._entropy = _capture_member_entropy(experiment)
+        self._state = state
+        self._active = state.exact_pe
+        self.latest: Optional[Dict[str, Any]] = None
+
+    def take(self) -> None:
+        if not self._active or self._state.lockstep_count < 2:
+            return
+        experiment = self._experiment
+        # Snapshot the inner workload, not the shim stepping it.
+        shim, experiment.workload = experiment.workload, self._workload
+        try:
+            if _capture_member_entropy(experiment) != self._entropy:
+                self._active = False
+                self.latest = None
+            else:
+                self.latest = snapshot_experiment(experiment)
+        finally:
+            experiment.workload = shim
 
 
 @dataclass
@@ -179,8 +197,8 @@ class CohortResult:
 
     ``shared`` is the leader's result — and, by the lockstep
     certificates, the exact result of every non-demoted member.
-    ``demoted`` maps member index to that member's own scalar-replay
-    result.  ``member_result(i)`` is the per-device view the spot-check
+    ``demoted`` maps member index to that member's own result.
+    ``member_result(i)`` is the per-device view the spot-check
     contract compares against scalar runs.
     """
 
@@ -192,15 +210,6 @@ class CohortResult:
     ineligible_reason: Optional[str] = None
     canary_reason: Optional[str] = None
     advances: int = 0
-
-    # Plan-cache traffic this run generated (hits/misses/captures
-    # deltas for the leader run and the demotion replays), attached by
-    # ``run_cohort``.  Deliberately NOT a dataclass field and NOT in
-    # ``to_dict``: cache traffic depends on what ran earlier in the
-    # process (serial fleets share one cache; pool workers start cold),
-    # so serializing it would break the worker-count-invariant store
-    # fingerprint contract.  None on results rebuilt by ``from_dict``.
-    plan_stats = None
 
     @property
     def population(self) -> int:
@@ -283,7 +292,6 @@ def prototype_snapshot(
     return snapshot_experiment(experiment)
 
 
-@plancache.sharing()
 def run_cohort(
     spec: CohortSpec,
     cohort_seed: int,
@@ -291,67 +299,65 @@ def run_cohort(
 ) -> CohortResult:
     """Simulate every device of one cohort; exact per-member results.
 
-    The cost model: one full scalar experiment for the leader, O(S)
-    numpy reductions per leader advance for the certificates, one
-    full scalar experiment per *demoted* member — and, with the plan
-    cache on, the demoted replays hit the megaburst windows the leader
-    just compiled (DESIGN.md §15), so their "full" runs collapse to
-    cache probes plus the post-divergence tail.  A certifiable cohort
-    of any population therefore costs one device-run plus array math.
-    The whole cohort runs inside ``plancache.sharing()``: the demoted
-    replays follow the leader.
+    The cost model: one full experiment for the leader, O(S) numpy
+    reductions per leader advance for the certificates, and one
+    experiment per *demoted* member — in an exact-wear cohort only from
+    the start of the advance that demoted it, so its cost is its tail,
+    not a full run.  A certifiable cohort of any population therefore
+    costs one device-run plus array math.
     """
     snapshot = prototype_snapshot(spec, cohort_seed, checkpoint_dir)
     seeds = [device_seed(cohort_seed, i) for i in range(spec.population)]
-    stats0 = plancache.stats()
     leader = branch_experiment(spec, seeds[0], snapshot)
 
-    # Eligibility gates come first: from_leader introspects the
-    # page-mapped package, which an ineligible (e.g. hybrid) leader may
-    # not even have.
+    # Eligibility gates come first: adopt introspects the page-mapped
+    # package, which an ineligible (e.g. hybrid) leader may not even
+    # have.
     ineligible = lockstep_ineligibility(spec, leader)
     canary_reasons: List[str] = []
     advances = [0]
-    schedule: Optional[Dict[int, int]] = None
+    # Member index -> the leader snapshot it branches from.
+    branch_points: Dict[int, Dict[str, Any]] = {}
     if ineligible is None:
-        state = CohortState.from_leader(spec, cohort_seed, leader)
+        state = CohortState.adopt(spec, cohort_seed, leader)
+        if state.leader:
+            leader = branch_experiment(spec, seeds[state.leader], snapshot)
+        state.check_leader(leader)
+        snapshots = _AdvanceSnapshots(leader, state)
 
-        def on_advance() -> None:
-            advances[0] += 1
+        def certify() -> None:
+            lockstep = state.lockstep.copy()
             reason = state.post_advance(leader)
             if reason is not None:
                 canary_reasons.append(reason)
+            if snapshots.latest is not None:
+                for index in np.flatnonzero(lockstep & ~state.lockstep):
+                    branch_points[int(index)] = snapshots.latest
 
-        windows = _LeaderWindows(leader, state)
-        leader.workload = _CohortStepper(leader.workload, windows, on_advance)
+        def on_advance() -> None:
+            advances[0] += 1
+            certify()
+
+        leader.workload = _CohortStepper(
+            leader.workload, _LeaderWindows(leader, state), snapshots.take, on_advance
+        )
         leader.run(until_level=spec.until_level)
         leader.workload = leader.workload._inner
         # Final pass: the last advance may have ended mid-burst on a
         # brick or retirement; the post-run state settles every
         # certificate for the whole trajectory.
-        reason = state.post_advance(leader)
-        if reason is not None:
-            canary_reasons.append(reason)
-        if state.exact_pe:
-            # Only exact-wear members can replay the leader at all: a
-            # random member's pattern RNG is in the probe.
-            schedule = windows.schedule
+        certify()
     else:
         state = CohortState.all_ineligible(spec, cohort_seed)
         leader.run(until_level=spec.until_level)
 
-    stats_leader = plancache.stats()
     demoted: Dict[int, WearOutResult] = {}
     for index in state.demoted_indices():
-        member = branch_experiment(spec, seeds[int(index)], snapshot)
-        if schedule is not None:
-            member.workload = _CohortStepper(
-                member.workload, _scheduled_windows(member, schedule)
-            )
-        demoted[int(index)] = member.run(until_level=spec.until_level)
-    stats_end = plancache.stats()
+        index = int(index)
+        member = branch_experiment(spec, seeds[index], branch_points.pop(index, snapshot))
+        demoted[index] = member.run(until_level=spec.until_level)
 
-    result = CohortResult(
+    return CohortResult(
         spec=spec,
         cohort_seed=cohort_seed,
         shared=leader.result,
@@ -361,20 +367,8 @@ def run_cohort(
         canary_reason=canary_reasons[0] if canary_reasons else None,
         advances=advances[0],
     )
-    result.plan_stats = {
-        "leader": {
-            k: stats_leader[k] - stats0[k]
-            for k in ("hits", "misses", "captures")
-        },
-        "demoted": {
-            k: stats_end[k] - stats_leader[k]
-            for k in ("hits", "misses", "captures")
-        },
-    }
-    return result
 
 
-@plancache.sharing()
 def scalar_member_result(
     spec: CohortSpec,
     cohort_seed: int,
@@ -384,8 +378,7 @@ def scalar_member_result(
     """Member ``index``'s ground-truth scalar run — the reference side
     of the spot-check contract (DESIGN.md §12): for any member,
     ``run_cohort(...).member_result(i)`` must be bit-identical to this.
-    Like a demoted member, it runs inside ``plancache.sharing()`` and
-    replays whatever windows its cohort left in the cache.
+    It runs the whole trajectory from the cohort's branch point.
     """
     snapshot = prototype_snapshot(spec, cohort_seed, checkpoint_dir)
     member = branch_experiment(spec, device_seed(cohort_seed, index), snapshot)

@@ -25,22 +25,6 @@ from repro.fleet.spec import CohortSpec, FleetSpec, resolve_cohort_seed
 from repro.obs import SpanRecorder, worker_utilization
 
 
-def _worker_init() -> None:
-    """Pool-worker initializer: drop the megaburst plan cache.
-
-    The same parity `repro.campaign`'s runner keeps: under the fork
-    start method every worker inherits the parent's cache pages, so
-    clearing keeps per-worker memory flat and makes fork and spawn
-    workers start from the same (empty) cache.  The serial path
-    deliberately keeps the module-global cache so a fleet's cohorts
-    share each other's fused windows (DESIGN.md §15) — replays are
-    bit-identical, so worker count never changes results either way.
-    """
-    from repro.ftl import plancache
-
-    plancache.clear()
-
-
 def run_fleet_cohort(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Execute one cohort; the worker-side entry point.
 
@@ -65,9 +49,6 @@ def run_fleet_cohort(payload: Dict[str, Any]) -> Dict[str, Any]:
             "worker_pid": os.getpid(),
             "lockstep": result.lockstep_count,
             "demoted": len(result.demoted),
-            # Cache traffic is telemetry, never part of the canonical
-            # result: it depends on what ran earlier in this process.
-            "plan_stats": result.plan_stats,
         },
     }
 
@@ -182,7 +163,7 @@ class FleetRunner:
                     self._record(run_fleet_cohort(payload), progress)
             else:
                 ctx = multiprocessing.get_context(self.mp_context)
-                with ctx.Pool(processes=effective, initializer=_worker_init) as pool:
+                with ctx.Pool(processes=effective) as pool:
                     for record in pool.imap_unordered(
                         run_fleet_cohort, pending, chunksize=1
                     ):

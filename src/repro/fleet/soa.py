@@ -1,8 +1,8 @@
 """Structure-of-arrays cohort state and lockstep certificates
 (DESIGN.md §12).
 
-The cohort engine steps ONE exact member experiment (the *leader*,
-member 0) and keeps every other member's device as rows of stacked
+The cohort engine steps ONE exact member experiment (the *leader*)
+and keeps every other member's device as rows of stacked
 arrays: an ``[S, n]`` per-block cycle-limit matrix replayed from each
 member's seed via :func:`repro.flash.package.endurance_draw`, its
 row-wise minima, and boolean lockstep/demotion masks.  No follower
@@ -20,9 +20,9 @@ becomes result-visible is a member-specific divergence event: a block
 retirement (per-member cycle limits), a wear-leveling migration, or a
 GC relocation.  The certificates below bound those events from the
 leader's exact state; a member that cannot be certified is *demoted* —
-masked out of lockstep and later re-simulated exactly by
-:func:`repro.fleet.branch.branch_experiment`.  Demotion is therefore a
-performance event, never a correctness event.
+masked out of lockstep and later re-simulated exactly from a branch
+made by :func:`repro.fleet.branch.branch_experiment`.  Demotion is
+therefore a performance event, never a correctness event.
 """
 
 from __future__ import annotations
@@ -89,8 +89,8 @@ def lockstep_ineligibility(spec: CohortSpec, experiment) -> Optional[str]:
 @dataclass
 class CohortState:
     """Stacked follower state for one cohort (leader excluded from the
-    masks' semantics: row 0 is the leader and always 'lockstep' — it IS
-    the trajectory)."""
+    masks' semantics: row ``leader`` is always 'lockstep' — it IS the
+    trajectory)."""
 
     seeds: List[int]
     #: [S, n] per-member per-block endurance limits (the replayed draw).
@@ -115,11 +115,24 @@ class CohortState:
     #: retirement).  Enables the exact per-block frontier certificate
     #: and disables the statistical gap/relocation canaries.
     exact_pe: bool = False
+    #: Row of the leader: the member the cohort engine steps.
+    leader: int = 0
 
     @classmethod
-    def from_leader(cls, spec: CohortSpec, cohort_seed: int, experiment) -> "CohortState":
-        """Build follower state around an adopted leader experiment."""
-        pkg = experiment.device.ftl.package
+    def adopt(cls, spec: CohortSpec, cohort_seed: int, experiment) -> "CohortState":
+        """Build follower state around ``experiment``, any member's
+        experiment at the cohort's branch point, and choose the leader.
+
+        An exact-wear cohort is led by the member whose weakest block
+        is strongest (ties to the lowest index): every other member
+        reaches the retirement frontier first, so a weak member is
+        demoted alone instead of ending lockstep for the whole cohort.
+        Other cohorts are led by member 0, whose own entropy drives the
+        statistical canaries.  The caller runs the leader and checks it
+        with :meth:`check_leader`.
+        """
+        ftl = experiment.device.ftl
+        pkg = ftl.package
         n = pkg.num_blocks
         population = spec.population
         seeds = [device_seed(cohort_seed, i) for i in range(population)]
@@ -128,20 +141,14 @@ class CohortState:
             limits[row] = endurance_draw(
                 seed, n, pkg.endurance_sigma, pkg.nominal_cycle_limit
             )
-        # Row 0 must be the leader's own draw — the replay IS the
-        # constructor's code path, so inequality means the adoption
-        # wiring is broken, not the device.
-        if not np.array_equal(limits[0], pkg._cycle_limit):
-            raise AssertionError(
-                "leader cycle-limit replay mismatch — endurance_draw drifted "
-                "from the FlashPackage constructor"
-            )
-        wl = experiment.device.ftl.wl_config
-        stats = experiment.device.ftl.stats
+        min_limit = limits.min(axis=1)
+        exact_pe = spec.pattern == "seq"
+        wl = ftl.wl_config
+        stats = ftl.stats
         return cls(
             seeds=seeds,
             limits=limits,
-            min_limit=limits.min(axis=1),
+            min_limit=min_limit,
             lockstep=np.ones(population, dtype=bool),
             demote_reason=np.full(population, LOCKSTEP, dtype=np.int8),
             wl_threshold=float(wl.static_delta_threshold),
@@ -150,8 +157,20 @@ class CohortState:
                 name: int(getattr(stats, name))
                 for name in ("gc_pages_copied", "wl_pages_copied", "migration_pages")
             },
-            exact_pe=(spec.pattern == "seq"),
+            exact_pe=exact_pe,
+            leader=int(np.argmax(min_limit)) if exact_pe else 0,
         )
+
+    def check_leader(self, experiment) -> None:
+        """Row ``leader`` must be the leader experiment's own draw — the
+        replay IS the constructor's code path, so inequality means the
+        adoption wiring is broken, not the device."""
+        limits = experiment.device.ftl.package._cycle_limit
+        if not np.array_equal(self.limits[self.leader], limits):
+            raise AssertionError(
+                "leader cycle-limit replay mismatch — endurance_draw drifted "
+                "from the FlashPackage constructor"
+            )
 
     @classmethod
     def all_ineligible(cls, spec: CohortSpec, cohort_seed: int) -> "CohortState":
@@ -180,15 +199,15 @@ class CohortState:
         return int(self.lockstep.sum())
 
     def demoted_indices(self) -> np.ndarray:
-        """Member indices needing a scalar replay (never includes 0)."""
+        """Member indices needing their own run (never the leader)."""
         return np.flatnonzero(~self.lockstep)
 
     def demote_all(self, reason: int) -> None:
-        """Mask every follower out of lockstep (leader row 0 stays — it
-        is exact by construction)."""
+        """Mask every follower out of lockstep (the leader's row stays —
+        it is exact by construction)."""
         newly = self.lockstep.copy()
-        newly[0] = False
-        self.lockstep[1:] = False
+        newly[self.leader] = False
+        self.lockstep[newly] = False
         self.demote_reason[newly] = reason
 
     def _retirement_frontier(self, pe: np.ndarray) -> np.ndarray:
@@ -222,7 +241,7 @@ class CohortState:
         """Fewest further erases of any block before a lockstep follower
         reaches the exact-mode retirement frontier, given the leader
         wear array ``pe``: the minimum of ``limit - 1 - pe`` over every
-        block of every lockstep follower (row 0, the leader, excluded).
+        block of every lockstep follower (the leader's row excluded).
 
         None outside exact mode, after the canary fired, or with no
         lockstep follower left: there is then no follower crossing the
@@ -230,7 +249,9 @@ class CohortState:
         """
         if not self.exact_pe or self.canary_fired:
             return None
-        rows = self.limits[1:][self.lockstep[1:]]
+        followers = self.lockstep.copy()
+        followers[self.leader] = False
+        rows = self.limits[followers]
         if not len(rows):
             return None
         return float((rows - pe[None, :]).min()) - 1.0
@@ -272,7 +293,7 @@ class CohortState:
                     )
         if reason is None:
             at_risk = self._retirement_frontier(pkg.pe_counts)
-            if at_risk[0]:
+            if at_risk[self.leader]:
                 # The leader is exempt from its own row's demotion (it
                 # IS the trajectory), so a leader-side frontier breach
                 # instead demotes everyone else: past this point the

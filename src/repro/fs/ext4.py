@@ -114,18 +114,6 @@ class Ext4Model(FileSystem):
             duration += seg_durations[1]
         return duration
 
-    def _plan_probe(self):
-        """Everything the ext4 burst plan reads: journal geometry plus
-        the two commit cursors (DESIGN.md §14)."""
-        return (
-            "ext4",
-            self.journal_bytes,
-            self.commit_interval_pages,
-            self.commit_pages,
-            self._pages_since_commit,
-            self._journal_cursor,
-        )
-
     def fs_write_amplification(self) -> float:
         """Device bytes per application byte written through this FS."""
         if self.app_bytes_written == 0:

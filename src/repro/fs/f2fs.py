@@ -119,18 +119,6 @@ class F2fsModel(FileSystem):
             duration += seg_durations[1] / self.checkpoint_slowdown
         return duration
 
-    def _plan_probe(self):
-        """Everything the f2fs burst plan reads: node-area geometry,
-        the fractional node debt, and the node cursor (DESIGN.md §14)."""
-        return (
-            "f2fs",
-            self.node_area_bytes,
-            self.node_pages_per_data_page,
-            self.checkpoint_slowdown,
-            self._node_debt,
-            self._node_cursor,
-        )
-
     def fs_write_amplification(self) -> float:
         """Device bytes per application byte written through this FS."""
         if self.app_bytes_written == 0:

@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.devices.interface import BlockDevice
 from repro.errors import ConfigurationError, OutOfSpaceError
-from repro.ftl import plancache
 
 
 def _expand_page_ranges(first: np.ndarray, last: np.ndarray) -> np.ndarray:
@@ -229,13 +228,6 @@ class FileSystem:
         app_delta = m * count * request_bytes
         self.app_bytes_written += app_delta
         self._burst_commit(states, m)
-        cap = plancache.active_capture()
-        if cap is not None:
-            # The cursor state after the executed prefix is states[m-1];
-            # replaying it through _burst_commit((state,), 1) re-runs the
-            # exact mutation this call just made.
-            cap.app_delta = app_delta
-            cap.fs_state = states[m - 1]
         durations = []
         cursor = 0
         for step in range(m):
@@ -325,13 +317,6 @@ class FileSystem:
         """Combine one step's device call durations exactly as the
         scalar ``_sync_out`` arithmetic would."""
         raise NotImplementedError
-
-    def _plan_probe(self):
-        """Exact fingerprint of the filesystem state the fused burst
-        path reads (metadata cursors + the config that shapes them), for
-        the megaburst plan cache (DESIGN.md §14).  The default returns
-        None: filesystems without burst hooks are never cached."""
-        return None
 
     def fs_write_amplification(self) -> float:
         """Device bytes per application byte written through this FS."""

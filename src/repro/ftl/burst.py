@@ -41,15 +41,8 @@ the window truncated at that group (a shorter fused window,
 bit-identical by the window-size invariance the equivalence tests pin)
 and the scalar step raises ``DeviceWornOut`` itself.
 
-The plan/commit split is what the megaburst plan cache
-(:mod:`repro.ftl.plancache`, DESIGN.md §14) builds on: a finalized
-:class:`~repro.ftl.plancache.BurstPlan` carries every commit input as
-owned arrays, so a cached replay re-runs the *same* commit the fresh
-path runs — bit identity between fresh and replayed windows holds by
-construction, not by a separate code path.  A plan that copied data is
-never cached: which units a victim holds is outside the cache's probe.
-Nor is one that retired a block: the cache re-proves a replay's cycle
-limits only as "no erase crossed one".
+A finalized :class:`BurstPlan` carries every commit input as owned
+arrays, never views of live FTL state.
 
 Bit identity with the scalar path is the contract: every mirrored float
 uses the same IEEE-754 operations on the same values, zero-valid victim
@@ -69,13 +62,11 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.ftl import plancache
 from repro.ftl.gc import GreedyVictimPolicy
-from repro.ftl.plancache import BurstPlan
 
 #: Sentinel "no next occurrence" position; beyond any real stream index.
 _NEVER = 1 << 62
@@ -118,6 +109,51 @@ class BurstSegment:
     migration: bool = False
 
 
+@dataclass
+class BurstPlan:
+    """Finalized products of one fused-burst plan.
+
+    Everything :func:`commit_planned_burst` needs to apply the burst.
+    All arrays are owned by the plan (never views of live FTL state).
+
+    ``n_erased`` counts every erase, ``wl_runs`` of them static
+    wear-leveling migrations, and ``retired`` lists the blocks whose
+    erase crossed their cycle limit; ``victim_valid`` lists the
+    live-unit count of each GC victim that relocated (the rest held
+    none), and ``seg_copies`` the GC and WL copy pages each executed
+    segment caused — None for a plan that copied nothing.
+    """
+
+    executed_groups: int
+    num_groups: int
+    units_executed: int
+    n_erased: int
+    host_pages: int
+    rmw_pages: int
+    migration_pages: int
+    wl_ctr_final: int
+    wl_runs: int
+    gc_pages: int
+    wl_pages: int
+    victim_valid: Tuple[int, ...]
+    seg_copies: Optional[List[int]]
+    old_exec: np.ndarray
+    vic_u: np.ndarray
+    vic_perm: np.ndarray
+    vic_reco: np.ndarray
+    vic_eff: np.ndarray
+    retired: np.ndarray
+    a_blocks: np.ndarray
+    red: np.ndarray
+    ppus: np.ndarray
+    su: np.ndarray
+    sv: np.ndarray
+    cb: Optional[np.ndarray]
+    free_final: Tuple[int, ...]
+    active_final: Optional[int]
+    aoff_final: int
+
+
 def execute_write_burst(
     ftl,
     segments: Sequence[BurstSegment],
@@ -131,9 +167,7 @@ def execute_write_burst(
     caller's poll budget expires) and ``seg_copies`` lists the GC/WL
     copy pages each executed call caused — or ``None``, with the FTL
     untouched, when the burst is ineligible or the plan hit an event
-    only the scalar path can reproduce.  When a plan-cache capture is
-    active, a plan that copied no data and retired no block is
-    deposited for memoization.
+    only the scalar path can reproduce.
     """
     plan = plan_write_burst(ftl, segments, num_groups, stop_erases)
     if plan is None:
@@ -143,9 +177,6 @@ def execute_write_burst(
         # Cut at end of life: the next window would end it in its first
         # group, so refuse that one before its link pass.
         ftl._eol_ahead = True
-    cap = plancache.active_capture()
-    if cap is not None and plan.seg_copies is None and not plan.retired.size:
-        cap.plan = plan
     return plan
 
 
@@ -269,9 +300,7 @@ def plan_write_burst(
     # ------------------------------------------------------------------
     # The walk: mirror _write_units/_place_span/_reclaim_space over
     # stream positions, block fill by block fill, truncating when the
-    # caller's erase budget expires.  Produces the burst's end state
-    # plus the per-group cumulative erase prefix the plan cache needs to
-    # validate budget-matched replays.
+    # caller's erase budget expires.  Produces the burst's end state.
     # ------------------------------------------------------------------
     def _do_walk(ng):
         return _walk(
@@ -297,12 +326,12 @@ def plan_write_burst(
     (
         vic_u, vic_perm, vic_reco, vic_eff, n_erased, retired,
         alive, closed, free_final, active, aoff, wl_ctr,
-        m, C, erase_prefix, seg_cut, reloc,
+        m, C, seg_cut, reloc,
     ) = walked
 
     # ------------------------------------------------------------------
     # Finalize: every commit input as owned arrays (never views of live
-    # FTL state), so the plan can be cached and replayed.
+    # FTL state).
     # ------------------------------------------------------------------
     exec_segs = segments[:seg_cut]
     unit_pages = ftl.unit_pages
@@ -359,9 +388,9 @@ def plan_write_burst(
         su = reloc[0].lpns[ppus]
         sv = reloc[0].deaths[ppus] >= C
     if n_blocks * upb < 1 << 32 and ftl.num_logical_units < 1 << 32:
-        # Plans are cached whole; uint32 slot/LPN arrays halve the
-        # resident bytes of a megaburst entry (scatter semantics are
-        # unchanged — numpy fancy indexing accepts unsigned indices).
+        # uint32 slot/LPN arrays halve the plan's resident bytes
+        # (scatter semantics are unchanged — numpy fancy indexing
+        # accepts unsigned indices).
         ppus = ppus.astype(np.uint32, copy=False)
         su = su.astype(np.uint32, copy=False)
 
@@ -404,9 +433,6 @@ def plan_write_burst(
         free_final=free_final,
         active_final=active,
         aoff_final=aoff,
-        erase_prefix=erase_prefix,
-        probe_lpns=probe_lpns,
-        probe_old=old_all,
     )
 
 
@@ -1116,7 +1142,6 @@ def _walk(
         active = None
         aoff = 0
     C = limit
-    erase_prefix.extend([n_erased] * (m - len(erase_prefix)))
 
     if victims:
         vic_u = np.unique(np.array(victims, dtype=np.int64))
@@ -1135,19 +1160,15 @@ def _walk(
     return (
         vic_u, vic_perm, vic_reco, vic_eff, n_erased, retired,
         alive, closed, tuple(free), active, aoff, wl_ctr,
-        m, C, erase_prefix, segs_through[m - 1], reloc,
+        m, C, segs_through[m - 1], reloc,
     )
 
 
 def commit_planned_burst(ftl, plan: BurstPlan) -> None:
     """Commit a finalized plan's end state in vectorized passes.
 
-    Shared verbatim between the fresh path (plan just derived) and the
-    plan cache's replay path (plan validated by exact probe), which is
-    what makes a replayed window bit-identical to a fresh one: the same
-    scatters run on the same committed values, and anything derived from
-    live state (P/E cache validity, float accumulation) is re-derived
-    here, not replayed from a recording.
+    Anything derived from live state (P/E cache validity, float
+    accumulation) is re-derived here from the committed values.
     """
     pkg = ftl.package
     upb = ftl.units_per_block

@@ -244,7 +244,7 @@ class PageMappedFTL:
         ``segments`` are :class:`repro.ftl.burst.BurstSegment` plans —
         one per would-be :meth:`write_requests` call — grouped into
         ``num_groups`` workload steps.  Returns the committed
-        :class:`~repro.ftl.plancache.BurstPlan`: its ``executed_groups``
+        :class:`~repro.ftl.burst.BurstPlan`: its ``executed_groups``
         whole groups ran (the burst truncates at the group boundary
         where ``stop_erases`` further block erases have landed) and its
         ``seg_copies`` are the GC/WL copy pages each executed call

@@ -19,8 +19,8 @@ Python call.  The contract:
   exception the fused path refused to model.
 
 A workload also reports ``step_bytes``, the bytes one step writes.
-Outside a plan-sharing scope the experiment loop sizes its windows by
-it (``repro.ftl.plancache.window_steps``, DESIGN.md §14), reading it
+The experiment loop sizes its default windows by it
+(``repro.core.experiment.window_steps``, DESIGN.md §14), reading it
 before the workload's first window; a workload that reports none gets
 the smallest window.
 

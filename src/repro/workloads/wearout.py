@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.fs.interface import File, FileSystem
-from repro.ftl import plancache
 from repro.rng import SeedLike, substream
 from repro.units import KIB, MIB
 from repro.workloads.patterns import RandomPattern, SequentialPattern, StridePattern
@@ -160,12 +159,6 @@ class FileRewriteWorkload:
         rewinds the pattern generators and redraws exactly ``m`` rows,
         so their state (and any snapshot taken afterwards) is
         bit-identical to a scalar run of ``m`` steps.
-
-        Whole windows are memoized by the megaburst plan cache
-        (DESIGN.md §14): an exact-probe hit advances every layer through
-        the shared vectorized commit and returns immediately; a miss
-        arms a capture that stores this window for the next identical
-        phase of the trajectory.
         """
         fs_burst = getattr(self.fs, "write_requests_burst", None)
         if n < 1 or not self.sync or fs_burst is None:
@@ -176,10 +169,6 @@ class FileRewriteWorkload:
             # duck-typed FTL): skip the whole-window pre-draw, not just
             # the burst — the caller replays through the scalar path.
             return None
-        hit = plancache.lookup(self, n, budget)
-        if hit is not None:
-            return hit
-        cap = plancache.active_capture()
         num_files = len(self.files)
         start_file = self._next_file
         saved = self._pattern_state()
@@ -188,15 +177,12 @@ class FileRewriteWorkload:
         out = fs_burst(files, offsets, self.request_bytes, budget)
         if out is None:
             self._set_pattern_state(saved)
-            plancache.abort_capture()
             return None
         m, durations = out
         if m < n:
             self._set_pattern_state(saved)
             self._draw_window(start_file, m)
         self._next_file = (start_file + m) % num_files
-        if cap is not None:
-            plancache.finish_capture(cap, durations, self)
         return durations, [self.step_bytes] * m, False
 
     def _draw_window(self, start_file: int, n: int) -> np.ndarray:
@@ -232,9 +218,7 @@ class FileRewriteWorkload:
         ``("cursor", value)`` per cursor, in generator order.
 
         Holding no object references, it rewinds a window
-        (:meth:`step_batch`) and, frozen, is the plan cache's pattern
-        probe; a state captured in one window re-applies in a later,
-        state-identical one (DESIGN.md §14).
+        (:meth:`step_batch`).
         """
         entries = []
         seen = set()

@@ -5,10 +5,14 @@ import dataclasses
 import pytest
 
 from repro.core import IncrementRecord, WearOutExperiment, WearOutResult
-from repro.devices import DEVICE_SPECS
+from repro.core.experiment import COLD_WINDOW_BYTES
+from repro.devices import DEVICE_SPECS, build_device
 from repro.fs import Ext4Model
-from repro.units import GIB, HOUR, KIB
+from repro.units import GIB, HOUR, KIB, MIB
 from repro.workloads import FileRewriteWorkload
+from tests.test_burst_batching import SCALE, _experiment
+from tests.test_ftl_equivalence import ftl_fingerprint
+from tests.test_state_snapshot import result_json
 
 
 def make_experiment(endurance=None, seed=7):
@@ -227,3 +231,63 @@ class TestStepEquivalence:
         exp, device = self.make()
         exp.run_one_increment("A")
         assert exp.result.total_host_bytes == 0.0
+
+
+class TestDefaultWindows:
+    """With no ``max_batch_steps`` a fused window takes as many steps
+    as the cold byte budget holds (DESIGN.md §14)."""
+
+    @staticmethod
+    def _window_sizes(exp):
+        """Live list of the step counts of every window offered to the
+        device's fused path."""
+        device = exp.device
+        inner = device.write_burst
+        sizes = []
+
+        def write_burst(data, request_bytes, meta, budget):
+            sizes.append(len(data))
+            return inner(data, request_bytes, meta, budget)
+
+        device.write_burst = write_burst
+        return sizes
+
+    def test_cold_run_plans_small_windows(self):
+        """16 steps of 4,096 4 KiB requests."""
+        exp = _experiment()
+        sizes = self._window_sizes(exp)
+        exp.run(until_level=2)
+        assert exp.workload.step_bytes == 16 * MIB
+        assert max(sizes) == COLD_WINDOW_BYTES // exp.workload.step_bytes == 16
+
+    def test_cold_128k_phase_after_a_swap_plans_the_floor(self):
+        """Table 1's protocol: 4 KiB random rewrite, then 128 KiB
+        sequential rewrite of the same files, 512 MiB a step, over the
+        cold budget.  The loop reads the new workload's step size at
+        the swap, so the second phase plans the 2-step floor, never
+        more, and the run equals its per-step run."""
+        def run(step_batching):
+            device = build_device("emmc-8gb", scale=SCALE, seed=7)
+            fs = Ext4Model(device)
+            first = FileRewriteWorkload(fs, num_files=4, file_bytes=256 * MIB,
+                                        request_bytes=4 * KIB, pattern="rand", seed=7)
+            exp = WearOutExperiment(device, first, filesystem=fs)
+            exp.step_batching = step_batching
+            sizes = self._window_sizes(exp)
+            exp.run_one_increment()
+            before = list(sizes)
+            sizes.clear()
+            exp.workload = FileRewriteWorkload(fs, request_bytes=128 * KIB, pattern="seq",
+                                               target_files=first.files, seed=7)
+            exp.run_one_increment()
+            return exp, before, sizes
+
+        fused, before, after = run(step_batching=True)
+        assert max(before) == 16
+        assert fused.workload.step_bytes > COLD_WINDOW_BYTES
+        assert after and max(after) == 2
+
+        scalar, _, _ = run(step_batching=False)
+        assert len(scalar.result.increments) == 2
+        assert result_json(fused) == result_json(scalar)
+        assert ftl_fingerprint(fused.device.ftl) == ftl_fingerprint(scalar.device.ftl)

@@ -7,8 +7,12 @@ from repro.devices import PerformanceModel, build_device
 from repro.devices.interface import BlockDevice
 from repro.errors import ReadOnlyError
 from repro.flash import FlashGeometry, FlashPackage
+from repro.fs import Ext4Model
 from repro.ftl import PageMappedFTL
 from repro.units import KIB, MIB
+from repro.workloads import FileRewriteWorkload
+from tests.test_burst_batching import SCALE, _experiment, _outcome
+from tests.test_state_snapshot import device_fingerprint
 
 
 @pytest.fixture
@@ -108,3 +112,57 @@ class TestScaleAttribute:
         clamped, and the recorded (effective) scale reflects that."""
         dev = build_device("emmc-8gb", scale=10_000, seed=1)
         assert dev.scale == 128  # 8 GiB / 64 MiB
+
+
+class TestEraseStopFold:
+    """``BlockDevice.erase_stops`` folds a poll budget into one erase
+    stop per pool for the page-mapped and the hybrid burst alike."""
+
+    @staticmethod
+    def _workload(device_name, seed=7):
+        device = build_device(device_name, scale=SCALE, seed=seed)
+        return FileRewriteWorkload(Ext4Model(device), num_files=4, request_bytes=4 * KIB, seed=seed)
+
+    @staticmethod
+    def _foreign():
+        return build_device("emmc-8gb", scale=SCALE, seed=8).ftl.package.counters
+
+    @pytest.mark.parametrize("device_name", ["emmc-8gb", "emmc-16gb"])
+    def test_foreign_counter_refuses_the_window(self, device_name):
+        workload = self._workload(device_name)
+        device = workload.fs.device
+        own = device._packages()[0].counters
+        foreign = self._foreign()
+        budget = [(own, own.block_erases + 50), (foreign, foreign.block_erases + 50)]
+        assert device.erase_stops(budget) is None
+        before = device_fingerprint(device)
+        assert workload.step_batch(8, budget) is None
+        assert device_fingerprint(device) == before
+        # Without the foreign pair the same window fuses.
+        assert workload.step_batch(8, budget[:1]) is not None
+
+    def test_counter_named_twice_takes_the_per_pool_minimum(self):
+        paged = self._workload("emmc-8gb").fs.device
+        c = paged.ftl.package.counters
+        assert paged.erase_stops([(c, c.block_erases + 4), (c, c.block_erases + 9)]) == [4]
+        assert paged.erase_stops(None) == [None]
+
+        hybrid = self._workload("emmc-16gb").fs.device
+        a, b = (package.counters for package in hybrid._packages())
+        budget = [(a, a.block_erases + 7), (b, b.block_erases + 5), (a, a.block_erases + 3)]
+        assert hybrid.erase_stops(budget) == [3, 5]
+        assert hybrid.erase_stops([(b, b.block_erases + 2)]) == [None, 2]
+
+        # The fused path stops where the tighter pair alone stops it.
+        twins = []
+        for doubled in (True, False):
+            exp = _experiment()
+            exp.run(until_level=1)
+            c = exp.device.ftl.package.counters
+            budget = [(c, c.block_erases + 2)]
+            if doubled:
+                budget.append((c, c.block_erases + 40))
+            out = exp.workload.step_batch(64, budget)
+            assert out is not None and 1 <= len(out[0]) < 64
+            twins.append((out, _outcome(exp)))
+        assert twins[0] == twins[1]

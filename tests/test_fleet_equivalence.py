@@ -7,17 +7,21 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import event, given, reject, settings
+from hypothesis import strategies as st
 
 from repro.fleet import (
     CohortResult,
     CohortSpec,
+    branch_experiment,
+    device_seed,
     engine,
     resolve_cohort_seed,
     run_cohort,
     scalar_member_result,
 )
 from repro.fleet.soa import CohortState
-from repro.ftl import plancache
+from repro.state import CheckpointError
 from repro.units import KIB
 from repro.workloads import FileRewriteWorkload
 
@@ -95,37 +99,41 @@ class TestMemberEquivalence:
         assert cohort.demote_summary.get("ineligible") == 1
 
 
-class TestDemotionHeavyPlanSharing:
-    @pytest.mark.slow
-    def test_demotion_heavy_seq_cohort_shares_leader_plans(self):
-        """DESIGN.md §15: a wide endurance spread demotes members whose
-        weak blocks retire mid-run.  Their replays must ride the
-        leader's fused windows (demoted plan-cache hits) up to their own
-        crossing window, retire the block inside its fresh plan, and
-        still be bit-identical to their scalar runs — as must every
-        lockstep member."""
-        spec = CohortSpec(device="emmc-8gb", population=4, scale=512,
-                          pattern="seq", request_bytes=4 * KIB,
-                          until_level=5, endurance_sigma=0.5)
-        prev_enabled = plancache.cache().enabled
-        plancache.configure(enabled=True)
-        plancache.clear()
-        plancache.cache().reset_stats()
-        try:
-            cohort = assert_all_members_equivalent(spec)
-        finally:
-            plancache.clear()
-            plancache.configure(enabled=prev_enabled)
-        assert cohort.demoted, "endurance spread produced no demotions"
-        assert 0 < len(cohort.demoted) < spec.population
-        assert cohort.plan_stats["demoted"]["hits"] > 0, (
-            "demoted replays never hit the leader's plans"
+@st.composite
+def _sequential_cohorts(draw):
+    """A small exact-wear cohort whose endurance spread is wide enough
+    that most draws demote a member (30 of 30 in a 30-example run of
+    population 3–6)."""
+    spec = CohortSpec(
+        device="emmc-8gb", population=draw(st.integers(min_value=3, max_value=5)),
+        scale=512, filesystem=draw(st.sampled_from(["ext4", "f2fs"])), pattern="seq",
+        request_bytes=4 * KIB, until_level=draw(st.integers(min_value=4, max_value=5)),
+        warm_until=draw(st.sampled_from([None, 2])),
+        endurance_sigma=draw(st.floats(min_value=0.6, max_value=0.8)),
+    )
+    return spec, resolve_cohort_seed(spec, draw(st.integers(min_value=0, max_value=2**16)))
+
+
+@settings(max_examples=4, deadline=None)
+@given(case=_sequential_cohorts())
+def test_sequential_cohorts_match_scalar_runs(case):
+    """Every demoted member — branched from the leader mid-run or from
+    the cohort's branch point — and one lockstep member serialize
+    exactly as their own scalar runs."""
+    spec, seed = case
+    try:
+        cohort = run_cohort(spec, seed)
+    except CheckpointError:
+        # The warm-up prototype wore a block past some member's limit:
+        # no prefix is shared (scalar_member_result raises as well).
+        reject()
+    event(f"demoted members: {'yes' if cohort.demoted else 'no'}")
+    lockstep = next(i for i in range(spec.population) if i not in cohort.demoted)
+    for index in sorted(cohort.demoted) + [lockstep]:
+        scalar = scalar_member_result(spec, seed, index)
+        assert result_json(cohort.member_result(index)) == result_json(scalar), (
+            f"member {index} diverged from its scalar run"
         )
-        # plan_stats is session telemetry, not part of the canonical
-        # record: serialization drops it and a deserialized clone
-        # carries none, so fingerprints stay worker-count invariant.
-        assert "plan_stats" not in cohort.to_dict()
-        assert CohortResult.from_dict(cohort.to_dict()).plan_stats is None
 
 
 class TestCohortResultRecord:
@@ -152,121 +160,156 @@ class TestCohortResultRecord:
 
 
 def _record_windows(monkeypatch):
-    """Log every window of a cohort run's shimmed experiments: one list
-    per experiment, in run order (the leader first), of ``(start step,
-    the loop's bound, length passed down, steps executed, replayed,
-    bad blocks after)``."""
-    runs = {}
-    steps = {}
+    """Log the leader's fused windows: ``(the loop's bound, length
+    passed down)`` per window."""
+    windows = []
     passed = []
-    shim_step = engine._CohortStepper.step
     shim_batch = engine._CohortStepper.step_batch
     inner_batch = FileRewriteWorkload.step_batch
 
-    def step(self):
-        steps[self] = steps.get(self, 0) + 1
-        return shim_step(self)
-
     def step_batch(self, max_steps, budget):
-        hits = plancache.stats()["hits"]
         out = shim_batch(self, max_steps, budget)
-        executed = len(out[0]) if out is not None else 0
-        start = steps.get(self, 0)
-        steps[self] = start + executed
-        bad = self._inner.fs.device.ftl.package.num_bad_blocks
-        runs.setdefault(self, []).append(
-            (start, max_steps, passed.pop(), executed, plancache.stats()["hits"] > hits, bad)
-        )
+        windows.append((max_steps, passed.pop()))
         return out
 
     def inner(self, n, budget=None):
         passed.append(n)
         return inner_batch(self, n, budget)
 
-    monkeypatch.setattr(engine._CohortStepper, "step", step)
     monkeypatch.setattr(engine._CohortStepper, "step_batch", step_batch)
     monkeypatch.setattr(FileRewriteWorkload, "step_batch", inner)
-    return runs
+    return windows
+
+
+def _record_branches(monkeypatch):
+    """Log every experiment the engine builds: ``{device seed: the
+    snapshot it branched from}`` (None: a fresh build), plus, per
+    member, the start step of the leader advance that demoted it."""
+    branches = {}
+    demoted_at = {}
+    branch = engine.branch_experiment
+    post_advance = CohortState.post_advance
+
+    def branched(spec, seed, snapshot=None):
+        branches[seed] = snapshot
+        return branch(spec, seed, snapshot)
+
+    def certified(state, experiment):
+        lockstep = state.lockstep.copy()
+        reason = post_advance(state, experiment)
+        # Certificates run inside the advance, before the loop counts
+        # its steps: steps_completed is where the advance started.
+        for index in np.flatnonzero(lockstep & ~state.lockstep):
+            demoted_at[int(index)] = experiment.steps_completed
+        return reason
+
+    monkeypatch.setattr(engine, "branch_experiment", branched)
+    monkeypatch.setattr(CohortState, "post_advance", certified)
+    return branches, demoted_at
+
+
+def _assert_members_match(spec, seed, cohort, members=None):
+    for index in range(spec.population) if members is None else members:
+        scalar = scalar_member_result(spec, seed, index)
+        assert result_json(cohort.member_result(index)) == result_json(scalar), (
+            f"member {index} diverged from its scalar run"
+        )
 
 
 class TestCrossingAlignedWindows:
-    """DESIGN.md §12, §15: an exact-wear leader ends its windows just
-    before a follower can cross, and each demoted member follows the
-    leader's window schedule up to its own first retirement — replaying
-    the leader's plans there and walking only the crossing window and
-    its tail fresh."""
+    """DESIGN.md §12: an exact-wear leader ends its windows just before
+    a follower can cross, and each demoted member branches from the
+    leader's snapshot at the start of the advance that demoted it, so it
+    walks only that advance and its tail."""
 
-    @pytest.fixture
-    def cache_on(self):
-        prev_enabled = plancache.cache().enabled
-        plancache.configure(enabled=True)
-        plancache.clear()
-        yield
-        plancache.clear()
-        plancache.configure(enabled=prev_enabled)
-
-    @pytest.mark.parametrize("enabled", [True, False], ids=["cache-on", "cache-off"])
-    def test_demoted_members_equal_their_scalar_runs(self, enabled):
-        prev_enabled = plancache.cache().enabled
-        plancache.configure(enabled=enabled)
-        plancache.clear()
-        try:
-            seed = resolve_cohort_seed(CROSSING_SPEC, CROSSING_BASE_SEED)
-            cohort = run_cohort(CROSSING_SPEC, seed)
-            assert sorted(cohort.demoted) == [1, 2]
-            for index in range(CROSSING_SPEC.population):
-                scalar = scalar_member_result(CROSSING_SPEC, seed, index)
-                assert result_json(cohort.member_result(index)) == result_json(scalar), (
-                    f"member {index} diverged from its scalar run"
-                )
-        finally:
-            plancache.clear()
-            plancache.configure(enabled=prev_enabled)
-
-    @pytest.mark.usefixtures("cache_on")
-    def test_members_replay_the_leader_up_to_their_crossing(self, monkeypatch):
-        runs = _record_windows(monkeypatch)
+    def test_demoted_members_equal_their_scalar_runs(self):
         seed = resolve_cohort_seed(CROSSING_SPEC, CROSSING_BASE_SEED)
         cohort = run_cohort(CROSSING_SPEC, seed)
         assert sorted(cohort.demoted) == [1, 2]
-        leader, *members = runs.values()
-        assert len(members) == 2
-        assert not leader[-1][5], "the leader retired a block"
-        schedule = {start: n for start, _, n, *_ in leader}
+        _assert_members_match(CROSSING_SPEC, seed, cohort)
+
+    def test_members_branch_at_the_advance_that_demoted_them(self, monkeypatch):
+        branches, demoted_at = _record_branches(monkeypatch)
+        seed = resolve_cohort_seed(CROSSING_SPEC, CROSSING_BASE_SEED)
+        cohort = run_cohort(CROSSING_SPEC, seed)
+        assert sorted(cohort.demoted) == sorted(demoted_at) == [1, 2]
         margin = engine.CROSSING_MARGIN_STEPS
-        assert margin in schedule.values(), "no margin-size leader window"
-        for log in members:
-            k = next(i for i, window in enumerate(log) if window[5])
-            before, crossing, after = log[:k], log[k], log[k + 1:]
-            # Up to its crossing a member runs the leader's windows and
-            # replays every one of them.
-            assert before
-            assert all(n == schedule[start] and hit for start, _, n, _, hit, _ in before)
-            # The window holding its first retirement is the leader's
-            # too, walked fresh, and at most two margins long: no
-            # more than that is walked fresh before the crossing.
-            start, _, n, executed, hit, _ = crossing
-            assert n == schedule[start] and not hit
-            assert executed <= 2 * margin
-            # Past its first retirement the member's windows are its
-            # own: the loop's bound passes through, and they leave the
-            # leader's schedule.
-            assert after
-            assert all(n == bound for _, bound, n, *_ in after)
-            assert any(schedule.get(start) != n for start, _, n, *_ in after)
+        for index in cohort.demoted:
+            snapshot = branches[device_seed(seed, index)]
+            assert snapshot["steps_completed"] == demoted_at[index] > 0
+            # Step a twin of the member from its branch, per step, to
+            # the step that retires its first block: at most two margins.
+            twin = branch_experiment(CROSSING_SPEC, device_seed(seed, index), snapshot)
+            package = twin.device.ftl.package
+            walked = 0
+            while not package.num_bad_blocks:
+                twin.workload.step()
+                walked += 1
+            assert walked <= 2 * margin
 
     def test_random_cohort_windows_are_not_capped(self, monkeypatch):
-        """A random member's pattern RNG is in the probe, so it can
-        never replay the leader: a random cohort's leader passes its
-        loop's bound through and its members follow no schedule."""
-        runs = _record_windows(monkeypatch)
+        """A random cohort has no exact per-block frontier: its leader
+        passes its loop's bound through."""
+        windows = _record_windows(monkeypatch)
         spec = replace(CROSSING_SPEC, pattern="rand", until_level=4)
         cohort = run_cohort(spec, resolve_cohort_seed(spec, CROSSING_BASE_SEED))
         assert cohort.demoted
         # Advances as counted before crossing-aligned windows existed.
         assert cohort.advances == 6
-        (leader,) = runs.values()
-        assert all(n == bound for _, bound, n, *_ in leader)
+        assert windows and all(n == bound for bound, n in windows)
+
+
+class TestBranchGuard:
+    """A member branched mid-run gets its *fresh* RNG streams
+    re-stamped, which is exact only while none of the leader's
+    member-specific streams has been drawn; past a draw, demoted
+    members run from the cohort's branch point.  (Undrawn streams
+    branch mid-run: ``test_members_branch_at_the_advance_that_demoted_them``.)"""
+
+    def test_drawn_stream_branches_from_the_cohort_branch_point(self, monkeypatch):
+        branches, _ = _record_branches(monkeypatch)
+        step_batch = FileRewriteWorkload.step_batch
+
+        def drawing(self, n, budget=None):
+            # Draw the FTL read-error stream: it moves the member
+            # identity without changing any result (nothing is read).
+            self.fs.device.ftl._read_rng.random()
+            return step_batch(self, n, budget)
+
+        monkeypatch.setattr(FileRewriteWorkload, "step_batch", drawing)
+        seed = resolve_cohort_seed(CROSSING_SPEC, CROSSING_BASE_SEED)
+        cohort = run_cohort(CROSSING_SPEC, seed)
+        assert sorted(cohort.demoted) == [1, 2]
+        assert all(branches[device_seed(seed, i)] is None for i in cohort.demoted)
+        monkeypatch.undo()
+        _assert_members_match(CROSSING_SPEC, seed, cohort, [1])
+
+
+class TestLeaderChoice:
+    """An exact-wear cohort is led by the member whose weakest block is
+    strongest, so a weak member 0 is demoted alone."""
+
+    #: Members 0 and 1 retire a block before level 5 (weakest cycle
+    #: limits ~913 and ~943); member 2 (~1298) is the strongest.
+    SPEC = replace(CROSSING_SPEC, population=4)
+    BASE_SEED = 12
+
+    def test_weak_member_0_is_demoted_alone(self, monkeypatch):
+        leaders = []
+        check_leader = CohortState.check_leader
+
+        def checked(state, experiment):
+            leaders.append(state.leader)
+            return check_leader(state, experiment)
+
+        monkeypatch.setattr(CohortState, "check_leader", checked)
+        seed = resolve_cohort_seed(self.SPEC, self.BASE_SEED)
+        cohort = run_cohort(self.SPEC, seed)
+        assert leaders == [2]
+        assert sorted(cohort.demoted) == [0, 1]
+        assert cohort.canary_reason is None
+        assert cohort.demote_summary["retirement-margin"] == 2
+        _assert_members_match(self.SPEC, seed, cohort, [0, 3])
 
 
 class TestFollowerSlack:
@@ -307,3 +350,10 @@ class TestFollowerSlack:
         state = self._state()
         state.lockstep[1:] = False
         assert state.follower_slack(np.zeros(2)) is None
+
+    def test_the_leader_row_never_counts(self):
+        state = self._state(leader=2)
+        pe = np.array([1.0, 2.0])
+        assert state.follower_slack(pe) == -1.0  # member 0, block 1
+        state.lockstep[0] = False
+        assert state.follower_slack(pe) == 3.0  # member 1, block 0

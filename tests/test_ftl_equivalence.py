@@ -484,28 +484,22 @@ def run_trajectory(max_batch_steps=None, step_batching=True):
     """One full wear-out trajectory to level 3 through the megaburst
     loop — increments, polls, checkpoint boundaries and all — with a
     selectable window cap (``step_batching=False``: the per-step
-    reference loop).  The plan cache is cleared first so every variant
-    plans from scratch."""
+    reference loop)."""
     from repro.core.experiment import WearOutExperiment
     from repro.devices import build_device
     from repro.fs import Ext4Model
-    from repro.ftl import plancache
     from repro.workloads import FileRewriteWorkload
 
-    plancache.clear()
-    try:
-        device = build_device("emmc-8gb", scale=2048, seed=7)
-        fs = Ext4Model(device)
-        workload = FileRewriteWorkload(
-            fs, num_files=4, request_bytes=4 * KIB, pattern="rand", seed=7
-        )
-        experiment = WearOutExperiment(device, workload, filesystem=fs)
-        if max_batch_steps is not None:
-            experiment.max_batch_steps = max_batch_steps
-        experiment.step_batching = step_batching
-        experiment.run(until_level=3)
-    finally:
-        plancache.clear()
+    device = build_device("emmc-8gb", scale=2048, seed=7)
+    fs = Ext4Model(device)
+    workload = FileRewriteWorkload(
+        fs, num_files=4, request_bytes=4 * KIB, pattern="rand", seed=7
+    )
+    experiment = WearOutExperiment(device, workload, filesystem=fs)
+    if max_batch_steps is not None:
+        experiment.max_batch_steps = max_batch_steps
+    experiment.step_batching = step_batching
+    experiment.run(until_level=3)
     return experiment
 
 

@@ -14,10 +14,7 @@ ring and relocating GC — must match the per-step loop.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.flash.healing import HealingModel
-from repro.ftl import plancache
 from repro.units import KIB
 from repro.workloads import FileRewriteWorkload
 from repro.workloads.wearout import fill_static_space
@@ -33,14 +30,6 @@ GOLDEN = {
     "healing": "359bfa6d612d1effe73a588c8ce9e28983029ef62912dd8e18c6cce5746910a2",
     "naive_poll": "089e5d4871ec3050c384dcf933462f3ef4bb5b10672463c0966a4a1f7d3f7a9c",
 }
-
-
-@pytest.fixture(autouse=True)
-def fresh_cache():
-    plancache.clear()
-    plancache.cache().reset_stats()
-    yield
-    plancache.clear()
 
 
 def _hybrid_experiment(**kwargs):
@@ -116,13 +105,6 @@ class TestHybridFused:
         assert batched.device.ftl.stats.gc_pages_copied > 0
         assert result_json(batched) == result_json(scalar)
         assert device_fingerprint(batched.device) == device_fingerprint(scalar.device)
-
-    def test_no_cache_traffic(self):
-        with plancache.sharing():
-            exp = _hybrid_experiment()
-            exp.run(until_level=2)
-        stats = plancache.stats()
-        assert stats["captures"] == 0 and stats["misses"] == 0
 
 
 class TestHealingFallback:

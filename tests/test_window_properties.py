@@ -28,7 +28,7 @@ from repro.devices.interface import BlockDevice
 from repro.devices.perf import PerformanceModel
 from repro.flash import CELL_SPECS, CellType, FlashGeometry, FlashPackage
 from repro.fs import make_filesystem
-from repro.ftl import HybridFTL, PageMappedFTL, plancache
+from repro.ftl import HybridFTL, PageMappedFTL
 from repro.state.snapshot import capture_device, capture_filesystem, capture_workload
 from repro.units import KIB, MIB
 from repro.workloads import FileRewriteWorkload
@@ -124,29 +124,27 @@ def _cases(draw):
 @settings(max_examples=100, deadline=None)
 @given(case=_cases())
 def test_fused_windows_match_scalar_steps(case):
-    plancache.clear()
     fused, scalar = _stack(case), _stack(case)
-    with plancache.sharing():
-        for n in case["windows"]:
-            counters = _counters(fused.fs.device)
-            stop = case["stop"]
-            budget = None if stop is None else [(c, c.block_erases + stop) for c in counters]
-            before = _observed(fused)
-            out = fused.step_batch(n, budget)
-            if out is None:
-                # Refused: nothing consumed; the loop takes a scalar step.
-                assert _observed(fused) == before
-                assert fused.step() == scalar.step()
-            else:
-                durations, byte_counts, bricked = out
-                m = len(durations)
-                assert not bricked and 1 <= m <= n
-                if m < n:
-                    assert any(c.block_erases >= t for c, t in budget)
-                steps = [scalar.step() for _ in range(m)]
-                assert durations == [duration for duration, _ in steps]
-                assert byte_counts == [app_bytes for _, app_bytes in steps]
-            assert _observed(fused) == _observed(scalar)
+    for n in case["windows"]:
+        counters = _counters(fused.fs.device)
+        stop = case["stop"]
+        budget = None if stop is None else [(c, c.block_erases + stop) for c in counters]
+        before = _observed(fused)
+        out = fused.step_batch(n, budget)
+        if out is None:
+            # Refused: nothing consumed; the loop takes a scalar step.
+            assert _observed(fused) == before
+            assert fused.step() == scalar.step()
+        else:
+            durations, byte_counts, bricked = out
+            m = len(durations)
+            assert not bricked and 1 <= m <= n
+            if m < n:
+                assert any(c.block_erases >= t for c, t in budget)
+            steps = [scalar.step() for _ in range(m)]
+            assert durations == [duration for duration, _ in steps]
+            assert byte_counts == [app_bytes for _, app_bytes in steps]
+        assert _observed(fused) == _observed(scalar)
 
 
 class TestRefusedWindows:
