@@ -109,7 +109,7 @@ class WearOutExperiment:
         # checkpoints land at the exact same steps_completed for any cap
         # value because the FTL truncates the burst at the erase budget
         # itself, not at the window edge (window-size invariance is
-        # pinned by tests/test_ftl_equivalence.py).  None takes
+        # searched by tests/test_execution_modes.py).  None takes
         # window_steps(): as many steps as the cold byte budget holds at
         # the workload's step_bytes.
         self.max_batch_steps: Optional[int] = None

@@ -50,11 +50,16 @@ order is proven equal to the scalar argmin (with a conservative bail
 when two scores could round together), and relocating victims are
 scored with the scalar's own float expression.  GC candidates are the
 FTL's closed blocks and their counts its per-block valid counts, so the
-commit's scatters leave no derived index to rebuild
-(tests/test_ftl_equivalence.py and tests/test_burst_batching.py hold
-the line; the relocating cases are test_burst_batching.py's
-``TestRelocatingWalk``, tests/test_hybrid_burst.py and
-tests/test_metrics_fused.py).
+commit's scatters leave no derived index to rebuild.
+tests/test_execution_modes.py holds the line over whole runs in every
+execution mode (relocating, retiring and merged-hybrid windows
+included); tests/test_walk_properties.py and
+tests/test_window_properties.py search the walk and whole windows
+against per-call writes; tests/test_ftl_equivalence.py pins golden
+digests; tests/test_burst_batching.py and tests/test_hybrid_burst.py
+keep fixed run pairs (the relocating ones with
+tests/test_megaburst_fallback.py and tests/test_metrics_fused.py) and
+force the conditions a drawn run does not reach.
 """
 
 from __future__ import annotations
@@ -122,6 +127,8 @@ class BurstPlan:
     live-unit count of each GC victim that relocated (the rest held
     none), and ``seg_copies`` the GC and WL copy pages each executed
     segment caused — None for a plan that copied nothing.
+    ``end_of_life`` marks a window cut at end of life: the group after
+    its last ends life.
     """
 
     executed_groups: int
@@ -152,6 +159,7 @@ class BurstPlan:
     free_final: Tuple[int, ...]
     active_final: Optional[int]
     aoff_final: int
+    end_of_life: bool
 
 
 def execute_write_burst(
@@ -173,10 +181,6 @@ def execute_write_burst(
     if plan is None:
         return None
     commit_planned_burst(ftl, plan)
-    if plan.num_groups < num_groups:
-        # Cut at end of life: the next window would end it in its first
-        # group, so refuse that one before its link pass.
-        ftl._eol_ahead = True
     return plan
 
 
@@ -201,7 +205,6 @@ def plan_write_burst(
         return None
 
     upb = ftl.units_per_block
-    n_blocks = ftl._num_blocks
     low = ftl.gc_low_water
     high = ftl.gc_high_water
     cfg = ftl.wl_config
@@ -309,7 +312,8 @@ def plan_write_burst(
         )
 
     walked = _do_walk(num_groups)
-    if isinstance(walked, int):
+    end_of_life = isinstance(walked, int)
+    if end_of_life:
         # End of life inside 0-based group ``walked``: every group
         # before it replays deterministically, so re-walk with the
         # window truncated there and let the scalar step raise
@@ -387,12 +391,6 @@ def plan_write_burst(
         ppus, _, red = _runs(a_blocks * upb + first, first, lens)
         su = reloc[0].lpns[ppus]
         sv = reloc[0].deaths[ppus] >= C
-    if n_blocks * upb < 1 << 32 and ftl.num_logical_units < 1 << 32:
-        # uint32 slot/LPN arrays halve the plan's resident bytes
-        # (scatter semantics are unchanged — numpy fancy indexing
-        # accepts unsigned indices).
-        ppus = ppus.astype(np.uint32, copy=False)
-        su = su.astype(np.uint32, copy=False)
 
     if reloc is None:
         wl_runs = gc_pages = wl_pages = 0
@@ -433,6 +431,7 @@ def plan_write_burst(
         free_final=free_final,
         active_final=active,
         aoff_final=aoff,
+        end_of_life=end_of_life,
     )
 
 
@@ -1174,7 +1173,9 @@ def commit_planned_burst(ftl, plan: BurstPlan) -> None:
     upb = ftl.units_per_block
     n_blocks = ftl._num_blocks
     n_erased = plan.n_erased
-    ftl._eol_ahead = False
+    # A window cut at end of life leaves the next window to end it in
+    # its first group: refuse that one before its link pass.
+    ftl._eol_ahead = plan.end_of_life
     n_gc = n_erased - plan.wl_runs
     n_retired = int(plan.retired.size)
 

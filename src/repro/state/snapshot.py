@@ -296,6 +296,11 @@ def capture_workload(workload) -> Dict[str, Any]:
 
 
 def restore_workload(workload, state: Dict[str, Any], fs=None) -> None:
+    # A delegating wrapper (``__getattr__`` forwarding, which the
+    # experiment loop supports) reads through to its inner workload but
+    # keeps assignments for itself: restore the workload that owns the
+    # state.
+    workload = workload._set_pattern_state.__self__
     _require(
         workload.pattern == state["pattern"]
         and workload.request_bytes == int(state["request_bytes"])

@@ -4,10 +4,15 @@ The burst path amortizes Python dispatch by executing whole runs of
 provably-uneventful workload steps as one vectorized batch.  Its
 contract is bit-identity: a batched run must be indistinguishable —
 FTL end state, increments, simulated clock, checkpoint files — from
-the per-step loop it replaces.  These tests run the same experiment
-with ``step_batching`` on and off (and against the ``fast_poll=False``
-naive-polling reference) and require every observable to match
-exactly, including byte-identical checkpoint snapshots.
+the per-step loop it replaces.  tests/test_execution_modes.py searches
+that over whole runs in every execution mode.  The fixed run pairs
+here are named regression cases of that search (ext4/f2fs x rand/seq,
+naive polling, byte-identical checkpoint files, a healing trajectory,
+a retiring one, a static rewrite at 86% fill); the other tests force
+conditions a drawn run does not reach (wrapped and duck-typed
+workloads, victim-score collisions, retiring reclaims, end of life,
+relocating churn, wide LPNs) and pin the window protocol and the link
+pass.
 """
 
 from __future__ import annotations
@@ -27,40 +32,17 @@ from repro.ftl.burst import _NEVER, BurstSegment, _next_links, plan_write_burst
 from repro.ftl.wear_leveling import WearLevelingConfig
 from repro.state.checkpoint import CheckpointManager
 from repro.errors import DeviceWornOut
-from repro.state.snapshot import capture_ftl, restore_ftl, save_state, snapshot_experiment
+from repro.state.snapshot import capture_ftl, restore_ftl, save_state
 from repro.units import KIB, MIB
 from repro.workloads import FileRewriteWorkload, generic_step_batch
-from repro.workloads.wearout import fill_static_space
-from tests.test_ftl_equivalence import ftl_fingerprint
-from tests.test_megaburst_fallback import _fused_steps
-from tests.test_state_snapshot import device_fingerprint, make_experiment, result_json
-
-SCALE = 2048  # small scaled device: a few hundred steps to level 3
-
-
-def _experiment(fs_cls=Ext4Model, pattern="rand", seed=7, request_bytes=4 * KIB, **exp_kwargs):
-    device = build_device("emmc-8gb", scale=SCALE, seed=seed)
-    fs = fs_cls(device)
-    workload = FileRewriteWorkload(
-        fs, num_files=4, request_bytes=request_bytes, pattern=pattern, seed=seed
-    )
-    return WearOutExperiment(device, workload, filesystem=fs, **exp_kwargs)
-
-
-def _outcome(exp):
-    """Every observable the scalar and batched paths must agree on."""
-    result = exp.result
-    return (
-        ftl_fingerprint(exp.device.ftl),
-        [record.to_dict() for record in result.increments],
-        result.total_seconds,
-        result.total_app_bytes,
-        result.total_host_bytes,
-        result.bricked,
-        exp.clock.now,
-        exp.steps_completed,
-        exp.filesystem.app_bytes_written,
-    )
+from tests.modes import (
+    ftl_fingerprint,
+    fused_windows,
+    make_experiment,
+    outcome,
+    result_json,
+    rewrite_static,
+)
 
 
 class TestBatchedRunEquivalence:
@@ -71,39 +53,39 @@ class TestBatchedRunEquivalence:
         [(Ext4Model, "rand"), (Ext4Model, "seq"), (F2fsModel, "rand"), (F2fsModel, "seq")],
     )
     def test_matches_scalar_fast_poll_loop(self, fs_cls, pattern):
-        batched = _experiment(fs_cls, pattern)
+        batched = make_experiment(fs_kind=fs_cls.name, pattern=pattern)
         batched.run(until_level=3)
 
-        scalar = _experiment(fs_cls, pattern)
+        scalar = make_experiment(fs_kind=fs_cls.name, pattern=pattern)
         scalar.step_batching = False
         scalar.run(until_level=3)
 
-        assert _outcome(batched) == _outcome(scalar)
+        assert outcome(batched) == outcome(scalar)
         assert len(batched.result.increments) >= 2  # non-trivial run
 
     def test_matches_naive_polling_reference(self):
         """Naive per-step polling (``fast_poll=False``) is a reference
         oracle; the fused loop must match it."""
-        batched = _experiment()
+        batched = make_experiment()
         batched.run(until_level=3)
 
-        naive = _experiment(fast_poll=False)
+        naive = make_experiment(fast_poll=False)
         naive.run(until_level=3)
 
-        assert _outcome(batched) == _outcome(naive)
+        assert outcome(batched) == outcome(naive)
 
     def test_repeated_run_at_reached_level_takes_one_step(self):
         """A second run() at an already-reached level executes exactly
         one step in the scalar loop; the fused loop must do the same."""
-        batched = _experiment()
+        batched = make_experiment()
         batched.run(until_level=2)
-        scalar = _experiment()
+        scalar = make_experiment()
         scalar.step_batching = False
         scalar.run(until_level=2)
 
         batched.run(until_level=2)
         scalar.run(until_level=2)
-        assert _outcome(batched) == _outcome(scalar)
+        assert outcome(batched) == outcome(scalar)
 
     def test_duck_typed_workload_uses_generic_batcher(self):
         """A workload without step_batch runs through
@@ -121,14 +103,17 @@ class TestBatchedRunEquivalence:
             def step(self):
                 return self._inner.step()
 
-        batched = _experiment()
+        batched = make_experiment()
         batched.workload = DuckWorkload(batched.workload)
         batched.run(until_level=2)
 
-        scalar = _experiment()
+        scalar = make_experiment()
         scalar.step_batching = False
         scalar.run(until_level=2)
-        assert _outcome(batched) == _outcome(scalar)
+        # A duck-typed workload has no snapshot: compare results and
+        # FTL state.
+        assert result_json(batched) == result_json(scalar)
+        assert ftl_fingerprint(batched.device.ftl) == ftl_fingerprint(scalar.device.ftl)
 
     def test_delegating_wrapper_is_not_bypassed(self):
         """A wrapper forwarding unknown attributes to an inner workload
@@ -148,7 +133,7 @@ class TestBatchedRunEquivalence:
             def __getattr__(self, name):
                 return getattr(self._inner, name)
 
-        batched = _experiment()
+        batched = make_experiment()
         wrapper = Wrapper(batched.workload)
         batched.workload = wrapper
         batched.run(until_level=2)
@@ -163,14 +148,7 @@ class TestBatchedRunEquivalence:
         block — must still match the scalar loop bit-for-bit."""
 
         def experiment():
-            device = build_device(
-                "emmc-8gb", scale=512, seed=127, endurance_sigma=0.35
-            )
-            fs = Ext4Model(device)
-            workload = FileRewriteWorkload(
-                fs, num_files=4, request_bytes=4 * KIB, pattern="seq", seed=127
-            )
-            return WearOutExperiment(device, workload, filesystem=fs)
+            return make_experiment(scale=512, seed=127, endurance_sigma=0.35, pattern="seq")
 
         batched = experiment()
         batched.run(until_level=5)
@@ -180,10 +158,19 @@ class TestBatchedRunEquivalence:
 
         assert batched.device.ftl.package.bad_blocks_view.any()
         assert any(plan.retired.size for plan in committed)
-        assert _outcome(batched) == _outcome(scalar)
+        assert outcome(batched) == outcome(scalar)
+
+    def test_wrapper_resolves_to_generic_stepper(self):
+        """The idle-healing wrapper has no class-level ``step_batch``, so
+        the generic per-step batcher carries it."""
+        exp = make_experiment(idle_seconds=1800.0)
+        stepper = exp._resolve_stepper()
+        # A functools.partial over generic_step_batch, not the inner
+        # workload's bound fused method.
+        assert getattr(stepper, "func", None) is generic_step_batch
 
     def test_generic_step_batch_stops_at_budget(self):
-        exp = _experiment()
+        exp = make_experiment()
         exp.run(until_level=1)
         counters = exp.device.ftl.package.counters
         budget = [(counters, counters.block_erases + 1)]
@@ -198,11 +185,11 @@ class TestBatchedRunEquivalence:
 class TestCheckpointEquivalence:
     """Interval and crossing checkpoints written by a batched run must
     be byte-identical to the ones an unbatched run writes at the same
-    ``steps_completed`` (satellite: fast_poll x checkpointing x
-    batching)."""
+    ``steps_completed``, and a crossing one warm-starts a run that
+    lands on the cold scalar trajectory."""
 
     def _run_with_checkpoints(self, root, step_batching):
-        exp = _experiment()
+        exp = make_experiment()
         exp.step_batching = step_batching
         manager = CheckpointManager(root)
         exp.enable_checkpointing(manager, key="burst-equiv", interval_steps=50)
@@ -216,16 +203,13 @@ class TestCheckpointEquivalence:
         scalar_exp, scalar_files = self._run_with_checkpoints(
             tmp_path / "scalar", step_batching=False
         )
-        assert _outcome(batched_exp) == _outcome(scalar_exp)
+        # outcome() compares every checkpoint file's bytes.
+        assert outcome(batched_exp, tmp_path / "batched") == outcome(scalar_exp, tmp_path / "scalar")
         # Same crossing files (same steps_completed at each crossing)
         # plus the rolling interval wip file.
         assert batched_files == scalar_files
         assert any(name.endswith("-wip.npz") for name in batched_files)
         assert sum(1 for name in batched_files if "-s" in name) >= 2
-        for name in batched_files:
-            batched_bytes = (tmp_path / "batched" / name).read_bytes()
-            scalar_bytes = (tmp_path / "scalar" / name).read_bytes()
-            assert batched_bytes == scalar_bytes, name
 
     def test_restored_crossing_continues_on_trajectory(self, tmp_path):
         """Warm-starting from a batched run's crossing checkpoint and
@@ -235,11 +219,11 @@ class TestCheckpointEquivalence:
         _, files = self._run_with_checkpoints(tmp_path / "ck", step_batching=True)
         crossing = sorted(name for name in files if "-s" in name)[0]
 
-        resumed = _experiment()
+        resumed = make_experiment()
         restore_experiment(resumed, load_state(tmp_path / "ck" / crossing))
         resumed.run(until_level=3)
 
-        cold = _experiment()
+        cold = make_experiment()
         cold.step_batching = False
         cold.run(until_level=3)
         assert ftl_fingerprint(resumed.device.ftl) == ftl_fingerprint(cold.device.ftl)
@@ -253,8 +237,8 @@ class TestStepBatchProtocol:
     def test_fallback_rewinds_pattern_state(self):
         """A refused burst must leave generator state untouched: the
         next scalar step draws exactly what it would have drawn."""
-        broken = _experiment()
-        twin = _experiment()
+        broken = make_experiment()
+        twin = make_experiment()
         # Disable the filesystem's metadata planner: write_requests_burst
         # returns None and step_batch must rewind.
         broken.filesystem._burst_metadata_plan = lambda sizes: None
@@ -271,8 +255,8 @@ class TestStepBatchProtocol:
         """A budget-truncated batch (m < n) must leave the workload in
         the exact state of m scalar steps: same durations, same device
         state, same future draws."""
-        burst = _experiment(pattern=pattern)
-        scalar = _experiment(pattern=pattern)
+        burst = make_experiment(pattern=pattern)
+        scalar = make_experiment(pattern=pattern)
         burst.run(until_level=1)
         scalar.step_batching = False
         scalar.run(until_level=1)
@@ -314,9 +298,9 @@ class TestStepBatchProtocol:
         monkeypatch.setattr(FileRewriteWorkload, "step_batch", watched)
         # 64 KiB requests: 256 MiB per step, so cold windows are two
         # steps and the budget's last stretch is often under one step.
-        fused = _experiment(pattern="seq", request_bytes=64 * KIB)
+        fused = make_experiment(pattern="seq", request_bytes=64 * KIB)
         fused.run(until_level=2)
-        scalar = _experiment(pattern="seq", request_bytes=64 * KIB)
+        scalar = make_experiment(pattern="seq", request_bytes=64 * KIB)
         scalar.step_batching = False
         scalar.run(until_level=2)
         assert (1, 1) in windows
@@ -324,8 +308,8 @@ class TestStepBatchProtocol:
         assert ftl_fingerprint(fused.device.ftl) == ftl_fingerprint(scalar.device.ftl)
 
     def test_unbudgeted_batch_executes_all_steps(self):
-        burst = _experiment()
-        scalar = _experiment()
+        burst = make_experiment()
+        scalar = make_experiment()
         out = burst.workload.step_batch(8, None)
         assert out is not None
         durations, byte_counts, bricked = out
@@ -555,7 +539,7 @@ class TestRetiringWalk:
             ftl.write_requests(draws[m] * PAGE, PAGE)
 
     @pytest.mark.slow
-    def test_end_of_life_inside_a_window(self, tmp_path, committed, monkeypatch):
+    def test_end_of_life_inside_a_window(self, committed, monkeypatch):
         """A wide endurance spread run to level 11: blocks retire inside
         fused plans until the reclaim that leaves too few good blocks,
         where the window truncates and the scalar step bricks the
@@ -585,11 +569,7 @@ class TestRetiringWalk:
         fused = run(True)
         scalar = run(False)
         assert fused.result.bricked and fused.device.ftl.read_only
-        assert result_json(fused) == result_json(scalar)
-        assert ftl_fingerprint(fused.device.ftl) == ftl_fingerprint(scalar.device.ftl)
-        assert _state_bytes(tmp_path, "fused", snapshot_experiment(fused)) == _state_bytes(
-            tmp_path, "scalar", snapshot_experiment(scalar)
-        )
+        assert outcome(fused) == outcome(scalar)
         assert any(plan.retired.size for plan in committed)
         # The last fused window stopped short at the end-of-life group,
         # and the device bricked on the step after it.
@@ -599,40 +579,37 @@ class TestRetiringWalk:
 
 
 class TestFusedWalkEquivalence:
-    """Fused runs the other differentials do not reach."""
-
-    @staticmethod
-    def _pair(run, **kwargs):
-        fused = make_experiment(**kwargs)
-        windows = _fused_steps(fused)
-        run(fused)
-        scalar = make_experiment(**kwargs)
-        scalar.step_batching = False
-        run(scalar)
-        assert result_json(fused) == result_json(scalar)
-        assert device_fingerprint(fused.device) == device_fingerprint(scalar.device)
-        return fused, windows
+    """A fused healing trajectory, and fused runs the execution-mode
+    search does not reach."""
 
     def test_healing_wear_fuses_and_matches_scalar(self):
         """Healing without idle periods keeps the fused loop, and its
         fractional erase increments make effective wear non-integral:
         the walk's victim order and guard run on arbitrary floats."""
-        fused, windows = self._pair(
-            lambda exp: exp.run(until_level=3),
-            healing=HealingModel(recoverable_fraction=0.3),
-        )
+        healing = HealingModel(recoverable_fraction=0.3)
+        fused, scalar = make_experiment(healing=healing), make_experiment(healing=healing)
+        windows = fused_windows(fused)
+        scalar.step_batching = False
+        for exp in (fused, scalar):
+            exp.run(until_level=3)
         assert windows
+        assert outcome(fused) == outcome(scalar)
         pe = fused.device.ftl.package.pe_counts
         assert (pe != np.round(pe)).any()
 
     def test_device_wider_than_16_bit_lpns(self):
         """emmc-8gb at scale 8 maps 122,071 units: the link pass takes
         its 64-bit branch (no committed workload does)."""
-        fused, windows = self._pair(lambda exp: exp.run(until_level=3, max_steps=300), scale=8)
+        fused, scalar = make_experiment(scale=8), make_experiment(scale=8)
+        windows = fused_windows(fused)
+        scalar.step_batching = False
+        for exp in (fused, scalar):
+            exp.run(until_level=3, max_steps=300)
         assert fused.device.ftl.num_logical_units > 1 << 16
         assert windows
+        assert outcome(fused) == outcome(scalar)
 
-    def test_aligned_requests_spanning_pages_inside_one_unit(self, tmp_path):
+    def test_aligned_requests_spanning_pages_inside_one_unit(self):
         """8 KiB aligned random rewrites on emmc-8gb's 2-page units:
         every request spans two pages but stays inside one mapping
         unit, a segment shape the page-fit stacking does not build."""
@@ -648,7 +625,7 @@ class TestFusedWalkEquivalence:
             )
             exp = WearOutExperiment(device, workload, filesystem=fs)
             exp.step_batching = step_batching
-            windows = _fused_steps(exp)
+            windows = fused_windows(exp)
             exp.run(until_level=3)
             return exp, windows
 
@@ -657,13 +634,9 @@ class TestFusedWalkEquivalence:
         ftl = fused.device.ftl
         assert ftl.unit_pages == 2 and ftl.unit_bytes == 8 * KIB
         assert all(f.extent_start % ftl.unit_bytes == 0 for f in fused.workload.files)
-        assert sum(windows) > 0 and not scalar_windows
+        assert windows and not scalar_windows
         assert len(fused.result.increments) >= 2
-        assert result_json(fused) == result_json(scalar)
-        assert device_fingerprint(fused.device) == device_fingerprint(scalar.device)
-        assert _state_bytes(tmp_path, "fused", snapshot_experiment(fused)) == _state_bytes(
-            tmp_path, "scalar", snapshot_experiment(scalar)
-        )
+        assert outcome(fused) == outcome(scalar)
 
 
 def _state_bytes(tmp_path, name, state):
@@ -733,29 +706,19 @@ class TestRelocatingWalk:
         )
         return fused
 
-    def test_static_rewrite_at_86_percent_fill(self, tmp_path, committed):
+    def test_static_rewrite_at_86_percent_fill(self, committed):
         """A page-mapped device rewriting static data at 86% fill: GC
         victims hold live units in nearly every window."""
 
         def run(step_batching):
-            exp = _experiment()
+            exp = make_experiment()
             exp.step_batching = step_batching
             exp.run(until_level=2, max_steps=8)  # maps every workload file
-            static = fill_static_space(exp.filesystem, 0.86)
-            exp.workload = FileRewriteWorkload(
-                exp.filesystem, request_bytes=4 * KIB, target_files=static[:2], seed=8
-            )
+            rewrite_static(exp, 0.86)
             exp.run_one_increment("A", max_steps=60)
             return exp
 
-        fused = run(True)
-        scalar = run(False)
-        assert _outcome(fused) == _outcome(scalar)
-        assert result_json(fused) == result_json(scalar)
-        assert device_fingerprint(fused.device) == device_fingerprint(scalar.device)
-        assert _state_bytes(tmp_path, "fused", snapshot_experiment(fused)) == _state_bytes(
-            tmp_path, "scalar", snapshot_experiment(scalar)
-        )
+        assert outcome(run(True)) == outcome(run(False))
         assert sum(plan.gc_pages for plan in committed) > 0
 
     def test_gc_heavy_churn(self, tmp_path, committed):

@@ -10,9 +10,8 @@ from repro.devices import DEVICE_SPECS, build_device
 from repro.fs import Ext4Model
 from repro.units import GIB, HOUR, KIB, MIB
 from repro.workloads import FileRewriteWorkload
-from tests.test_burst_batching import SCALE, _experiment
-from tests.test_ftl_equivalence import ftl_fingerprint
-from tests.test_state_snapshot import result_json
+from tests import modes
+from tests.modes import SCALE, ftl_fingerprint, result_json
 
 
 def make_experiment(endurance=None, seed=7):
@@ -254,7 +253,7 @@ class TestDefaultWindows:
 
     def test_cold_run_plans_small_windows(self):
         """16 steps of 4,096 4 KiB requests."""
-        exp = _experiment()
+        exp = modes.make_experiment()
         sizes = self._window_sizes(exp)
         exp.run(until_level=2)
         assert exp.workload.step_bytes == 16 * MIB

@@ -11,8 +11,7 @@ from repro.fs import Ext4Model
 from repro.ftl import PageMappedFTL
 from repro.units import KIB, MIB
 from repro.workloads import FileRewriteWorkload
-from tests.test_burst_batching import SCALE, _experiment, _outcome
-from tests.test_state_snapshot import device_fingerprint
+from tests.modes import SCALE, device_fingerprint, make_experiment, outcome
 
 
 @pytest.fixture
@@ -156,7 +155,7 @@ class TestEraseStopFold:
         # The fused path stops where the tighter pair alone stops it.
         twins = []
         for doubled in (True, False):
-            exp = _experiment()
+            exp = make_experiment()
             exp.run(until_level=1)
             c = exp.device.ftl.package.counters
             budget = [(c, c.block_erases + 2)]
@@ -164,5 +163,5 @@ class TestEraseStopFold:
                 budget.append((c, c.block_erases + 40))
             out = exp.workload.step_batch(64, budget)
             assert out is not None and 1 <= len(out[0]) < 64
-            twins.append((out, _outcome(exp)))
+            twins.append((out, outcome(exp)))
         assert twins[0] == twins[1]

@@ -131,7 +131,7 @@ class TestHealingRecovery:
         model supports the physics).  The FTL the end of life made
         read-only takes writes again once an anneal has healed enough
         blocks; one too cool to heal any leaves it read-only."""
-        from tests.test_ftl_core import check_mapping_invariants
+        from tests.modes import check_mapping_invariants
 
         geom = FlashGeometry(page_size=4 * KIB, pages_per_block=16, num_blocks=32)
         pkg = FlashPackage(
@@ -162,7 +162,7 @@ class TestHealingRecovery:
         """Blocks the anneal resurrects go back to the FTL's free list:
         every block stays in exactly one state, and later writes
         allocate the healed blocks instead of running out of space."""
-        from tests.test_ftl_core import check_mapping_invariants
+        from tests.modes import check_mapping_invariants
 
         geom = FlashGeometry(page_size=4 * KIB, pages_per_block=16, num_blocks=32)
         pkg = FlashPackage(

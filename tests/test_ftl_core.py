@@ -10,35 +10,7 @@ from repro.ftl.wear_leveling import WearLevelingConfig
 from repro.units import KIB
 
 from tests.conftest import write_random_pages
-
-
-def check_mapping_invariants(ftl: PageMappedFTL) -> None:
-    """The structural invariants every FTL state must satisfy."""
-    l2p, p2l, valid = ftl._l2p, ftl._p2l, ftl._valid
-    mapped = l2p[l2p >= 0]
-    # Every mapped unit points at a valid physical unit, and back.
-    assert valid[mapped].all()
-    assert (p2l[mapped] == np.nonzero(l2p >= 0)[0]).all()
-    # No physical unit is valid without a logical owner.
-    assert valid.sum() == (l2p >= 0).sum()
-    # Per-block valid counts match the bitmap.
-    counts = np.bincount(
-        (mapped // ftl.units_per_block).astype(np.int64), minlength=ftl.geometry.num_blocks
-    )
-    assert (counts == ftl._valid_count).all()
-    # Block states partition the package: closed (the GC candidates),
-    # free, active and bad are disjoint and cover every block.
-    n = ftl.geometry.num_blocks
-    closed = ftl._closed
-    bad = ftl.package.bad_blocks
-    free = np.zeros(n, dtype=bool)
-    free[ftl._free_blocks] = True
-    assert len(ftl._free_blocks) == int(free.sum())  # no block listed twice
-    active = np.zeros(n, dtype=bool)
-    if ftl._active_block is not None:
-        active[ftl._active_block] = True
-    states = closed.astype(int) + free + active + bad
-    assert (states == 1).all()
+from tests.modes import check_mapping_invariants
 
 
 class TestConstruction:

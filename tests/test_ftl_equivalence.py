@@ -18,8 +18,6 @@ cost-benefit).
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 import pytest
 
@@ -35,21 +33,7 @@ from repro.state.snapshot import (
     save_state,
 )
 from repro.units import KIB
-from tests.test_ftl_core import check_mapping_invariants
-
-
-def ftl_fingerprint(ftl) -> str:
-    """Digest the FTL's complete observable end state."""
-    h = hashlib.sha256()
-    for arr in (ftl._l2p, ftl._p2l, ftl._valid, ftl._valid_count, ftl._closed):
-        h.update(np.ascontiguousarray(arr).tobytes())
-    h.update(np.array(sorted(ftl._free_blocks), dtype=np.int64).tobytes())
-    pkg = ftl.package
-    h.update(np.ascontiguousarray(pkg.pe_counts).tobytes())
-    h.update(np.ascontiguousarray(pkg.bad_blocks).tobytes())
-    h.update(repr(sorted(vars(ftl.stats).items())).encode())
-    h.update(repr(sorted(vars(pkg.counters).items())).encode())
-    return h.hexdigest()
+from tests.modes import check_mapping_invariants, device_fingerprint, ftl_fingerprint, make_experiment
 
 
 def run_scenario(unit_pages, pattern, endurance=500, with_trim=True, seed=7,
@@ -389,7 +373,6 @@ class TestWriteBurstEquivalence:
         from repro.devices import build_device
         from repro.devices.interface import _write_combine
         from repro.ftl.ftl import _ragged_ranges
-        from tests.test_state_snapshot import device_fingerprint
 
         def scalar_segment(ftl, offsets, request_bytes):
             # PageMappedFTL.write_requests' unit stream and page counts.
@@ -485,19 +468,8 @@ def run_trajectory(max_batch_steps=None, step_batching=True):
     loop — increments, polls, checkpoint boundaries and all — with a
     selectable window cap (``step_batching=False``: the per-step
     reference loop)."""
-    from repro.core.experiment import WearOutExperiment
-    from repro.devices import build_device
-    from repro.fs import Ext4Model
-    from repro.workloads import FileRewriteWorkload
-
-    device = build_device("emmc-8gb", scale=2048, seed=7)
-    fs = Ext4Model(device)
-    workload = FileRewriteWorkload(
-        fs, num_files=4, request_bytes=4 * KIB, pattern="rand", seed=7
-    )
-    experiment = WearOutExperiment(device, workload, filesystem=fs)
-    if max_batch_steps is not None:
-        experiment.max_batch_steps = max_batch_steps
+    experiment = make_experiment()
+    experiment.max_batch_steps = max_batch_steps
     experiment.step_batching = step_batching
     experiment.run(until_level=3)
     return experiment

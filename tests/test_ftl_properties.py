@@ -18,7 +18,7 @@ from repro.ftl import PageMappedFTL
 from repro.ftl.ftl import _ragged_ranges
 from repro.units import KIB
 
-from tests.test_ftl_core import check_mapping_invariants
+from tests.modes import check_mapping_invariants
 
 
 def make_ftl(unit_pages: int = 1) -> PageMappedFTL:

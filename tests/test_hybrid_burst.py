@@ -10,7 +10,9 @@ bit-identity as everywhere else — a batched run must equal the
 the hybrid's own ``host_pages_requested`` — whichever pool stops a
 window, when a weak block retires inside one pool's fused plan, through Table 1's
 merged phases, and when a window is refused (a request straddling the
-hot window, fresh pool-B mappings that could merge the pools).
+hot window, fresh pool-B mappings that could merge the pools).  Table
+1's phases on the catalog hybrid, merged pools included, are also
+searched in every execution mode by tests/test_execution_modes.py.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from repro.ftl import HybridFTL, burst
 from repro.units import KIB, MIB
 from repro.workloads import FileRewriteWorkload
 from repro.workloads.wearout import fill_static_space
-from tests.test_state_snapshot import device_fingerprint, result_json
+from tests.modes import device_fingerprint, result_json
 
 
 def _device(endurance_a=20_000, endurance_b=1_000, hot_window=256 * KIB,
@@ -141,6 +143,28 @@ class TestPoolStops:
         assert None not in log
 
 
+class TestEndOfLife:
+    def test_end_of_life_refuses_the_next_window_before_linking(self, monkeypatch):
+        """A weak pool B run until it bricks: the window cut at end of
+        life is followed by one refused before its link pass, and the
+        scalar step bricks the device."""
+        exp = _experiment(endurance_b=60, endurance_sigma=0.3)
+        log = _windows(exp)
+        linked = []  # the window each link pass ran in
+        next_links = burst._next_links
+
+        def counted(*args):
+            linked.append(len(log))
+            return next_links(*args)
+
+        monkeypatch.setattr(burst, "_next_links", counted)
+        exp.run(until_level=11)
+        assert exp.result.bricked and exp.device.ftl.pool_b.read_only
+        cut, refused = log[-2:]
+        assert cut is not None and cut[0] < cut[1] and refused is None
+        assert linked[-1] < len(log) - 1
+
+
 class TestRefusedWindows:
     def test_straddling_request_leaves_device_untouched(self):
         device = _device()
@@ -221,7 +245,6 @@ class TestPhaseProtocol:
         assert ftl.pool_a.stats.migration_pages > 0
         assert ftl.pool_a.stats.wl_pages_copied > 0
         assert ftl.pool_b.stats.gc_pages_copied > 0
-
 
     def test_first_window_after_workload_swap_is_a_pilot(self):
         """The erase rate learned on 4 KiB rand says nothing about the

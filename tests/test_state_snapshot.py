@@ -1,10 +1,14 @@
 """Tests for wear-state checkpointing and increment-aware polling.
 
-Covers the three DESIGN.md §10 contracts:
+Covers the three DESIGN.md §10 contracts (tests/test_execution_modes.py
+searches the first and the last over drawn runs in every execution
+mode; the pairs here are named regression cases):
 
 * Snapshot round-trips — restoring a mid-run snapshot into a freshly
   built twin and continuing produces byte-identical results to the
-  uninterrupted run, on plain and hybrid devices;
+  uninterrupted run; a shallower run's end state warm-starts a deeper
+  one, on plain and hybrid devices and ext4/f2fs; mismatched twins are
+  rejected;
 * Warm-start cache — :class:`CheckpointManager` restores only
   compatible checkpoints (key, format version, stop level) and
   campaigns produce identical store fingerprints cold, warm, and over
@@ -16,9 +20,6 @@ Covers the three DESIGN.md §10 contracts:
 
 from __future__ import annotations
 
-import hashlib
-import json
-
 import numpy as np
 import pytest
 
@@ -26,10 +27,7 @@ from repro.campaign import runner as campaign_runner
 from repro.campaign.runner import CampaignRunner
 from repro.campaign.spec import CampaignSpec, PointSpec
 from repro.campaign.store import ResultStore
-from repro.core import WearOutExperiment
-from repro.devices import build_device
 from repro.flash.healing import HealingModel
-from repro.fs import make_filesystem
 from repro.state import (
     STATE_FORMAT_VERSION,
     CheckpointError,
@@ -42,62 +40,7 @@ from repro.state import (
     snapshot_experiment,
     warm_start_key,
 )
-from repro.units import KIB
-from repro.workloads import FileRewriteWorkload
-
-from tests.test_ftl_equivalence import ftl_fingerprint
-
-
-def make_experiment(device="emmc-8gb", fs_kind="ext4", seed=7, scale=512,
-                    healing=None, idle_seconds=0.0, fast_poll=True, pattern="rand"):
-    """A small catalog-device wear-out experiment (optionally with a
-    healing model swapped in and per-step idle periods)."""
-    dev = build_device(device, scale=scale, seed=seed)
-    if healing is not None:
-        for pkg in dev._packages():
-            pkg.healing = healing
-    fs = make_filesystem(fs_kind, dev)
-    workload = FileRewriteWorkload(
-        fs, num_files=4, request_bytes=4 * KIB, pattern=pattern, seed=seed
-    )
-    if idle_seconds:
-        workload = _IdleBetweenSteps(workload, dev, idle_seconds)
-    return WearOutExperiment(dev, workload, filesystem=fs, fast_poll=fast_poll)
-
-
-class _IdleBetweenSteps:
-    """Workload wrapper: every step is followed by an idle (healing)
-    period — wear moves *down* between polls, exercising the budget's
-    conservative side."""
-
-    def __init__(self, inner, device, idle_seconds):
-        self._inner = inner
-        self._device = device
-        self._idle = idle_seconds
-
-    def step(self):
-        out = self._inner.step()
-        self._device.idle(self._idle, temp_c=60.0)
-        return out
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-
-def device_fingerprint(device) -> str:
-    """End-state digest across all of a device's FTL pools + host
-    counters (hybrid-safe extension of ``ftl_fingerprint``)."""
-    h = hashlib.sha256()
-    ftl = device.ftl
-    pools = (ftl.pool_a, ftl.pool_b) if hasattr(ftl, "pool_a") else (ftl,)
-    for pool in pools:
-        h.update(ftl_fingerprint(pool).encode())
-    h.update(repr((device.host_bytes_written, round(device.busy_seconds, 9))).encode())
-    return h.hexdigest()
-
-
-def result_json(experiment) -> str:
-    return json.dumps(experiment.result.to_dict(), sort_keys=True)
+from tests.modes import device_fingerprint, make_experiment, outcome, result_json
 
 
 class TestSnapshotRoundTrip:
@@ -419,8 +362,7 @@ class TestFastPollEquivalence:
                                 fast_poll=False)
         fast.run(until_level=2)
         naive.run(until_level=2)
-        assert result_json(fast) == result_json(naive)
-        assert device_fingerprint(fast.device) == device_fingerprint(naive.device)
+        assert outcome(fast) == outcome(naive)
 
     def test_matches_naive_under_healing(self):
         healing = HealingModel(recoverable_fraction=0.3, time_constant_days=2.0)
@@ -430,22 +372,30 @@ class TestFastPollEquivalence:
         ]
         for run in runs:
             run.run(until_level=2)
-        assert result_json(runs[0]) == result_json(runs[1])
-        assert device_fingerprint(runs[0].device) == device_fingerprint(runs[1].device)
+        assert outcome(runs[0]) == outcome(runs[1])
 
     def test_budget_skips_reads_but_never_crossings(self):
-        fast = make_experiment()
-        fast.run(until_level=2)
-        naive = make_experiment(fast_poll=False)
-        naive.run(until_level=2)
+        reads = {}
+        runs = {}
+        for fast_poll in (True, False):
+            exp = runs[fast_poll] = make_experiment(fast_poll=fast_poll)
+            poll = exp.device.wear_indicators
+            reads[fast_poll] = 0
+
+            def counted(poll=poll, fast_poll=fast_poll):
+                reads[fast_poll] += 1
+                return poll()
+
+            exp.device.wear_indicators = counted
+            exp.run(until_level=2)
+        fast, naive = runs[True], runs[False]
         # The fast run read the indicators strictly fewer times...
-        fast_reads = fast.device.ftl.stats
+        assert reads[True] < reads[False]
         assert fast.steps_completed == naive.steps_completed
         # ...yet recorded the same crossings at the same step.
         assert [r.to_dict() for r in fast.result.increments] == [
             r.to_dict() for r in naive.result.increments
         ]
-        assert fast_reads is not None  # stats object intact
 
 
 class TestCampaignWarmStart:

@@ -13,15 +13,11 @@ CI runs this file as the ``timing-equivalence`` gate.
 import hashlib
 
 import numpy as np
-import pytest
 
 from repro.devices import build_device
 from repro.units import KIB
-from tests.test_ftl_equivalence import (
-    BURST_SCENARIO_FINGERPRINT,
-    ftl_fingerprint,
-    run_burst_scenario,
-)
+from tests.modes import ftl_fingerprint
+from tests.test_ftl_equivalence import BURST_SCENARIO_FINGERPRINT, run_burst_scenario
 
 
 def device_wear_fingerprint(device) -> str:

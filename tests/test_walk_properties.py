@@ -36,7 +36,7 @@ from repro.ftl.wear_leveling import WearLevelingConfig
 from repro.state.snapshot import capture_ftl
 from repro.units import KIB
 from repro.workloads import BRICK_ERRORS
-from tests.test_ftl_equivalence import ftl_fingerprint
+from tests.modes import ftl_fingerprint
 
 PAGE = 4 * KIB
 

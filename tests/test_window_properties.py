@@ -32,7 +32,7 @@ from repro.ftl import HybridFTL, PageMappedFTL
 from repro.state.snapshot import capture_device, capture_filesystem, capture_workload
 from repro.units import KIB, MIB
 from repro.workloads import FileRewriteWorkload
-from tests.test_state_snapshot import device_fingerprint
+from tests.modes import device_fingerprint
 
 PERF = PerformanceModel(peak_write_mib_s=60.0, write_half_size=2 * KIB)
 
