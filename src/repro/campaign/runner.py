@@ -8,7 +8,8 @@ point's seed is a pure function of the campaign base seed and the
 point's content hash (:func:`repro.campaign.spec.resolve_seed`).  The
 result of a point therefore depends only on its spec: N workers in any
 scheduling order produce the same canonical store as a serial run
-(DESIGN.md §8).
+(DESIGN.md §8).  Fleets (:mod:`repro.fleet.runner`) run their cohorts
+on the same fan-out, :func:`fan_out`.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from repro.units import KIB
 from repro.workloads import FileRewriteWorkload, fill_static_space, measure_bandwidth
 
 
-def _filesystem_for(spec: PointSpec, device) -> Any:
-    """Build the point's filesystem (explicit choice, else the catalog
+def _filesystem_for(spec, device) -> Any:
+    """Build the spec's filesystem (explicit choice, else the catalog
     device's default)."""
     kind = spec.filesystem or DEVICE_SPECS[spec.device].default_fs
     return make_filesystem(kind, device)
@@ -48,6 +49,22 @@ def _build_point_device(spec: PointSpec, seed: int):
         timing=spec.timing,
         queue_depth=spec.queue_depth or None,
     )
+
+
+def rewrite_experiment(spec, device, seed: int) -> WearOutExperiment:
+    """The wear-out build on a built device: filesystem → rewrite
+    workload → experiment.  ``spec`` carries the rewrite fields
+    (``device``, ``filesystem``, ``num_files``, ``request_bytes``,
+    ``pattern``): a campaign point or a fleet cohort."""
+    fs = _filesystem_for(spec, device)
+    workload = FileRewriteWorkload(
+        fs,
+        num_files=spec.num_files,
+        request_bytes=spec.request_bytes,
+        pattern=spec.pattern,
+        seed=seed,
+    )
+    return WearOutExperiment(device, workload, filesystem=fs)
 
 
 def _run_bandwidth(spec: PointSpec, seed: int, checkpoint: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
@@ -72,16 +89,7 @@ def _run_wearout(spec: PointSpec, seed: int, checkpoint: Optional[Dict[str, Any]
     bit-identical to cold ones (DESIGN.md §10), so store fingerprints
     do not depend on whether, or how much of, the cache was hit.
     """
-    device = _build_point_device(spec, seed)
-    fs = _filesystem_for(spec, device)
-    workload = FileRewriteWorkload(
-        fs,
-        num_files=spec.num_files,
-        request_bytes=spec.request_bytes,
-        pattern=spec.pattern,
-        seed=seed,
-    )
-    experiment = WearOutExperiment(device, workload, filesystem=fs)
+    experiment = rewrite_experiment(spec, _build_point_device(spec, seed), seed)
     if spec.timing != "analytic":
         # Snapshots don't capture the event backend's clock/reservations,
         # so a warm start would change the time observables (never the
@@ -110,7 +118,7 @@ def _run_wearout(spec: PointSpec, seed: int, checkpoint: Optional[Dict[str, Any]
 def _run_table1(spec: PointSpec, seed: int, checkpoint: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
     """Table 1 point: the hybrid device's phase protocol — 4 KiB rand,
     128 KiB seq, then rand rewrite at 90%+ utilization."""
-    device = build_device(spec.device, scale=spec.scale, seed=seed)
+    device = _build_point_device(spec, seed)
     fs = _filesystem_for(spec, device)
     experiment = WearOutExperiment(
         device,
@@ -142,7 +150,7 @@ def _run_table1(spec: PointSpec, seed: int, checkpoint: Optional[Dict[str, Any]]
 
 def _run_phone(spec: PointSpec, seed: int, checkpoint: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
     """§4.4 point: attack app on a phone model, one strategy."""
-    device = build_device(spec.device, scale=spec.scale, seed=seed)
+    device = _build_point_device(spec, seed)
     phone = Phone(device, filesystem=spec.filesystem or "ext4")
     attack = WearAttackApp(strategy=spec.strategy or "stealthy", seed=seed)
     phone.install(attack)
@@ -210,6 +218,80 @@ def run_point(payload: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
+def default_start_method() -> str:
+    """"fork" where available (cheap worker start-up), "spawn"
+    elsewhere.  Results never depend on the start method: the
+    determinism contract rests on content-derived seeds, not on shared
+    state (DESIGN.md §8)."""
+    return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+
+
+@dataclass(frozen=True)
+class FanOut:
+    """What one :func:`fan_out` call ran."""
+
+    ran: int
+    workers: int
+    wall_s: float
+    busy_s: float
+    utilization: float
+
+
+def fan_out(
+    job: Callable[[Dict[str, Any]], Dict[str, Any]],
+    store: ResultStore,
+    pending: Callable[[], List[Dict[str, Any]]],
+    workers: int,
+    fresh: bool,
+    mp_context: str,
+    progress: Optional[Callable[[str], None]],
+    describe: Callable[[Dict[str, Any]], str],
+) -> FanOut:
+    """Run ``job`` on every payload ``pending()`` returns, streaming each
+    record into ``store``: the one job runner behind campaigns and
+    fleets (DESIGN.md §8).
+
+    The requested ``workers`` is clamped to the pending count and the
+    core count (more only adds fork/IPC overhead, never throughput), and
+    a clamp to 1 runs every job in process: the serial reference the
+    pool must fingerprint-match.  ``fresh`` invalidates the store once
+    the worker count is checked; ``progress`` gets ``describe(record)``
+    for each record.
+    """
+    if workers < 1:
+        raise ConfigurationError("workers must be >= 1")
+    if fresh:
+        store.invalidate()
+    payloads = pending()
+    effective = max(1, min(workers, len(payloads), os.cpu_count() or 1))
+    recorder = SpanRecorder()
+    with recorder.span("fan-out"), contextlib.ExitStack() as scope:
+        if effective == 1:
+            records = map(job, payloads)
+        else:
+            ctx = multiprocessing.get_context(mp_context)
+            pool = scope.enter_context(ctx.Pool(processes=effective))
+            records = pool.imap_unordered(job, payloads, chunksize=1)
+        for record in records:
+            store.append(record)
+            if progress is not None:
+                progress(describe(record))
+    wall = recorder.elapsed("fan-out")
+    busy = sum(store.get(p["key"])["telemetry"]["elapsed_s"] for p in payloads)
+    return FanOut(
+        ran=len(payloads),
+        workers=effective,
+        wall_s=wall,
+        busy_s=busy,
+        utilization=worker_utilization(busy, effective, wall),
+    )
+
+
+def _point_done(record: Dict[str, Any]) -> str:
+    spec = PointSpec.from_dict(record["spec"])
+    return f"  done {spec.display} ({record['telemetry']['elapsed_s']:.2f}s)"
+
+
 @dataclass(frozen=True)
 class CampaignReport:
     """What one :meth:`CampaignRunner.run` invocation did."""
@@ -240,10 +322,7 @@ class CampaignRunner:
         spec: The campaign grid.
         store: Result store (pass ``ResultStore(None)`` for in-memory).
         mp_context: multiprocessing start-method name; None picks
-            "fork" where available (cheap worker start-up) and "spawn"
-            elsewhere.  Results never depend on the start method — the
-            determinism contract is enforced by content-derived seeds,
-            not by shared state.
+            :func:`default_start_method`.
         checkpoint_dir: Enable the wear-state warm-start cache: wear-out
             points save snapshots here and restore the deepest
             compatible one sharing their warm key (DESIGN.md §10).
@@ -263,10 +342,7 @@ class CampaignRunner:
     ):
         self.spec = spec
         self.store = store if store is not None else ResultStore(None)
-        if mp_context is None:
-            available = multiprocessing.get_all_start_methods()
-            mp_context = "fork" if "fork" in available else "spawn"
-        self.mp_context = mp_context
+        self.mp_context = default_start_method() if mp_context is None else mp_context
         if checkpoint_interval < 0:
             raise ConfigurationError("checkpoint_interval must be >= 0")
         self.checkpoint_dir = None if checkpoint_dir is None else str(checkpoint_dir)
@@ -307,62 +383,27 @@ class CampaignRunner:
         fresh: bool = False,
         progress: Optional[Callable[[str], None]] = None,
     ) -> CampaignReport:
-        """Run every pending point; returns the invocation's report.
+        """Run every pending point through :func:`fan_out`; returns the
+        invocation's report.
 
         Args:
-            workers: Requested pool size; <=1 runs serially in-process
+            workers: Requested pool size; 1 runs serially in-process
                 (the reference execution the parallel path must match).
-                The pool is clamped to the pending-point count and the
-                machine's core count — fan-out beyond either only adds
-                fork/IPC overhead, never throughput — and a clamp down
-                to 1 skips the pool entirely.  Results are identical
-                for every worker count (DESIGN.md §8), so the clamp is
-                a pure scheduling decision; the report records the
-                effective size.
+                The report records the effective size after the clamp.
             fresh: Invalidate the store first instead of resuming.
             progress: Optional callback for per-point progress lines.
         """
-        if workers < 1:
-            raise ConfigurationError("workers must be >= 1")
-        if fresh:
-            self.store.invalidate()
-
-        pending = self.pending_points()
-        skipped = len(self.spec) - len(pending)
-        effective = max(1, min(workers, len(pending), os.cpu_count() or 1))
-        recorder = SpanRecorder()
-        with recorder.span("campaign"):
-            if len(pending) == 0:
-                pass
-            elif effective == 1:
-                for payload in pending:
-                    record = run_point(payload)
-                    self._record(record, progress)
-            else:
-                ctx = multiprocessing.get_context(self.mp_context)
-                with ctx.Pool(processes=effective) as pool:
-                    for record in pool.imap_unordered(run_point, pending, chunksize=1):
-                        self._record(record, progress)
-        wall = recorder.elapsed("campaign")
-
-        busy = sum(
-            self.store.get(p["key"])["telemetry"]["elapsed_s"] for p in pending
+        batch = fan_out(
+            run_point, self.store, self.pending_points, workers, fresh,
+            self.mp_context, progress, _point_done,
         )
         return CampaignReport(
             campaign=self.spec.name,
             total_points=len(self.spec),
-            ran=len(pending),
-            skipped=skipped,
-            workers=effective,
-            wall_s=wall,
-            busy_s=busy,
-            utilization=worker_utilization(busy, effective, wall),
+            ran=batch.ran,
+            skipped=len(self.spec) - batch.ran,
+            workers=batch.workers,
+            wall_s=batch.wall_s,
+            busy_s=batch.busy_s,
+            utilization=batch.utilization,
         )
-
-    def _record(self, record: Dict[str, Any], progress) -> None:
-        self.store.append(record)
-        if progress is not None:
-            spec = PointSpec.from_dict(record["spec"])
-            progress(
-                f"  done {spec.display} ({record['telemetry']['elapsed_s']:.2f}s)"
-            )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import pathlib
 import sys
 from typing import List, Optional
@@ -185,11 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--store-dir", default=DEFAULT_STORE_DIR,
         help=f"directory of fleet JSONL stores (default: {DEFAULT_STORE_DIR})",
     )
-    fleet.add_argument(
-        "--checkpoint-dir", default=None,
-        help="wear-state checkpoint directory for cohort prototype "
-        "warm-starting; bit-identical with or without it (DESIGN.md §10)",
-    )
     fleet.add_argument("--out", default="results", help="artifact output directory")
     fleet.add_argument("--quiet", action="store_true", help="suppress per-cohort lines")
     fleet.add_argument(
@@ -355,42 +351,43 @@ def _store_for(store_dir: str, campaign_name: str) -> ResultStore:
     return ResultStore(pathlib.Path(store_dir) / f"{campaign_name}.jsonl")
 
 
+def _run_profiled(args: argparse.Namespace, runner, stem: str):
+    """``runner.run`` with the command's workers, ``--fresh`` and
+    progress lines.  Under ``--profile`` it runs in process inside
+    cProfile and writes the hotspot table (top functions by cumulative
+    time) next to the store as ``<stem>_profile.txt``."""
+    progress = None if args.quiet else print
+    if not args.profile:
+        return runner.run(workers=args.workers, fresh=args.fresh, progress=progress)
+    import cProfile
+    import io
+    import pstats
+
+    profiler = cProfile.Profile()
+    profiler.enable()
+    try:
+        report = runner.run(workers=1, fresh=args.fresh, progress=progress)
+    finally:
+        profiler.disable()
+    buffer = io.StringIO()
+    pstats.Stats(profiler, stream=buffer).sort_stats("cumulative").print_stats(25)
+    profile_path = runner.store.path.with_name(f"{stem}_profile.txt")
+    profile_path.write_text(buffer.getvalue())
+    print(f"hotspot table written: {profile_path}")
+    return report
+
+
 def cmd_campaign(args: argparse.Namespace) -> int:
     spec = get_campaign(args.name)
     store = _store_for(args.store_dir, args.name)
-    progress = None if args.quiet else print
     runner = CampaignRunner(
         spec,
         store,
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_interval=args.checkpoint_interval,
     )
-    workers = 1 if args.profile else args.workers
-
-    def execute():
-        if args.metrics:
-            with metrics_enabled():
-                return runner.run(workers=workers, fresh=args.fresh, progress=progress)
-        return runner.run(workers=workers, fresh=args.fresh, progress=progress)
-
-    if args.profile:
-        import cProfile
-        import io
-        import pstats
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-        try:
-            report = execute()
-        finally:
-            profiler.disable()
-        buffer = io.StringIO()
-        pstats.Stats(profiler, stream=buffer).sort_stats("cumulative").print_stats(25)
-        profile_path = store.path.with_name(f"{args.name}_profile.txt")
-        profile_path.write_text(buffer.getvalue())
-        print(f"hotspot table written: {profile_path}")
-    else:
-        report = execute()
+    with metrics_enabled() if args.metrics else contextlib.nullcontext():
+        report = _run_profiled(args, runner, args.name)
     print(report.describe())
     print(f"store: {store.path} ({len(store)} points, fingerprint {store.fingerprint()[:16]})")
     return 0
@@ -416,28 +413,8 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         base_seed=DEFAULT_SEED if args.seed is None else args.seed,
     )
     store = _store_for(args.store_dir, f"fleet_{args.name}")
-    progress = None if args.quiet else print
-    runner = FleetRunner(spec, store, checkpoint_dir=args.checkpoint_dir)
-    workers = 1 if args.profile else args.workers
-
-    if args.profile:
-        import cProfile
-        import io
-        import pstats
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-        try:
-            report = runner.run(workers=workers, fresh=args.fresh, progress=progress)
-        finally:
-            profiler.disable()
-        buffer = io.StringIO()
-        pstats.Stats(profiler, stream=buffer).sort_stats("cumulative").print_stats(25)
-        profile_path = store.path.with_name(f"fleet_{args.name}_profile.txt")
-        profile_path.write_text(buffer.getvalue())
-        print(f"hotspot table written: {profile_path}")
-    else:
-        report = runner.run(workers=workers, fresh=args.fresh, progress=progress)
+    runner = FleetRunner(spec, store)
+    report = _run_profiled(args, runner, f"fleet_{args.name}")
 
     results = runner.results()
     out_dir = pathlib.Path(args.out)

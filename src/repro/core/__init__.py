@@ -9,15 +9,7 @@ from repro.core.clock import SimClock
 from repro.core.estimator import BackOfEnvelopeEstimate, estimate_lifetime
 from repro.core.results import IncrementRecord, WearOutResult
 from repro.core.experiment import WearOutExperiment
-from repro.core.tracing import (
-    IoEvent,
-    IoTrace,
-    Span,
-    SpanRecorder,
-    TracingDevice,
-    replay,
-    worker_utilization,
-)
+from repro.core.tracing import IoEvent, IoTrace, TracingDevice, replay
 
 __all__ = [
     "SimClock",
@@ -30,7 +22,4 @@ __all__ = [
     "IoTrace",
     "TracingDevice",
     "replay",
-    "Span",
-    "SpanRecorder",
-    "worker_utilization",
 ]

@@ -23,18 +23,11 @@ import numpy as np
 from repro.devices.interface import BlockDevice
 from repro.errors import ConfigurationError
 
-# Wall-clock span telemetry moved to the observability layer; the names
-# stay importable from here for backwards compatibility.
-from repro.obs.spans import Span, SpanRecorder, worker_utilization
-
 __all__ = [
     "IoEvent",
     "IoTrace",
     "TracingDevice",
     "replay",
-    "Span",
-    "SpanRecorder",
-    "worker_utilization",
 ]
 
 

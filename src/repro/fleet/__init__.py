@@ -15,12 +15,7 @@ from repro.fleet.curves import (
     write_survival_jsonl,
 )
 from repro.fleet.detect import cohort_features, fleet_detection
-from repro.fleet.engine import (
-    CohortResult,
-    prototype_snapshot,
-    run_cohort,
-    scalar_member_result,
-)
+from repro.fleet.engine import CohortResult, run_cohort, scalar_member_result
 from repro.fleet.runner import FleetReport, FleetRunner, run_fleet_cohort
 from repro.fleet.soa import CohortState, lockstep_ineligibility
 from repro.fleet.spec import (
@@ -49,7 +44,6 @@ __all__ = [
     "device_seed",
     "fleet_detection",
     "lockstep_ineligibility",
-    "prototype_snapshot",
     "render_survival",
     "resolve_cohort_seed",
     "run_cohort",

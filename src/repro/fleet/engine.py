@@ -29,11 +29,11 @@ is snapshotted at the start of every advance, and a demoted member
 branches from the snapshot of the advance that demoted it
 (:func:`~repro.fleet.branch.branch_experiment` keeps the member's
 cycle limits and re-stamps its fresh RNG streams), so it walks only
-that advance and its tail.  Re-stamping fresh streams there is exact
-only while none of them has been drawn, so once one of the leader's
-member-specific streams has moved, later members branch from the
-cohort's branch point instead, as random-pattern and ineligible
-cohorts' members always do.
+that advance and its tail.  This is the engine's only prefix sharing.
+Re-stamping fresh streams there is exact only while none of them has
+been drawn, so once one of the leader's member-specific streams has
+moved, later members run from a fresh build instead, as
+random-pattern and ineligible cohorts' members always do.
 
 Crossing-aligned windows (DESIGN.md §12): in exact-wear cohorts the
 leader ends its fused windows just before the weakest lockstep follower
@@ -51,26 +51,15 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from repro.core.results import WearOutResult
-from repro.fleet.branch import (
-    _capture_member_entropy,
-    branch_experiment,
-    build_cohort_experiment,
-)
+from repro.fleet.branch import _capture_member_entropy, branch_experiment
 from repro.fleet.soa import CohortState, lockstep_ineligibility
 from repro.fleet.spec import CohortSpec, device_seed
-from repro.rng import substream_seed
-from repro.state import CheckpointManager, restore_experiment, warm_start_key
-from repro.state.snapshot import CheckpointError, snapshot_experiment
+from repro.state.snapshot import snapshot_experiment
 
 #: Steps a cohort leader's window ends before the weakest lockstep
 #: follower's predicted crossing, and the length of its windows within
 #: two margins of it (DESIGN.md §12).
 CROSSING_MARGIN_STEPS = 8
-
-#: Fields of CohortSpec that do not shape the prototype's trajectory
-#: (the prototype is one device run to ``warm_until``; population size
-#: and the cohort's own stop level are irrelevant to it).
-_PROTO_KEY_DROP = ("population", "warm_until")
 
 
 class _CohortStepper:
@@ -160,8 +149,8 @@ class _AdvanceSnapshots:
 
     ``latest`` stays None outside exact-wear cohorts, and becomes None
     for good once one of the leader's member-specific RNG streams
-    (workload, pattern, FTL read) has moved from its state at the
-    leader's branch point: a member branched past that point would get
+    (workload, pattern, FTL read) has moved from its state in the
+    leader's fresh build: a member branched past that point would get
     its fresh streams re-stamped where its own run had drawn from them.
     Snapshots stop once no follower is left in lockstep.
     """
@@ -254,49 +243,7 @@ class CohortResult:
         )
 
 
-def prototype_snapshot(
-    spec: CohortSpec,
-    cohort_seed: int,
-    checkpoint_dir: Optional[str] = None,
-) -> Optional[Dict[str, Any]]:
-    """The cohort's shared trajectory prefix, as a wear-state snapshot.
-
-    Runs one prototype device (its own seed, derived from the cohort
-    seed) to ``spec.warm_until`` and snapshots the end state.  With a
-    checkpoint directory the prototype warm-starts from the PR-4
-    content-addressed cache and saves its crossings back, so cohorts —
-    or repeated runs of the same fleet — sharing a trajectory prefix
-    simulate it once.  Returns None when the spec has no warm phase.
-    """
-    if spec.warm_until is None:
-        return None
-    proto_seed = substream_seed(cohort_seed, "fleet-prototype")
-    experiment = build_cohort_experiment(spec, proto_seed)
-    if checkpoint_dir is not None:
-        manager = CheckpointManager(checkpoint_dir)
-        proto_fields = {
-            k: v for k, v in spec.to_dict().items() if k not in _PROTO_KEY_DROP
-        }
-        proto_fields["kind"] = "fleet-prototype"
-        key = warm_start_key(proto_fields, proto_seed)
-        state = manager.best(key, until_level=spec.warm_until)
-        if state is not None:
-            try:
-                restore_experiment(experiment, state)
-            except CheckpointError:
-                pass
-        experiment.enable_checkpointing(
-            manager, key, extra_meta={"cohort": spec.display}
-        )
-    experiment.run(until_level=spec.warm_until)
-    return snapshot_experiment(experiment)
-
-
-def run_cohort(
-    spec: CohortSpec,
-    cohort_seed: int,
-    checkpoint_dir: Optional[str] = None,
-) -> CohortResult:
+def run_cohort(spec: CohortSpec, cohort_seed: int) -> CohortResult:
     """Simulate every device of one cohort; exact per-member results.
 
     The cost model: one full experiment for the leader, O(S) numpy
@@ -306,9 +253,8 @@ def run_cohort(
     not a full run.  A certifiable cohort of any population therefore
     costs one device-run plus array math.
     """
-    snapshot = prototype_snapshot(spec, cohort_seed, checkpoint_dir)
     seeds = [device_seed(cohort_seed, i) for i in range(spec.population)]
-    leader = branch_experiment(spec, seeds[0], snapshot)
+    leader = branch_experiment(spec, seeds[0])
 
     # Eligibility gates come first: adopt introspects the page-mapped
     # package, which an ineligible (e.g. hybrid) leader may not even
@@ -321,7 +267,7 @@ def run_cohort(
     if ineligible is None:
         state = CohortState.adopt(spec, cohort_seed, leader)
         if state.leader:
-            leader = branch_experiment(spec, seeds[state.leader], snapshot)
+            leader = branch_experiment(spec, seeds[state.leader])
         state.check_leader(leader)
         snapshots = _AdvanceSnapshots(leader, state)
 
@@ -354,7 +300,7 @@ def run_cohort(
     demoted: Dict[int, WearOutResult] = {}
     for index in state.demoted_indices():
         index = int(index)
-        member = branch_experiment(spec, seeds[index], branch_points.pop(index, snapshot))
+        member = branch_experiment(spec, seeds[index], branch_points.pop(index, None))
         demoted[index] = member.run(until_level=spec.until_level)
 
     return CohortResult(
@@ -369,17 +315,11 @@ def run_cohort(
     )
 
 
-def scalar_member_result(
-    spec: CohortSpec,
-    cohort_seed: int,
-    index: int,
-    checkpoint_dir: Optional[str] = None,
-) -> WearOutResult:
+def scalar_member_result(spec: CohortSpec, cohort_seed: int, index: int) -> WearOutResult:
     """Member ``index``'s ground-truth scalar run — the reference side
     of the spot-check contract (DESIGN.md §12): for any member,
     ``run_cohort(...).member_result(i)`` must be bit-identical to this.
-    It runs the whole trajectory from the cohort's branch point.
+    It runs the whole trajectory from a fresh build.
     """
-    snapshot = prototype_snapshot(spec, cohort_seed, checkpoint_dir)
-    member = branch_experiment(spec, device_seed(cohort_seed, index), snapshot)
+    member = branch_experiment(spec, device_seed(cohort_seed, index))
     return member.run(until_level=spec.until_level)

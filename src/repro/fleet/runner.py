@@ -1,11 +1,11 @@
 """Process-parallel fleet execution (DESIGN.md §12).
 
 Cohorts are independent — their seeds are pure functions of the fleet
-base seed and their content hashes — so the runner fans them out over a
-``multiprocessing`` pool exactly like the campaign runner fans out
-points: workers receive plain dicts, rebuild everything from catalog
-keys, and stream :class:`~repro.fleet.engine.CohortResult` records into
-a resumable :class:`~repro.campaign.store.ResultStore`.  The store's
+base seed and their content hashes — so the runner fans them out on the
+campaign runner's job runner (:func:`repro.campaign.runner.fan_out`):
+workers receive plain dicts, rebuild everything from catalog keys, and
+stream :class:`~repro.fleet.engine.CohortResult` records into a
+resumable :class:`~repro.campaign.store.ResultStore`.  The store's
 canonical fingerprint is therefore identical for any worker count
 (DESIGN.md §8) — the fleet determinism contract the CLI and the perf
 bench both pin.
@@ -13,31 +13,26 @@ bench both pin.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.campaign.runner import default_start_method, fan_out
 from repro.campaign.store import ResultStore
-from repro.errors import ConfigurationError
 from repro.fleet.engine import CohortResult, run_cohort
 from repro.fleet.spec import CohortSpec, FleetSpec, resolve_cohort_seed
-from repro.obs import SpanRecorder, worker_utilization
+from repro.obs import SpanRecorder
 
 
 def run_fleet_cohort(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Execute one cohort; the worker-side entry point.
 
-    Everything except ``telemetry`` is a pure function of the payload
-    (the checkpoint cache accelerates the prototype phase but never
-    changes results — DESIGN.md §10).
+    Everything except ``telemetry`` is a pure function of the payload.
     """
     spec = CohortSpec.from_dict(payload["spec"])
     recorder = SpanRecorder()
     with recorder.span(f"cohort:{payload['key']}"):
-        result = run_cohort(
-            spec, payload["seed"], checkpoint_dir=payload.get("checkpoint_dir")
-        )
+        result = run_cohort(spec, payload["seed"])
     return {
         "key": payload["key"],
         "fleet": payload["fleet"],
@@ -80,6 +75,15 @@ class FleetReport:
         )
 
 
+def _cohort_done(record: Dict[str, Any]) -> str:
+    spec = CohortSpec.from_dict(record["spec"])
+    telemetry = record["telemetry"]
+    return (
+        f"  done {spec.display} ({telemetry['elapsed_s']:.2f}s, "
+        f"{telemetry['lockstep']} lockstep / {telemetry['demoted']} demoted)"
+    )
+
+
 class FleetRunner:
     """Fan a fleet's cohorts out over a worker pool, streaming results
     into a resumable store.
@@ -87,10 +91,8 @@ class FleetRunner:
     Args:
         spec: The fleet.
         store: Result store (``ResultStore(None)`` for in-memory).
-        mp_context: multiprocessing start method; None picks "fork"
-            where available.
-        checkpoint_dir: Optional PR-4 checkpoint cache for cohort
-            prototype warm-starting; bit-identical with or without.
+        mp_context: multiprocessing start method; None picks
+            :func:`~repro.campaign.runner.default_start_method`.
     """
 
     def __init__(
@@ -98,32 +100,23 @@ class FleetRunner:
         spec: FleetSpec,
         store: Optional[ResultStore] = None,
         mp_context: Optional[str] = None,
-        checkpoint_dir: Optional[str] = None,
     ):
         self.spec = spec
         self.store = store if store is not None else ResultStore(None)
-        if mp_context is None:
-            available = multiprocessing.get_all_start_methods()
-            mp_context = "fork" if "fork" in available else "spawn"
-        self.mp_context = mp_context
-        self.checkpoint_dir = None if checkpoint_dir is None else str(checkpoint_dir)
+        self.mp_context = default_start_method() if mp_context is None else mp_context
 
     def pending_cohorts(self) -> List[Dict[str, Any]]:
         """Worker payloads for every cohort not already in the store."""
-        payloads = []
-        for key, cohort in self.spec.keyed_cohorts():
-            if key in self.store:
-                continue
-            payload = {
+        return [
+            {
                 "key": key,
                 "fleet": self.spec.name,
                 "spec": cohort.to_dict(),
                 "seed": resolve_cohort_seed(cohort, self.spec.base_seed),
             }
-            if self.checkpoint_dir is not None:
-                payload["checkpoint_dir"] = self.checkpoint_dir
-            payloads.append(payload)
-        return payloads
+            for key, cohort in self.spec.keyed_cohorts()
+            if key not in self.store
+        ]
 
     def results(self) -> List[CohortResult]:
         """Every completed cohort's result, in spec order."""
@@ -140,60 +133,24 @@ class FleetRunner:
         fresh: bool = False,
         progress: Optional[Callable[[str], None]] = None,
     ) -> FleetReport:
-        """Run every pending cohort; returns the invocation's report.
-
-        The pool is clamped to the pending-cohort count and the core
-        count, and a clamp to 1 skips the pool entirely (the serial
-        reference execution the parallel path must fingerprint-match).
-        """
-        if workers < 1:
-            raise ConfigurationError("workers must be >= 1")
-        if fresh:
-            self.store.invalidate()
-
-        pending = self.pending_cohorts()
-        skipped = len(self.spec) - len(pending)
-        effective = max(1, min(workers, len(pending), os.cpu_count() or 1))
-        recorder = SpanRecorder()
-        with recorder.span("fleet"):
-            if len(pending) == 0:
-                pass
-            elif effective == 1:
-                for payload in pending:
-                    self._record(run_fleet_cohort(payload), progress)
-            else:
-                ctx = multiprocessing.get_context(self.mp_context)
-                with ctx.Pool(processes=effective) as pool:
-                    for record in pool.imap_unordered(
-                        run_fleet_cohort, pending, chunksize=1
-                    ):
-                        self._record(record, progress)
-        wall = recorder.elapsed("fleet")
-
-        busy = sum(
-            self.store.get(p["key"])["telemetry"]["elapsed_s"] for p in pending
+        """Run every pending cohort through
+        :func:`~repro.campaign.runner.fan_out`; returns the invocation's
+        report, whose device counts cover the whole store."""
+        batch = fan_out(
+            run_fleet_cohort, self.store, self.pending_cohorts, workers, fresh,
+            self.mp_context, progress, _cohort_done,
         )
         results = self.results()
         return FleetReport(
             fleet=self.spec.name,
             total_cohorts=len(self.spec),
-            ran=len(pending),
-            skipped=skipped,
-            workers=effective,
+            ran=batch.ran,
+            skipped=len(self.spec) - batch.ran,
+            workers=batch.workers,
             population=sum(r.population for r in results),
             lockstep_devices=sum(r.lockstep_count for r in results),
             demoted_devices=sum(len(r.demoted) for r in results),
-            wall_s=wall,
-            busy_s=busy,
-            utilization=worker_utilization(busy, effective, wall),
+            wall_s=batch.wall_s,
+            busy_s=batch.busy_s,
+            utilization=batch.utilization,
         )
-
-    def _record(self, record: Dict[str, Any], progress) -> None:
-        self.store.append(record)
-        if progress is not None:
-            spec = CohortSpec.from_dict(record["spec"])
-            telemetry = record["telemetry"]
-            progress(
-                f"  done {spec.display} ({telemetry['elapsed_s']:.2f}s, "
-                f"{telemetry['lockstep']} lockstep / {telemetry['demoted']} demoted)"
-            )

@@ -49,11 +49,6 @@ class CohortSpec:
             scale by ``1/duty_cycle`` and the detection features see
             the diluted write rate.  The paper's attack is sustained
             (1.0); benign phone profiles write in bursts.
-        warm_until: Optional prototype warm-up level: the cohort's
-            shared trajectory prefix is simulated once (and cached via
-            the PR-4 checkpoint store) up to this level, then every
-            device branches from that snapshot with its own entropy.
-            None runs every device cold from construction.
         endurance_sigma: Lognormal sigma of the per-block endurance
             draw, overriding the device model's default (0.05).  The
             catalog's rber/ECC-derived cycle limits sit ~1.27x above
@@ -81,7 +76,6 @@ class CohortSpec:
     num_files: int = 4
     until_level: int = 3
     duty_cycle: float = 1.0
-    warm_until: Optional[int] = None
     endurance_sigma: Optional[float] = None
     seed: Optional[int] = None
     label: str = ""
@@ -97,24 +91,24 @@ class CohortSpec:
             raise ConfigurationError("until_level must be in [2, 11]")
         if not 0.0 < self.duty_cycle <= 1.0:
             raise ConfigurationError("duty_cycle must be in (0, 1]")
-        if self.warm_until is not None and not 2 <= self.warm_until < self.until_level:
-            raise ConfigurationError(
-                "warm_until must be in [2, until_level) when set"
-            )
         if self.endurance_sigma is not None and self.endurance_sigma < 0.0:
             raise ConfigurationError("endurance_sigma must be >= 0 when set")
 
     def to_dict(self) -> Dict[str, Any]:
         """Canonical plain-dict form (the content that gets hashed).
 
+        The content hash keys resumable stores and derives seeds, so
+        the dict must stay what every stored cohort was hashed from.
         ``endurance_sigma`` is omitted while None so every cohort hash
-        minted before the field existed stays valid — the content hash
-        keys resumable stores and derives seeds, so a default-valued
+        minted before the field existed stays valid: a default-valued
         field must hash exactly like its absence.
         """
         data = {f.name: getattr(self, f.name) for f in fields(self)}
         if data["endurance_sigma"] is None:
             del data["endurance_sigma"]
+        # The retired prototype warm-up level, always None: every hash
+        # was minted with it.
+        data["warm_until"] = None
         return data
 
     @classmethod

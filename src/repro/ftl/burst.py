@@ -781,10 +781,8 @@ def _walk(
     list at or under the low watermark, so the walk does too; segment
     and group boundaries place nothing.  They are stream positions
     (``ends``, from :func:`_stream_ends`): the erase stop ends the walk
-    at the end of the group whose reclaim spent it, a relocating
-    reclaim charges its copies to the segment holding its position, and
-    a group's erase prefix is recorded by the first reclaim past its
-    end.
+    at the end of the group whose reclaim spent it, and a relocating
+    reclaim charges its copies to the segment holding its position.
 
     Until contents are materialized, zero-valid candidates come from
     ``schedule``: every fixed-geometry extent's release position, in
@@ -862,8 +860,6 @@ def _walk(
     # Closed in-burst (and not erased since); once contents are
     # materialized, every GC candidate.
     closed = bytearray(n_blocks)
-    # Erases made before each group's end, recorded as reclaims pass it.
-    erase_prefix: List[int] = []
     # The walk's structures a materialized _Contents shares.
     shared = (bits, dynamic, free, eff_l, alive, closed, pending, victims)
     # Relocation state: per-slot contents once materialized, and what
@@ -896,7 +892,6 @@ def _walk(
     if stop_at <= 0:
         m, stop_at = 1, _NEVER
     limit = group_ends[m - 1]
-    next_end = group_ends[0]
     score_guard = _SCORE_GUARD
     q = 0
     while q < limit:
@@ -905,11 +900,7 @@ def _walk(
             if nf <= low:
                 # The reclaim — see module docstring for the bail
                 # conditions (every `return None` below is an event the
-                # scalar path must replay).  Groups ending by q are done.
-                if q >= next_end:
-                    while group_ends[len(erase_prefix)] <= q:
-                        erase_prefix.append(n_erased)
-                    next_end = group_ends[len(erase_prefix)]
+                # scalar path must replay).
                 # Every candidate due by position q joins the buckets.
                 while rel_l[j] <= q:
                     k = rk_l[j]

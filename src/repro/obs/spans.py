@@ -1,10 +1,11 @@
-"""Wall-clock span telemetry (migrated from ``repro.core.tracing``).
+"""Wall-clock span telemetry.
 
-Spans time *real* elapsed seconds, never simulated time: the campaign
-runner wraps every experiment point and the campaign itself in one, and
-the result store treats the readings as telemetry — excluded from the
-canonical (deterministic) view, because wall time is the one thing two
-identical runs won't share.
+Spans time *real* elapsed seconds, never simulated time: the job
+runner behind campaigns and fleets wraps every campaign point or fleet
+cohort and the whole fan-out in one, and the result store treats the
+readings as telemetry — excluded from the canonical (deterministic)
+view, because wall time is the one thing two identical runs won't
+share.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ class Span:
 class SpanRecorder:
     """Minimal wall-clock span collector for runner telemetry.
 
-    The campaign runner times every experiment point and the campaign
-    itself with this; spans are *telemetry* — they ride along in the
-    result store but are excluded from its canonical (deterministic)
-    view, because wall time is the one thing two identical runs won't
-    share.
+    The job runner times every campaign point or fleet cohort and the
+    whole fan-out with this; spans are *telemetry* — they ride along in
+    the result store but are excluded from its canonical
+    (deterministic) view, because wall time is the one thing two
+    identical runs won't share.
     """
 
     def __init__(self) -> None:

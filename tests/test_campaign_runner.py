@@ -12,10 +12,12 @@ import os
 
 import pytest
 
+from repro.campaign import runner as runner_mod
 from repro.campaign.runner import CampaignRunner, run_point
 from repro.campaign.spec import CampaignSpec, PointSpec, expand_grid, point_key, resolve_seed
 from repro.campaign.store import ResultStore
 from repro.errors import ConfigurationError
+from repro.timing.backend import EventTimingBackend
 from repro.units import KIB
 
 
@@ -67,6 +69,22 @@ class TestRunPoint:
         assert record["result"]["type"] == "phone"
         assert record["result"]["strategy"] == "naive"
         assert record["result"]["attack_bytes"] > 0
+
+    def test_phone_point_honours_event_timing(self, monkeypatch):
+        # The timing axes key the point, so they must reach its device.
+        devices = []
+
+        class RecordingPhone(runner_mod.Phone):
+            def __init__(self, device, **kwargs):
+                devices.append(device)
+                super().__init__(device, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "Phone", RecordingPhone)
+        point = PointSpec(kind="phone", device="emmc-8gb", scale=512, seed=11,
+                          strategy="naive", hours=0.5, timing="event")
+        run_point({"key": point_key(point), "campaign": "t",
+                   "spec": point.to_dict(), "seed": 11})
+        assert isinstance(devices[0].timing, EventTimingBackend)
 
 
 class TestSerialRun:

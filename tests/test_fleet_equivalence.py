@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import event, given, reject, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.fleet import (
@@ -21,7 +21,6 @@ from repro.fleet import (
     scalar_member_result,
 )
 from repro.fleet.soa import CohortState
-from repro.state import CheckpointError
 from repro.units import KIB
 from repro.workloads import FileRewriteWorkload
 
@@ -42,11 +41,11 @@ def result_json(result) -> str:
     return json.dumps(result.to_dict(), sort_keys=True)
 
 
-def assert_all_members_equivalent(spec, checkpoint_dir=None):
+def assert_all_members_equivalent(spec):
     seed = resolve_cohort_seed(spec, BASE_SEED)
-    cohort = run_cohort(spec, seed, checkpoint_dir=checkpoint_dir)
+    cohort = run_cohort(spec, seed)
     for index in range(spec.population):
-        scalar = scalar_member_result(spec, seed, index, checkpoint_dir=checkpoint_dir)
+        scalar = scalar_member_result(spec, seed, index)
         assert result_json(cohort.member_result(index)) == result_json(scalar), (
             f"member {index} diverged from its scalar run"
         )
@@ -73,19 +72,6 @@ class TestMemberEquivalence:
         cohort = assert_all_members_equivalent(spec)
         assert cohort.lockstep_count == 3
 
-    def test_warm_started_cohort_all_members(self, tmp_path):
-        # Branching from a cached prototype snapshot must not change a
-        # single bit of any member's result.
-        spec = CohortSpec(device="emmc-8gb", population=2, scale=512,
-                         pattern="rand", until_level=3, warm_until=2)
-        cold = CohortSpec(device="emmc-8gb", population=2, scale=512,
-                         pattern="rand", until_level=3)
-        warm_cohort = assert_all_members_equivalent(spec, checkpoint_dir=str(tmp_path))
-        assert warm_cohort.lockstep_count == 2
-        # warm_until is part of the cohort's identity (and seed), so
-        # only compare structure, not bits, against the cold variant.
-        assert cold.warm_until is None
-
     @pytest.mark.slow
     def test_ineligible_cohort_demotes_all_and_stays_exact(self):
         # Hybrid (two-pool) devices cannot be certified; the engine must
@@ -108,7 +94,6 @@ def _sequential_cohorts(draw):
         device="emmc-8gb", population=draw(st.integers(min_value=3, max_value=5)),
         scale=512, filesystem=draw(st.sampled_from(["ext4", "f2fs"])), pattern="seq",
         request_bytes=4 * KIB, until_level=draw(st.integers(min_value=4, max_value=5)),
-        warm_until=draw(st.sampled_from([None, 2])),
         endurance_sigma=draw(st.floats(min_value=0.6, max_value=0.8)),
     )
     return spec, resolve_cohort_seed(spec, draw(st.integers(min_value=0, max_value=2**16)))
@@ -117,16 +102,11 @@ def _sequential_cohorts(draw):
 @settings(max_examples=4, deadline=None)
 @given(case=_sequential_cohorts())
 def test_sequential_cohorts_match_scalar_runs(case):
-    """Every demoted member — branched from the leader mid-run or from
-    the cohort's branch point — and one lockstep member serialize
-    exactly as their own scalar runs."""
+    """Every demoted member — branched from the leader mid-run or built
+    fresh — and one lockstep member serialize exactly as their own
+    scalar runs."""
     spec, seed = case
-    try:
-        cohort = run_cohort(spec, seed)
-    except CheckpointError:
-        # The warm-up prototype wore a block past some member's limit:
-        # no prefix is shared (scalar_member_result raises as well).
-        reject()
+    cohort = run_cohort(spec, seed)
     event(f"demoted members: {'yes' if cohort.demoted else 'no'}")
     lockstep = next(i for i in range(spec.population) if i not in cohort.demoted)
     for index in sorted(cohort.demoted) + [lockstep]:

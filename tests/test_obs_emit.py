@@ -1,4 +1,4 @@
-"""Tests for the JSONL event emitter, span telemetry, and backcompat."""
+"""Tests for the JSONL event emitter and span telemetry."""
 
 import io
 import json
@@ -123,11 +123,3 @@ class TestWorkerUtilization:
         assert worker_utilization(1.0, 0, 1.0) == 0.0
         assert worker_utilization(1.0, 2, 0.0) == 0.0
 
-
-class TestBackcompatImports:
-    def test_core_tracing_re_exports_span_helpers(self):
-        from repro.core import tracing
-
-        assert tracing.SpanRecorder is SpanRecorder
-        assert tracing.Span is Span
-        assert tracing.worker_utilization is worker_utilization
