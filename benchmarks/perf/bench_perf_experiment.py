@@ -107,7 +107,7 @@ METRICS_PAIRS = 9
 #: Result digests of the hybrid campaign points, shared by the fused
 #: and per-step runs of each.
 HYBRID_FIG2_FINGERPRINT = "ef16afe2feaa7c52e5a1658326b689d79da1839c68701595dab5cfb83f45e1b0"
-HYBRID_TABLE1_FINGERPRINT = "6be34f07e060065a0c94113b9ac43d2c2d782eec7ca450c40632026761e50c32"
+HYBRID_TABLE1_FINGERPRINT = "558a45b4af205889c774b79298a278442030790d148c81064dc7fac1fa7ffd63"
 
 #: Required speedups of the fused hybrid points over their per-step
 #: twins timed in the same run (DESIGN.md §16).  Figure 2's 16 GB point

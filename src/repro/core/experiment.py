@@ -177,7 +177,6 @@ class WearOutExperiment:
         """
         self._prime_markers()
         self._run_batched(lambda indicators: self._any_at_level(until_level, indicators), max_steps)
-        self.result.total_host_bytes = self.device.host_bytes_written * self.device.scale
         self._count_host_bytes()
         return self.result
 
@@ -202,7 +201,7 @@ class WearOutExperiment:
     def _count_host_bytes(self) -> None:
         """Add the device's scaled host volume written since the last
         count to ``experiment.host_bytes``; after one run() it equals
-        ``total_host_bytes``."""
+        ``total_host_bytes``, which the loop keeps current."""
         total = self.device.host_bytes_written * self.device.scale
         if self._obs is not None:
             self._obs.host_bytes.inc(total - self._host_bytes_counted)
@@ -265,6 +264,9 @@ class WearOutExperiment:
                         id(c): (c.block_erases - base) / m
                         for (c, _), base in zip(budget, self._batch_erases_base)
                     }
+            # Every result, and so every snapshot, carries the current
+            # host total, however the run is split into calls.
+            self.result.total_host_bytes = self.device.host_bytes_written * self.device.scale
             if bricked:
                 self.result.bricked = True
                 return

@@ -12,7 +12,6 @@ modest parallelism plateau in the performance model.  Hybrid parts
 from __future__ import annotations
 
 from repro.devices.interface import BlockDevice
-from repro.ftl.hybrid import HybridFTL
 
 
 class EmmcDevice(BlockDevice):
@@ -20,7 +19,7 @@ class EmmcDevice(BlockDevice):
 
     @property
     def is_hybrid(self) -> bool:
-        return isinstance(self.ftl, HybridFTL)
+        return len(self.pools) > 1
 
     @property
     def merged_mode(self) -> bool:

@@ -8,7 +8,7 @@ seconds; the experiment engine advances its virtual clock by that much.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Dict, Optional, Union
 
 import numpy as np
 
@@ -55,6 +55,13 @@ class BlockDevice:
     ):
         self.name = name
         self.ftl = ftl
+        #: The flash pools by memory type, decided once here: a hybrid's
+        #: Type A and Type B pools (Table 1 reports one wear indicator
+        #: per type), else the FTL itself as Type A.  Fused bursts, wear
+        #: polls, snapshots and cohort branching all read this map.
+        self.pools: Dict[str, PageMappedFTL] = (
+            {"A": ftl.pool_a, "B": ftl.pool_b} if isinstance(ftl, HybridFTL) else {"A": ftl}
+        )
         self.perf = perf
         self.indicator_supported = indicator_supported
         self.scale = scale
@@ -142,7 +149,7 @@ class BlockDevice:
         return fusable and not self.read_only and self.timing is None
 
     def write_burst(self, data, request_bytes, meta, budget):
-        """Fused write path covering many workload steps (DESIGN.md §11).
+        """Fused write path covering many workload steps (DESIGN.md §11, §16).
 
         Args:
             data: ``(steps, requests)`` int64 matrix of device byte
@@ -156,6 +163,19 @@ class BlockDevice:
                 from the flat ``offsets``.
             budget: The experiment's poll budget — ``(counters, threshold)``
                 pairs — or None for an unbounded burst.
+
+        The window's calls are write-combined as :meth:`write_many`
+        does and, on a hybrid, split by the hot window as
+        :meth:`HybridFTL.route` splits one call, all rows at once
+        (:func:`_compile_window`); in merged mode each call's pool-B
+        requests also stage through pool A's ring
+        (:meth:`HybridFTL.staging_units`, a migration segment after the
+        call's pool-A segment).  Each of :attr:`pools` is planned under
+        its own erase stop, the pools planned before are re-walked
+        whenever one stops short, and each commits.  A request
+        straddling the hot window, or an unmerged window whose new
+        pool-B mappings could merge the pools, stays on the scalar
+        path.
 
         Returns:
             ``(m, seg_durations)`` where ``m`` is the number of whole steps
@@ -176,30 +196,68 @@ class BlockDevice:
         steps, count = data.shape
         if not steps or not count or request_bytes <= 0:
             return None
-        if type(self.ftl) is HybridFTL:
-            return self._hybrid_burst(data, request_bytes, meta, budget)
         stops = self.erase_stops(budget)
         if stops is None:
             return None
-        compiled = _compile_window((self.ftl,), None, data, request_bytes, meta)
+        ftl = self.ftl
+        pools = tuple(self.pools.values())
+        hybrid = len(pools) > 1
+        if hybrid and ftl.hot_window_bytes % self.page_size:
+            return None  # host pages would not split exactly by pool
+        # Utilization only grows inside a window, so a window that
+        # starts merged stays merged for every call.
+        merged = hybrid and ftl.merged_mode
+        compiled = _compile_window(pools, ftl if merged else None, data, request_bytes, meta,
+                                   window=ftl.hot_window_bytes if hybrid else None)
         if compiled is None:
             return None
-        (segments,), calls = compiled
-        plan = self.ftl.write_requests_batch(segments, steps, stops[0])
-        if plan is None:
+        segments, calls = compiled
+        if hybrid and not merged and segments[1] and ftl.could_merge(
+            np.concatenate([s.unit_lpns for s in segments[1]])
+        ):
             return None
-        return self._burst_durations(calls, (plan.seg_copies,), plan.executed_groups)
+        # Plan the last pool first (a hybrid's pool B, the data stream,
+        # whose budget usually stops first), then the others at its
+        # executed count; whenever one pool stops short, re-walk the
+        # pools planned before it at the smaller count.  The walk is
+        # deterministic group by group, so a re-walk at fewer groups
+        # replays a prefix and never bails.
+        m = steps
+        plans = [None] * len(pools)
+        todo = list(range(len(pools)))
+        while todo:
+            i = todo.pop()
+            segs = [s for s in segments[i] if s.group < m]
+            plans[i] = burst.plan_write_burst(pools[i], segs, m, stops[i]) if segs else None
+            if segs and plans[i] is None:
+                return None
+            if plans[i] is not None and plans[i].executed_groups < m:
+                m = plans[i].executed_groups
+                todo += [j for j, plan in enumerate(plans) if plan is not None and j != i]
+        for pool, plan in zip(pools, plans):
+            if plan is not None:
+                burst.commit_planned_burst(pool, plan)
+                if hybrid:
+                    # The page-aligned window splits each call's host
+                    # pages exactly between the pools' executed segments.
+                    ftl.host_pages_requested += plan.host_pages
+        if merged:
+            for call in reversed(calls):
+                if call[0] < m:
+                    ftl._staging_cursor = call[5]
+                    break
+        copies = [plan.seg_copies if plan is not None else None for plan in plans]
+        return self._burst_durations(calls, copies, m)
 
     def erase_stops(self, budget):
         """Fold a poll ``budget`` into one erase stop per flash pool.
 
         ``budget`` holds the experiment's ``(counters, threshold)``
-        pairs, or None.  Returns one entry per pool, in
-        :meth:`_packages` order: the fewest further erases any pair
-        naming that pool's counters allows (the minimum when a pool is
-        named twice), or None when no pair names it.  Returns None
-        outright when a pair names a counter of no pool; the fused path
-        then refuses.
+        pairs, or None.  Returns one entry per pool, in :attr:`pools`
+        order: the fewest further erases any pair naming that pool's
+        counters allows (the minimum when a pool is named twice), or
+        None when no pair names it.  Returns None outright when a pair
+        names a counter of no pool; the fused path then refuses.
         """
         counters = [package.counters for package in self._packages()]
         stops = [None] * len(counters)
@@ -213,72 +271,6 @@ class BlockDevice:
             if stops[i] is None or remaining < stops[i]:
                 stops[i] = remaining
         return stops
-
-    def _hybrid_burst(self, data, request_bytes, meta, budget):
-        """:meth:`write_burst` on :class:`HybridFTL` pools (DESIGN.md §16).
-
-        The window's calls are write-combined as :meth:`write_many`
-        does and split by the hot window as :meth:`HybridFTL.route`
-        splits one call, all rows at once (:func:`_compile_window`); in
-        merged mode each call's pool-B requests also stage through pool
-        A's ring (:meth:`HybridFTL.staging_units`, a migration segment
-        after the call's pool-A segment).  Each pool's share is planned
-        under that pool's own erase stop, the pool with more executed
-        groups is re-walked at the other's count, and both commit.  A
-        request straddling the hot window, or an unmerged window whose
-        new pool-B mappings could merge the pools, stays on the scalar
-        path.
-        """
-        ftl = self.ftl
-        if ftl.hot_window_bytes % self.page_size:
-            return None  # host pages would not split exactly by pool
-        pools = (ftl.pool_a, ftl.pool_b)
-        stops = self.erase_stops(budget)
-        if stops is None:
-            return None
-        # Utilization only grows inside a window, so a window that
-        # starts merged stays merged for every call.
-        merged = ftl.merged_mode
-        compiled = _compile_window(pools, ftl if merged else None, data, request_bytes, meta,
-                                   window=ftl.hot_window_bytes)
-        if compiled is None:
-            return None
-        segments, calls = compiled
-        if not merged and segments[1] and ftl.could_merge(
-            np.concatenate([s.unit_lpns for s in segments[1]])
-        ):
-            return None
-        # Plan pool B (the data stream, whose budget usually stops first)
-        # then pool A at B's executed count; whenever one pool stops
-        # short, re-walk the other at the smaller count.  The walk is
-        # deterministic group by group, so a re-walk at fewer groups
-        # replays a prefix and never bails.
-        m = len(data)
-        plans = [None, None]
-        todo = [0, 1]
-        while todo:
-            i = todo.pop()
-            segs = [s for s in segments[i] if s.group < m]
-            plans[i] = burst.plan_write_burst(pools[i], segs, m, stops[i]) if segs else None
-            if segs and plans[i] is None:
-                return None
-            if plans[i] is not None and plans[i].executed_groups < m:
-                m = plans[i].executed_groups
-                if plans[1 - i] is not None:
-                    todo.append(1 - i)
-        for pool, plan in zip(pools, plans):
-            if plan is not None:
-                burst.commit_planned_burst(pool, plan)
-                # The page-aligned window splits each call's host pages
-                # exactly between the pools' executed segments.
-                ftl.host_pages_requested += plan.host_pages
-        if merged:
-            for call in reversed(calls):
-                if call[0] < m:
-                    ftl._staging_cursor = call[5]
-                    break
-        copies = [plan.seg_copies if plan is not None else None for plan in plans]
-        return self._burst_durations(calls, copies, m)
 
     def _burst_durations(self, calls, copies, m):
         """Account the executed prefix of a committed burst.
@@ -345,18 +337,15 @@ class BlockDevice:
             package.idle(seconds, temp_c)
 
     def _packages(self):
-        if isinstance(self.ftl, HybridFTL):
-            return [self.ftl.pool_a.package, self.ftl.pool_b.package]
-        return [self.ftl.package]
+        return [pool.package for pool in self.pools.values()]
 
     # ------------------------------------------------------------------
     # Health
     # ------------------------------------------------------------------
 
     def wear_indicators(self):
-        if isinstance(self.ftl, HybridFTL):
-            return self.ftl.wear_indicators()
-        return {"A": self.ftl.wear_indicator()}
+        """Each pool's wear indicator, by memory type."""
+        return {mem: pool.wear_indicator() for mem, pool in self.pools.items()}
 
     def wear_poll_hints(self):
         """Per-memory-type ``(counters, min_further_erases)`` pairs.
@@ -368,13 +357,10 @@ class BlockDevice:
         experiment loop uses the pair to skip provably-uneventful
         ``wear_indicators()`` polls (DESIGN.md §10).
         """
-        ftl = self.ftl
-        if isinstance(ftl, HybridFTL):
-            return {
-                "A": (ftl.pool_a.package.counters, ftl.pool_a.erases_until_next_level()),
-                "B": (ftl.pool_b.package.counters, ftl.pool_b.erases_until_next_level()),
-            }
-        return {"A": (ftl.package.counters, ftl.erases_until_next_level())}
+        return {
+            mem: (pool.package.counters, pool.erases_until_next_level())
+            for mem, pool in self.pools.items()
+        }
 
     def health_report(self) -> HealthReport:
         indicators = self.wear_indicators()

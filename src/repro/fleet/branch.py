@@ -26,7 +26,7 @@ run of member i" agree by definition, not by convention.
 from __future__ import annotations
 
 import copy
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -34,16 +34,8 @@ from repro.campaign.runner import rewrite_experiment
 from repro.core.experiment import MAX_WINDOW_STEPS, WearOutExperiment
 from repro.devices import build_device
 from repro.fleet.spec import CohortSpec
-from repro.ftl.hybrid import HybridFTL
 from repro.state import CheckpointError, restore_experiment
-from repro.state.snapshot import package_config_digest
-from repro.workloads.patterns import RandomPattern
-
-
-def _pools(ftl) -> Tuple[Any, ...]:
-    if isinstance(ftl, HybridFTL):
-        return (ftl.pool_a, ftl.pool_b)
-    return (ftl,)
+from repro.state.snapshot import package_config_digest, pool_keys
 
 
 def build_cohort_experiment(spec: CohortSpec, seed: int) -> WearOutExperiment:
@@ -67,24 +59,16 @@ def build_cohort_experiment(spec: CohortSpec, seed: int) -> WearOutExperiment:
 
 def _capture_member_entropy(experiment: WearOutExperiment) -> Dict[str, Any]:
     """The member-identity RNG states of a *freshly built* twin, taken
-    before restore overwrites them with the snapshot's."""
-    workload = experiment.workload
-    entropy: Dict[str, Any] = {
-        "workload_rng": copy.deepcopy(workload._rng.bit_generator.state),
-        "generator_rngs": [],
+    before restore overwrites them with the snapshot's.  Every random
+    pattern of a rewrite workload draws from the workload's own
+    Generator, so its state covers them all."""
+    return {
+        "workload_rng": copy.deepcopy(experiment.workload._rng.bit_generator.state),
+        "read_rngs": [
+            copy.deepcopy(pool._read_rng.bit_generator.state)
+            for pool in experiment.device.pools.values()
+        ],
     }
-    for gen in workload._generators:
-        if isinstance(gen, RandomPattern) and gen._rng is not workload._rng:
-            entropy["generator_rngs"].append(
-                copy.deepcopy(gen._rng.bit_generator.state)
-            )
-        else:
-            entropy["generator_rngs"].append(None)
-    pools = _pools(experiment.device.ftl)
-    entropy["read_rngs"] = [
-        copy.deepcopy(pool._read_rng.bit_generator.state) for pool in pools
-    ]
-    return entropy
 
 
 def _restamp_member_entropy(experiment: WearOutExperiment, entropy: Dict[str, Any]) -> None:
@@ -92,12 +76,8 @@ def _restamp_member_entropy(experiment: WearOutExperiment, entropy: Dict[str, An
     snapshot streams.  Trajectory *positions* (sequential-pattern
     cursors, the round-robin file cursor) stay at the snapshot's
     values — position is shared, entropy is not."""
-    workload = experiment.workload
-    workload._rng.bit_generator.state = entropy["workload_rng"]
-    for gen, state in zip(workload._generators, entropy["generator_rngs"]):
-        if state is not None:
-            gen._rng.bit_generator.state = state
-    for pool, state in zip(_pools(experiment.device.ftl), entropy["read_rngs"]):
+    experiment.workload._rng.bit_generator.state = entropy["workload_rng"]
+    for pool, state in zip(experiment.device.pools.values(), entropy["read_rngs"]):
         pool._read_rng.bit_generator.state = state
 
 
@@ -118,26 +98,13 @@ def _patch_package_digests(experiment: WearOutExperiment, state: Dict[str, Any])
     patched["device"] = dict(state["device"])
     ftl_state = dict(state["device"]["ftl"])
     patched["device"]["ftl"] = ftl_state
-    ftl = experiment.device.ftl
-    if ftl_state.get("hybrid"):
-        for pool_key, pool in (("pool_a", ftl.pool_a), ("pool_b", ftl.pool_b)):
-            pool_state = dict(ftl_state[pool_key])
-            pool_state["package"] = dict(pool_state["package"])
-            pool_state["package"]["config_digest"] = package_config_digest(pool.package)
-            ftl_state[pool_key] = pool_state
-    else:
-        pool_state = dict(ftl_state["pool"])
+    device = experiment.device
+    for mem, key in pool_keys(device).items():
+        pool_state = dict(ftl_state[key])
         pool_state["package"] = dict(pool_state["package"])
-        pool_state["package"]["config_digest"] = package_config_digest(ftl.package)
-        ftl_state["pool"] = pool_state
+        pool_state["package"]["config_digest"] = package_config_digest(device.pools[mem].package)
+        ftl_state[key] = pool_state
     return patched
-
-
-def _snapshot_packages(state: Dict[str, Any]):
-    ftl_state = state["device"]["ftl"]
-    if ftl_state.get("hybrid"):
-        return (ftl_state["pool_a"]["package"], ftl_state["pool_b"]["package"])
-    return (ftl_state["pool"]["package"],)
 
 
 def branch_experiment(
@@ -162,17 +129,15 @@ def branch_experiment(
     if snapshot is None:
         return experiment
     entropy = _capture_member_entropy(experiment)
-    patched = _patch_package_digests(experiment, snapshot)
-    for pkg_state in _snapshot_packages(snapshot):
-        if int(pkg_state["num_bad"]) != 0:
-            raise CheckpointError(
-                "snapshot has bad blocks — its trajectory prefix is "
-                "not shareable across member endurance draws"
-            )
-    restore_experiment(experiment, patched)
+    restore_experiment(experiment, _patch_package_digests(experiment, snapshot))
     _restamp_member_entropy(experiment, entropy)
-    for pool in _pools(experiment.device.ftl):
-        pkg = pool.package
+    packages = experiment.device._packages()
+    if any(pkg.num_bad_blocks for pkg in packages):
+        raise CheckpointError(
+            "snapshot has bad blocks — its trajectory prefix is "
+            "not shareable across member endurance draws"
+        )
+    for pkg in packages:
         worn = pkg._pe_permanent + pkg._pe_recoverable
         if np.any(worn >= pkg._cycle_limit):
             raise CheckpointError(

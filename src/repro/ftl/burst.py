@@ -1,8 +1,12 @@
-"""Fused burst-step execution (DESIGN.md §11, §14).
+"""Fused burst-step execution (DESIGN.md §11, §14, §16).
 
-One call plans — and, when the plan reproduces it exactly, applies —
-many host write calls' worth of FTL work as whole-array numpy kernels,
-instead of one Python dispatch chain per workload step.
+Many host write calls' worth of one page-mapped pool's FTL work are
+planned (:func:`plan_write_burst`) and, when the plan reproduces them
+exactly, committed (:func:`commit_planned_burst`) as whole-array numpy
+kernels, instead of one Python dispatch chain per workload step.  A
+device's fused burst plans and commits each of its pools through these
+two functions, as ``PageMappedFTL.write_requests_batch`` does for a
+lone FTL.
 
 The model is *plan-then-apply*: a read-only planning walk
 (:func:`plan_write_burst`) mirrors the scalar write path (span
@@ -160,28 +164,6 @@ class BurstPlan:
     active_final: Optional[int]
     aoff_final: int
     end_of_life: bool
-
-
-def execute_write_burst(
-    ftl,
-    segments: Sequence[BurstSegment],
-    num_groups: int,
-    stop_erases: Optional[int],
-) -> Optional[BurstPlan]:
-    """Plan and apply a burst of host writes on a :class:`PageMappedFTL`.
-
-    Returns the committed plan — its ``executed_groups`` whole groups
-    ran (truncation happens only at group boundaries, where the
-    caller's poll budget expires) and ``seg_copies`` lists the GC/WL
-    copy pages each executed call caused — or ``None``, with the FTL
-    untouched, when the burst is ineligible or the plan hit an event
-    only the scalar path can reproduce.
-    """
-    plan = plan_write_burst(ftl, segments, num_groups, stop_erases)
-    if plan is None:
-        return None
-    commit_planned_burst(ftl, plan)
-    return plan
 
 
 def plan_write_burst(

@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, DeviceWornOut, ReadOnlyError, UncorrectableError
 from repro.flash.package import FlashPackage
-from repro.ftl.burst import execute_write_burst
+from repro.ftl import burst
 from repro.obs import FtlInstruments
 from repro.ftl.gc import GreedyVictimPolicy
 from repro.ftl.stats import FtlStats
@@ -251,8 +251,14 @@ class PageMappedFTL:
         caused.  Returns ``None`` with the FTL untouched when the burst
         cannot be proven equivalent to the scalar path — the caller must
         then replay the same writes through :meth:`write_requests`.
+        The plan comes from :func:`repro.ftl.burst.plan_write_burst` and
+        commits through :func:`repro.ftl.burst.commit_planned_burst`, as
+        each pool of a device's fused burst does.
         """
-        return execute_write_burst(self, segments, num_groups, stop_erases)
+        plan = burst.plan_write_burst(self, segments, num_groups, stop_erases)
+        if plan is not None:
+            burst.commit_planned_burst(self, plan)
+        return plan
 
     def write_pages_scattered(self, page_lpns: np.ndarray) -> None:
         """Independent single-page sync writes (e.g. 4 KiB fsync ops)."""

@@ -255,11 +255,3 @@ class HybridFTL:
             "A": self.pool_a.wear_indicator(),
             "B": self.pool_b.wear_indicator(),
         }
-
-    def erases_until_next_level(self) -> float:
-        """Conservative erase budget before *either* pool's indicator
-        can rise (see :meth:`PageMappedFTL.erases_until_next_level`)."""
-        return min(
-            self.pool_a.erases_until_next_level(),
-            self.pool_b.erases_until_next_level(),
-        )

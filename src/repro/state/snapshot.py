@@ -46,7 +46,6 @@ from repro.core.results import WearOutResult
 from repro.devices.interface import BlockDevice
 from repro.errors import ConfigurationError
 from repro.ftl.ftl import PageMappedFTL
-from repro.ftl.hybrid import HybridFTL
 from repro.workloads.patterns import RandomPattern, SequentialPattern, StridePattern
 
 #: Bump when the snapshot layout changes; loaders reject other versions.
@@ -167,18 +166,23 @@ def restore_ftl(ftl: PageMappedFTL, state: Dict[str, Any]) -> None:
     ftl._read_rng.bit_generator.state = state["read_rng"]
 
 
+def pool_keys(device: BlockDevice) -> Dict[str, str]:
+    """The key of each of ``device``'s pools (:attr:`BlockDevice.pools`,
+    by memory type) in its snapshot's ``ftl`` state: ``pool`` for a
+    one-pool device, ``pool_a`` and ``pool_b`` for a hybrid's."""
+    if len(device.pools) == 1:
+        return {"A": "pool"}
+    return {mem: f"pool_{mem.lower()}" for mem in device.pools}
+
+
 def capture_device(device: BlockDevice) -> Dict[str, Any]:
-    ftl = device.ftl
-    if isinstance(ftl, HybridFTL):
-        ftl_state: Dict[str, Any] = {
-            "hybrid": True,
-            "pool_a": capture_ftl(ftl.pool_a),
-            "pool_b": capture_ftl(ftl.pool_b),
-            "staging_cursor": int(ftl._staging_cursor),
-            "host_pages_requested": int(ftl.host_pages_requested),
-        }
-    else:
-        ftl_state = {"hybrid": False, "pool": capture_ftl(ftl)}
+    keys = pool_keys(device)
+    ftl_state: Dict[str, Any] = {"hybrid": len(keys) > 1}
+    for mem, key in keys.items():
+        ftl_state[key] = capture_ftl(device.pools[mem])
+    if ftl_state["hybrid"]:
+        ftl_state["staging_cursor"] = int(device.ftl._staging_cursor)
+        ftl_state["host_pages_requested"] = int(device.ftl.host_pages_requested)
     return {
         "name": device.name,
         "scale": int(device.scale),
@@ -197,15 +201,17 @@ def restore_device(device: BlockDevice, state: Dict[str, Any]) -> None:
         f"{state['scale']}, restoring into {device.name!r} at scale {device.scale}",
     )
     ftl_state = state["ftl"]
-    if isinstance(device.ftl, HybridFTL):
-        _require(bool(ftl_state["hybrid"]), "checkpoint is not from a hybrid device")
-        restore_ftl(device.ftl.pool_a, ftl_state["pool_a"])
-        restore_ftl(device.ftl.pool_b, ftl_state["pool_b"])
+    keys = pool_keys(device)
+    hybrid = len(keys) > 1
+    _require(
+        bool(ftl_state["hybrid"]) == hybrid,
+        "checkpoint is not from a hybrid device" if hybrid else "checkpoint is from a hybrid device",
+    )
+    for mem, key in keys.items():
+        restore_ftl(device.pools[mem], ftl_state[key])
+    if hybrid:
         device.ftl._staging_cursor = int(ftl_state["staging_cursor"])
         device.ftl.host_pages_requested = int(ftl_state["host_pages_requested"])
-    else:
-        _require(not ftl_state["hybrid"], "checkpoint is from a hybrid device")
-        restore_ftl(device.ftl, ftl_state["pool"])
     device.host_bytes_written = int(state["host_bytes_written"])
     device.host_bytes_read = int(state["host_bytes_read"])
     device.busy_seconds = float(state["busy_seconds"])

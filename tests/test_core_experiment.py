@@ -224,12 +224,12 @@ class TestStepEquivalence:
         assert exp2.result.bricked
         assert exp2.result.total_seconds == 1 * 2.0 * 4
 
-    def test_run_one_increment_leaves_host_total_untouched(self):
-        # Pinned historical behavior: only run() refreshes
-        # total_host_bytes; run_one_increment never did.
+    def test_run_one_increment_sets_host_total(self):
+        # The loop keeps total_host_bytes current, so an increment run
+        # reports its host volume as run() does.
         exp, device = self.make()
         exp.run_one_increment("A")
-        assert exp.result.total_host_bytes == 0.0
+        assert exp.result.total_host_bytes == device.host_bytes_written * device.scale > 0
 
 
 class TestDefaultWindows:

@@ -169,13 +169,7 @@ def _play(exp, case, start=(0, 0), stop=None):
         swap, method, argument, max_steps = stages[k]
         if swap is not None and done == 0:
             swap(exp, case)
-        total = exp.result.total_host_bytes
         getattr(exp, method)(argument, max_steps=(max_steps if k < stop[0] else stop[1]) - done)
-        if k == stop[0]:
-            # A stop inside a stage is a kill: the run's host-volume
-            # total, which a completed run() call sets, stays as the
-            # uninterrupted run has it at this step.
-            exp.result.total_host_bytes = total
         ends.append(exp.steps_completed)
         k, done = k + 1, 0
     return ends

@@ -21,6 +21,7 @@ from repro.fleet import (
     scalar_member_result,
 )
 from repro.fleet.soa import CohortState
+from repro.state import snapshot_experiment
 from repro.units import KIB
 from repro.workloads import FileRewriteWorkload
 
@@ -263,6 +264,36 @@ class TestBranchGuard:
         assert all(branches[device_seed(seed, i)] is None for i in cohort.demoted)
         monkeypatch.undo()
         _assert_members_match(CROSSING_SPEC, seed, cohort, [1])
+
+
+class TestHybridBranch:
+    """A two-pool member branches pool by pool.  The engine never
+    branches one (hybrid cohorts are lockstep-ineligible, so every
+    member runs from a fresh build), so the branch is built here from a
+    mid-run snapshot of an ``emmc-16gb`` leader."""
+
+    def test_both_pools_take_the_position_and_keep_the_identity(self):
+        spec = CohortSpec(device="emmc-16gb", population=2, scale=512,
+                          pattern="rand", until_level=2)
+        seed = resolve_cohort_seed(spec, BASE_SEED)
+        leader = branch_experiment(spec, device_seed(seed, 0))
+        leader.run(until_level=2, max_steps=40)
+        fresh = branch_experiment(spec, device_seed(seed, 1))
+        member = branch_experiment(spec, device_seed(seed, 1), snapshot_experiment(leader))
+        assert list(member.device.pools) == ["A", "B"]
+        for mem, pool in member.device.pools.items():
+            led, own = leader.device.pools[mem], fresh.device.pools[mem]
+            # The leader's position: both pools mapped and worn mid-run.
+            assert np.count_nonzero(led._l2p >= 0) and led.package.counters.block_erases
+            assert np.array_equal(pool._l2p, led._l2p)
+            assert np.array_equal(pool._p2l, led._p2l)
+            assert np.array_equal(pool.package.pe_counts, led.package.pe_counts)
+            # The member's identity: its own cycle limits and fresh
+            # read-error stream, not the leader's.
+            assert np.array_equal(pool.package.cycle_limits(), own.package.cycle_limits())
+            assert not np.array_equal(pool.package.cycle_limits(), led.package.cycle_limits())
+            assert pool._read_rng.bit_generator.state == own._read_rng.bit_generator.state
+            assert pool._read_rng.bit_generator.state != led._read_rng.bit_generator.state
 
 
 class TestLeaderChoice:

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.flash import CELL_SPECS, CellType, FlashGeometry, FlashPackage
-from repro.ftl import PageMappedFTL
+from repro.ftl import PageMappedFTL, burst
 from repro.ftl.gc import CostBenefitVictimPolicy, GreedyVictimPolicy
 from repro.state.snapshot import (
     capture_ftl,
@@ -361,7 +361,7 @@ class TestWriteBurstEquivalence:
         assert ftl_fingerprint(fused.ftl) == ftl_fingerprint(scalar.ftl)
 
     @pytest.mark.parametrize("rows", ["combining", "stacked"])
-    def test_stacked_bucket_write_combining_screen(self, rows):
+    def test_stacked_bucket_write_combining_screen(self, rows, monkeypatch):
         """A window's rows are screened for write combining by each
         row's first gap and last offset.  A row that combines
         (sequential 4 KiB requests) becomes one request spanning the
@@ -394,15 +394,16 @@ class TestWriteBurstEquivalence:
         scalar = build_device("emmc-8gb", scale=1024, seed=5)
         assert fused.ftl.unit_pages == 2  # combining changes the unit stream
         built = []
-        batch = fused.ftl.write_requests_batch
+        plan_write_burst = burst.plan_write_burst
 
-        def recording(segments, num_groups, stop_erases=None):
+        def recording(ftl, segments, num_groups, stop_erases):
             built.extend(segments)
-            return batch(segments, num_groups, stop_erases)
+            return plan_write_burst(ftl, segments, num_groups, stop_erases)
 
-        fused.ftl.write_requests_batch = recording
+        monkeypatch.setattr(burst, "plan_write_burst", recording)
         out = fused.write_burst(np.stack(calls), page, None, None)
         assert out is not None and out[0] == len(calls)
+        assert len(built) == len(calls)  # one segment per call
 
         for group, (offsets, segment) in enumerate(zip(calls, built)):
             units, host, rmw = scalar_segment(scalar.ftl, *_write_combine(offsets, page))

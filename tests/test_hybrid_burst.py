@@ -74,10 +74,10 @@ def _outcome(exp):
 
 
 def _windows(exp):
-    """Log every hybrid burst: None for a refused window, else
+    """Log every fused window: None for a refused window, else
     ``(executed, planned, pools whose budget the window spent)``."""
     device = exp.device
-    inner = device._hybrid_burst
+    inner = device.write_burst
     pools = (("A", device.ftl.pool_a), ("B", device.ftl.pool_b))
     log = []
 
@@ -93,7 +93,7 @@ def _windows(exp):
             log.append((out[0], len(data), spent))
         return out
 
-    device._hybrid_burst = traced
+    device.write_burst = traced
     return log
 
 
